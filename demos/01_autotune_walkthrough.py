@@ -16,7 +16,6 @@ from passtune.autotuner import (
 )
 from passtune.backend.mini import MiniBackend
 from passtune.backend.passlist import PassList
-from passtune.ircore import NormalizedIr
 from passtune.minigen import generate_corpus
 
 backend = MiniBackend()
@@ -26,8 +25,7 @@ corpus = generate_corpus(40, seed=1)
 # The baseline: every function is measured against -Oz.
 
 fn = corpus[0]
-ir = NormalizedIr(fn.normalized_text)
-oz = backend.apply(ir, PassList(("-Oz",), backend.vocabulary))
+oz = backend.apply(fn.ir, PassList(("-Oz",), backend.vocabulary))
 print(f"function {fn.id} ({fn.source_dataset})")
 print(fn.normalized_text)
 print()
@@ -56,9 +54,8 @@ print(f"  used      {result.evaluations_used} compilations")
 # Stage 2 — minimization. Drop passes one at a time while the count does
 # not get worse; the result is 1-minimal.
 
-target_ir = NormalizedIr(target.normalized_text)
 items, count, evals = minimize_pass_list(
-    backend, target_ir, tuple(result.best_pass_list.split()), seed=7,
+    backend, target.ir, tuple(result.best_pass_list.split()), seed=7,
     count=result.best_count,
 )
 print(f"  minimized {' '.join(items)!r} -> {count} (+{evals} compilations)")

@@ -39,8 +39,8 @@ ir = normalize(sample.read_text())
 # Compile once with no passes to get the unoptimized count, then with
 # -Oz. The backend normalizes output IR, so counts are comparable.
 
-unopt = backend.apply(ir, PassList.from_items([], backend.vocabulary))
-oz = backend.apply(ir, PassList.from_items(["-Oz"], backend.vocabulary))
+unopt = backend.apply(ir, PassList((), backend.vocabulary))
+oz = backend.apply(ir, PassList(("-Oz",), backend.vocabulary))
 print(f"{sample.name}: {unopt.instruction_count} instructions unoptimized, "
       f"{oz.instruction_count} under -Oz")
 print()
@@ -51,7 +51,7 @@ print()
 
 for name in ("bad_type.ll", "bad_float.ll"):
     broken = normalize(sample.with_name(name).read_text())
-    outcome = backend.apply(broken, PassList.from_items([], backend.vocabulary))
+    outcome = backend.apply(broken, PassList((), backend.vocabulary))
     assert not outcome.ok
     print(f"{name}: {outcome.diagnostic.category.value}")
     print(f"  {outcome.diagnostic.message.splitlines()[0]}")

@@ -16,7 +16,7 @@ smaller, lists, so results are reproducible for a given seed.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 import random
 import time
@@ -25,17 +25,11 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from passtune.backend import (
-    Backend,
-    CompileOutcome,
-    CompileTimeoutError,
-    PassList,
-    PassVocabulary,
-)
+from passtune.backend import Backend, PassVocabulary, compile_items
 from passtune.backend.passlist import DEFAULT_MAX_LEN, sample_items
 from passtune.evaluator import overall_improvement
 from passtune.ircore import IrFunction, NormalizedIr
-from passtune.util import stable_seed
+from passtune.util import read_jsonl, stable_seed, write_jsonl
 
 DEFAULT_WALL_CLOCK_SECONDS = 780.0
 
@@ -121,17 +115,6 @@ def _sort_key(count: int, items: tuple[str, ...]) -> tuple:
     return (count, len(items), items)
 
 
-def _evaluate(
-    backend: Backend, ir: NormalizedIr, items: tuple[str, ...]
-) -> Optional[CompileOutcome]:
-    """One compilation; timeouts count as failures and return None."""
-    try:
-        outcome = backend.apply(ir, PassList(items, backend.vocabulary))
-    except CompileTimeoutError:
-        return None
-    return outcome if outcome.ok else None
-
-
 def _sample_candidate(
     rng: random.Random, vocabulary: PassVocabulary, max_len: int
 ) -> tuple[str, ...]:
@@ -147,12 +130,12 @@ def random_search(
 ) -> TuneResult:
     """Tune one function; returns the best list found under the budget."""
     rng = random.Random(seed)
-    ir = NormalizedIr(fn.normalized_text)
+    ir = fn.ir
     start = time.monotonic()
 
     baseline_items = BASELINE_FLAGS
-    baseline = _evaluate(backend, ir, baseline_items)
-    if baseline is None:
+    baseline = compile_items(backend, ir, baseline_items)
+    if not baseline.ok:
         raise BaselineFailedError(f"-Oz failed on function {fn.id!r}")
     evaluations_used = 1
     best_items, best_count = baseline_items, baseline.instruction_count
@@ -176,8 +159,8 @@ def random_search(
         seen.add(items)
         candidates_tried += 1
         evaluations_used += 1
-        outcome = _evaluate(backend, ir, items)
-        if outcome is None:
+        outcome = compile_items(backend, ir, items)
+        if not outcome.ok:
             continue
         if _sort_key(outcome.instruction_count, items) < _sort_key(
             best_count, best_items
@@ -213,9 +196,9 @@ def minimize_pass_list(
     current = tuple(items)
     evaluations = 0
     if count is None:
-        outcome = _evaluate(backend, ir, current)
+        outcome = compile_items(backend, ir, current)
         evaluations += 1
-        if outcome is None:
+        if not outcome.ok:
             raise ValueError("the input pass list does not compile")
         count = outcome.instruction_count
     current_count = count
@@ -225,8 +208,8 @@ def minimize_pass_list(
         for idx in rng.sample(range(len(current)), len(current)):
             candidate = current[:idx] + current[idx + 1 :]
             evaluations += 1
-            outcome = _evaluate(backend, ir, candidate)
-            if outcome is not None and outcome.instruction_count <= current_count:
+            outcome = compile_items(backend, ir, candidate)
+            if outcome.ok and outcome.instruction_count <= current_count:
                 current, current_count = candidate, outcome.instruction_count
                 improved = True
                 break
@@ -251,7 +234,7 @@ def broadcast_best_lists(
     updated: dict[str, TuneResult] = {}
     for fn in functions:
         result = results[fn.id]
-        ir = NormalizedIr(fn.normalized_text)
+        ir = fn.ir
         best_items = tuple(result.best_pass_list.split())
         best_count = result.best_count
         evaluations = result.evaluations_used
@@ -259,17 +242,15 @@ def broadcast_best_lists(
             if items == best_items:
                 continue
             evaluations += 1
-            outcome = _evaluate(backend, ir, items)
-            if outcome is None:
+            outcome = compile_items(backend, ir, items)
+            if not outcome.ok:
                 continue
             if _sort_key(outcome.instruction_count, items) < _sort_key(
                 best_count, best_items
             ):
                 best_items, best_count = items, outcome.instruction_count
-        updated[fn.id] = TuneResult(
-            function_id=result.function_id,
-            baseline_pass_list=result.baseline_pass_list,
-            baseline_count=result.baseline_count,
+        updated[fn.id] = dataclasses.replace(
+            result,
             best_pass_list=" ".join(best_items),
             best_count=best_count,
             evaluations_used=evaluations,
@@ -303,15 +284,13 @@ def _tune_one(
     if minimize:
         items, count, extra = minimize_pass_list(
             backend,
-            NormalizedIr(fn.normalized_text),
+            fn.ir,
             tuple(result.best_pass_list.split()),
             stable_seed(fn_seed, "minimize"),
             count=result.best_count,
         )
-        result = TuneResult(
-            function_id=result.function_id,
-            baseline_pass_list=result.baseline_pass_list,
-            baseline_count=result.baseline_count,
+        result = dataclasses.replace(
+            result,
             best_pass_list=" ".join(items),
             best_count=count,
             evaluations_used=result.evaluations_used + extra,
@@ -382,19 +361,8 @@ def autotune_corpus(
 
 
 def write_results(results: Iterable[TuneResult], path: str | Path) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for result in results:
-            fh.write(json.dumps(asdict(result)) + "\n")
-            n += 1
-    return n
+    return write_jsonl((asdict(r) for r in results), path)
 
 
 def read_results(path: str | Path) -> list[TuneResult]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(TuneResult(**json.loads(line)))
-    return out
+    return [TuneResult(**row) for row in read_jsonl(path)]

@@ -24,6 +24,7 @@ from passtune.backend.types import (
     BackendUnavailableError,
     CompileOutcome,
     CompileTimeoutError,
+    compile_items,
     verify_ir,
 )
 
@@ -38,6 +39,7 @@ __all__ = [
     "PassList",
     "PassVocabulary",
     "classify_error",
+    "compile_items",
     "llvm10_vocabulary",
     "verify_ir",
 ]

@@ -1,10 +1,12 @@
 """Backend that drives an external LLVM ``opt`` executable.
 
-Each application writes the IR to a temporary file, runs
-``opt -S <flags...> <file>`` with a wall-clock limit, and re-normalizes
-the output. Nonzero exits become classified failure outcomes; a limit
-hit raises :class:`CompileTimeoutError` so callers can charge it to
-their budget.
+Each application runs ``opt -S <flags...>`` with a wall-clock limit and
+feeds it the IR on standard input. There is no temporary file, so the
+output names its source ``<stdin>`` on every run. The output is
+re-normalized. Nonzero exits become classified failure outcomes; a limit
+hit raises :class:`CompileTimeoutError`, which
+:func:`~passtune.backend.types.compile_items` charges as one failed
+compilation.
 
 The executable is found via the constructor argument, the
 ``PASSTUNE_OPT`` environment variable, or ``opt`` on PATH, in that
@@ -18,8 +20,6 @@ from __future__ import annotations
 import os
 import shutil
 import subprocess
-import tempfile
-from pathlib import Path
 from typing import Optional, Sequence
 
 from passtune.backend.classify import diagnostic_from_message
@@ -84,25 +84,23 @@ class LlvmBackend:
         for flag in passes:
             if flag not in self._vocabulary:
                 raise ValueError(f"flag {flag!r} is not in this backend's vocabulary")
-        with tempfile.TemporaryDirectory(prefix="passtune-opt-") as tmp:
-            src = Path(tmp) / "input.ll"
-            src.write_text(ir.text + "\n", encoding="utf-8")
-            cmd = [self.opt_path, "-S", *self.extra_args, *passes.items, str(src)]
-            try:
-                proc = subprocess.run(
-                    cmd,
-                    capture_output=True,
-                    text=True,
-                    timeout=self.timeout,
-                )
-            except subprocess.TimeoutExpired as err:
-                raise CompileTimeoutError(
-                    f"{' '.join(cmd)} exceeded {self.timeout:.0f}s"
-                ) from err
-            except OSError as err:
-                raise BackendUnavailableError(
-                    f"cannot run {self.opt_path!r}: {err}"
-                ) from err
+        cmd = [self.opt_path, "-S", *self.extra_args, *passes.items]
+        try:
+            proc = subprocess.run(
+                cmd,
+                input=ir.text + "\n",
+                capture_output=True,
+                text=True,
+                timeout=self.timeout,
+            )
+        except subprocess.TimeoutExpired as err:
+            raise CompileTimeoutError(
+                f"{' '.join(cmd)} exceeded {self.timeout:.0f}s"
+            ) from err
+        except OSError as err:
+            raise BackendUnavailableError(
+                f"cannot run {self.opt_path!r}: {err}"
+            ) from err
         if proc.returncode != 0:
             message = proc.stderr.strip() or f"exit code {proc.returncode}"
             return CompileOutcome.failure(diagnostic_from_message(message))

@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 DEFAULT_MAX_LEN = 12
 
@@ -73,22 +73,8 @@ class PassList:
             if self.items.count(meta) > 1:
                 raise InvalidPassListError(f"meta-flag {meta!r} appears more than once")
 
-    @classmethod
-    def from_items(
-        cls, items: Sequence[str], vocabulary: PassVocabulary
-    ) -> "PassList":
-        return cls(tuple(items), vocabulary)
-
-    @classmethod
-    def parse(cls, text: str, vocabulary: PassVocabulary) -> "PassList":
-        """Inverse of :meth:`render`: whitespace-split and validate."""
-        return cls(tuple(text.split()), vocabulary)
-
     def render(self) -> str:
         return " ".join(self.items)
-
-    def without_index(self, i: int) -> "PassList":
-        return PassList(self.items[:i] + self.items[i + 1 :], self.vocabulary)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.items)
@@ -98,10 +84,6 @@ class PassList:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def load_vocabulary(passes: Iterable[str], meta_flags: Iterable[str]) -> PassVocabulary:
-    return PassVocabulary(tuple(passes), tuple(meta_flags))
 
 
 def sample_items(
@@ -137,4 +119,4 @@ def llvm10_vocabulary() -> PassVocabulary:
         resources.files("passtune.backend").joinpath("data/llvm10_passes.json")
     ).read_text(encoding="utf-8")
     data = json.loads(text)
-    return load_vocabulary(data["passes"], data["meta_flags"])
+    return PassVocabulary(tuple(data["passes"]), tuple(data["meta_flags"]))

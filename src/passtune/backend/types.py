@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
+from passtune.backend.classify import IrDiagnostic, diagnostic_from_message
 from passtune.backend.passlist import PassList, PassVocabulary
 from passtune.ircore import NormalizedIr, normalize
-
-if TYPE_CHECKING:
-    from passtune.backend.classify import IrDiagnostic
 
 
 class BackendUnavailableError(RuntimeError):
@@ -32,7 +30,7 @@ class CompileOutcome:
     ok: bool
     output: Optional[NormalizedIr]
     instruction_count: Optional[int]
-    diagnostic: Optional["IrDiagnostic"]
+    diagnostic: Optional[IrDiagnostic]
 
     def __post_init__(self) -> None:
         if self.ok:
@@ -51,7 +49,7 @@ class CompileOutcome:
         return cls(True, output, instruction_count, None)
 
     @classmethod
-    def failure(cls, diagnostic: "IrDiagnostic") -> "CompileOutcome":
+    def failure(cls, diagnostic: IrDiagnostic) -> "CompileOutcome":
         return cls(False, None, None, diagnostic)
 
 
@@ -65,6 +63,20 @@ class Backend(Protocol):
     def apply(self, ir: NormalizedIr, passes: PassList) -> CompileOutcome: ...
 
 
+def compile_items(
+    backend: Backend, ir: NormalizedIr, items: tuple[str, ...]
+) -> CompileOutcome:
+    """The one compile path: apply ``items`` to ``ir`` on ``backend``.
+
+    A compilation that exceeds its time limit is charged as one failed
+    compilation, like any other failure, so no stage dies of a hang.
+    """
+    try:
+        return backend.apply(ir, PassList(items, backend.vocabulary))
+    except CompileTimeoutError as err:
+        return CompileOutcome.failure(diagnostic_from_message(str(err)))
+
+
 def verify_ir(backend: Backend, text: str) -> CompileOutcome:
     """Check that text is acceptable IR by compiling with no passes."""
-    return backend.apply(normalize(text), PassList((), backend.vocabulary))
+    return compile_items(backend, normalize(text), ())

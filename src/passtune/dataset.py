@@ -20,15 +20,10 @@ import re
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from passtune.backend import Backend, PassList
+from passtune.backend import Backend, compile_items
 from passtune.backend.passlist import sample_items
-from passtune.ircore import (
-    DEFAULT_TOKEN_LIMIT,
-    IrFunction,
-    NormalizedIr,
-    estimate_tokens,
-)
-from passtune.util import read_jsonl, stable_seed
+from passtune.ircore import DEFAULT_TOKEN_LIMIT, IrFunction, estimate_tokens
+from passtune.util import stable_seed
 
 logger = logging.getLogger(__name__)
 
@@ -134,7 +129,8 @@ def build_pass_dataset(
     """Render one record per tune result.
 
     The best pass list is recompiled to obtain the optimized code for
-    the answer; a failure becomes a RecordError instead of a record.
+    the answer; a failure (a timeout included) becomes a RecordError
+    instead of a record.
     Records whose prompt+answer exceed the token limit are flagged
     ``truncated``, never dropped.
     """
@@ -146,9 +142,7 @@ def build_pass_dataset(
         if fn is None:
             raise ValueError(f"tune result for unknown function {result.function_id!r}")
         items = tuple(result.best_pass_list.split())
-        outcome = backend.apply(
-            NormalizedIr(fn.normalized_text), PassList(items, backend.vocabulary)
-        )
+        outcome = compile_items(backend, fn.ir, items)
         if not outcome.ok:
             errors.append(
                 RecordError(fn.id, result.best_pass_list, outcome.diagnostic.message)
@@ -187,7 +181,8 @@ def build_single_pass_dataset(
     in [0, max_prefix_len]) are drawn; the prefix output becomes the
     prompt IR and the target pass's output the answer. Records are
     unique per (target_pass, prompt); if uniqueness cannot be satisfied
-    the pass stops early with a warning.
+    the pass stops early with a warning. A failed compilation (a timeout
+    included) costs its attempt and nothing more.
     """
     if per_pass < 1:
         raise ValueError("per_pass must be >= 1")
@@ -210,15 +205,14 @@ def build_single_pass_dataset(
             prefix = sample_items(
                 rng, backend.vocabulary, rng.randint(0, max_prefix_len)
             )
-            base = NormalizedIr(fn.normalized_text)
-            pre = backend.apply(base, PassList(prefix, backend.vocabulary))
+            pre = compile_items(backend, fn.ir, prefix)
             if not pre.ok:
                 continue
             prompt_ir = pre.output.text
             prompt = render_single_pass_prompt(target, prompt_ir)
             if prompt in seen_prompts:
                 continue
-            out = backend.apply(pre.output, PassList((target,), backend.vocabulary))
+            out = compile_items(backend, pre.output, (target,))
             if not out.ok:
                 continue
             seen_prompts.add(prompt)
@@ -306,11 +300,3 @@ def corpus_stats(functions: Sequence[IrFunction]) -> dict[str, int]:
 
 def records_to_rows(records: Iterable) -> Iterable[dict]:
     return (asdict(r) for r in records)
-
-
-def read_pass_records(path) -> list[PassOrderingRecord]:
-    return [PassOrderingRecord(**row) for row in read_jsonl(path)]
-
-
-def read_single_pass_records(path) -> list[SinglePassRecord]:
-    return [SinglePassRecord(**row) for row in read_jsonl(path)]

@@ -19,13 +19,13 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from passtune.backend import (
     Backend,
-    CompileTimeoutError,
     ErrorCategory,
     InvalidPassListError,
     PassList,
+    compile_items,
     verify_ir,
 )
-from passtune.ircore import IrFunction, NormalizedIr, count_instructions, normalize
+from passtune.ircore import IrFunction, count_instructions, normalize
 from passtune.predictor import Prediction, with_oz_backup
 from passtune.util import read_jsonl, write_jsonl
 
@@ -137,16 +137,6 @@ class CodeQualityMetrics:
     output_count_mape: Optional[float]
 
 
-def _compile_items(
-    backend: Backend, ir: NormalizedIr, items: tuple[str, ...]
-) -> Optional[int]:
-    try:
-        outcome = backend.apply(ir, PassList(items, backend.vocabulary))
-    except CompileTimeoutError:
-        return None
-    return outcome.instruction_count if outcome.ok else None
-
-
 def evaluate_predictions(
     predictions: Sequence[Prediction],
     corpus: Sequence[IrFunction],
@@ -170,10 +160,10 @@ def evaluate_predictions(
     rows: list[EvalRow] = []
     additional = 0
     for fn in corpus:
-        ir = NormalizedIr(fn.normalized_text)
-        oz_count = _compile_items(backend, ir, ("-Oz",))
-        if oz_count is None:
+        oz = compile_items(backend, fn.ir, ("-Oz",))
+        if not oz.ok:
             raise ValueError(f"-Oz failed on function {fn.id!r}")
+        oz_count = oz.instruction_count
         pred = by_id.get(fn.id)
         failed = False
         missing = False
@@ -198,12 +188,9 @@ def evaluate_predictions(
                 predicted_count = backup.instruction_count
                 failed = backup.predicted_failed
             else:
-                count = _compile_items(backend, ir, items)
-                if count is None:
-                    failed = True
-                    predicted_count = oz_count
-                else:
-                    predicted_count = count
+                outcome = compile_items(backend, fn.ir, items)
+                failed = not outcome.ok
+                predicted_count = outcome.instruction_count if outcome.ok else oz_count
         rows.append(
             EvalRow(
                 function_id=fn.id,

@@ -7,11 +7,12 @@ metadata, no attribute groups, newlines preserved.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
+
+from passtune.util import read_jsonl, write_jsonl
 
 # The reference tokenizer averages 2.02 characters per token on IR text.
 # Kept as an exact rational (101/50) so the ceiling never drifts with
@@ -38,6 +39,10 @@ class NormalizedIr:
 _TRAILING_METADATA = re.compile(r"(?:,\s*![\w.$-]+\s+!\d+)+\s*$")
 _ATTR_REF = re.compile(r"\s#\d+\b")
 _LABEL_LINE = re.compile(r"^[\w.$%-]+:$")
+# Continuation lines as `opt` prints them: a landingpad's clauses (these,
+# or a bare `cleanup`) and an invoke's destinations. No instruction opens
+# with these words.
+_CONTINUATION = ("catch ", "filter ", "to ")
 
 
 def _split_string_segments(line: str) -> Iterator[tuple[bool, str]]:
@@ -109,27 +114,36 @@ def normalize(raw: str) -> NormalizedIr:
 
 
 def count_instructions(ir: NormalizedIr | str) -> int:
-    """Count instruction lines inside function bodies.
+    """Count instructions inside function bodies.
 
     A line counts unless it is a `define ... {` header, a closing `}`, or
-    a label (line ending in `:`). Lines outside any body contribute 0.
+    a label (line ending in `:`). An instruction printed over several
+    lines counts once: the lines after one ending in `[` up to the closing
+    `]` (a `switch`'s cases), a `landingpad`'s `cleanup`/`catch`/`filter`
+    clause lines and an `invoke`'s `to label ...` line belong to the line
+    that opens the instruction. Lines outside any body contribute 0.
     """
     text = ir.text if isinstance(ir, NormalizedIr) else ir
     inside = False
+    in_list = False
     count = 0
     for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
         if inside:
+            if in_list:
+                in_list = line != "]"
+                continue
             if line == "}":
                 inside = False
             elif line.startswith("define"):
                 raise MalformedIrError("nested function definition")
             elif line.endswith(":") and _LABEL_LINE.match(line):
                 continue
-            else:
+            elif line != "cleanup" and not line.startswith(_CONTINUATION):
                 count += 1
+                in_list = line.endswith("[")
         else:
             if line.startswith("define") and line.endswith("{"):
                 inside = True
@@ -165,6 +179,11 @@ class IrFunction:
     instruction_count: int
     token_estimate: int
 
+    @property
+    def ir(self) -> NormalizedIr:
+        """The normalized text; canonical once :meth:`validate` has passed."""
+        return NormalizedIr(self.normalized_text)
+
     @classmethod
     def from_raw(cls, id: str, source_dataset: str, raw_text: str) -> "IrFunction":
         norm = normalize(raw_text).text
@@ -193,19 +212,18 @@ class IrFunction:
 
 def write_corpus(functions: Iterable[IrFunction], path: str | Path) -> int:
     """Write functions as JSON Lines; returns the number written."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for fn in functions:
-            fh.write(json.dumps(asdict(fn)) + "\n")
-            n += 1
-    return n
+    return write_jsonl((asdict(fn) for fn in functions), path)
 
 
 def read_corpus(path: str | Path) -> list[IrFunction]:
+    """Read and validate a corpus: the one place its text is checked.
+
+    Every row's ``normalized_text`` must be a fixed point of
+    :func:`normalize`, so later stages can compile ``fn.ir`` as it is.
+    """
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(IrFunction(**json.loads(line)))
+    for row in read_jsonl(path):
+        fn = IrFunction(**row)
+        fn.validate()
+        out.append(fn)
     return out

@@ -13,22 +13,21 @@ deployed predictor can never regress below the default pipeline.
 
 from __future__ import annotations
 
-import os
 import subprocess
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from passtune.backend import (
     Backend,
-    CompileTimeoutError,
     InvalidPassListError,
     PassList,
     PassVocabulary,
+    compile_items,
 )
 from passtune.dataset import AnswerParseError, parse_answer
-from passtune.ircore import IrFunction, NormalizedIr
+from passtune.ircore import IrFunction
 from passtune.util import read_jsonl, write_jsonl
 
 OZ_LIST = "-Oz"
@@ -236,24 +235,6 @@ class ProcessPredictor:
         return _prediction_from_answer(fn, proc.stdout.rstrip("\n"), self.vocabulary)
 
 
-def predict_external(
-    fn: IrFunction,
-    command_spec: Union[str, Sequence[str]],
-    vocabulary: PassVocabulary,
-    timeout: float = 60.0,
-) -> Prediction:
-    """Dispatch on `command_spec`: an existing non-executable file is
-    treated as a predictions file, anything else as a command line."""
-    if isinstance(command_spec, str):
-        path = Path(command_spec)
-        if path.is_file() and not os.access(path, os.X_OK):
-            return FilePredictor(path, vocabulary).predict(fn)
-        command = command_spec.split()
-    else:
-        command = list(command_spec)
-    return ProcessPredictor(command, vocabulary, timeout).predict(fn)
-
-
 @dataclass(frozen=True)
 class BackupOutcome:
     """Result of the -Oz backup protocol for one prediction."""
@@ -276,20 +257,16 @@ def with_oz_backup(
     here; each non-Oz prediction costs exactly one additional
     compilation, whether or not it succeeds.
     """
-    ir = NormalizedIr(fn.normalized_text)
     if oz_count is None:
-        oz_outcome = backend.apply(ir, PassList(("-Oz",), backend.vocabulary))
+        oz_outcome = compile_items(backend, fn.ir, ("-Oz",))
         if not oz_outcome.ok:
             raise ValueError(f"-Oz failed on function {fn.id!r}")
         oz_count = oz_outcome.instruction_count
     items = prediction.items()
     if items == ("-Oz",):
         return BackupOutcome(OZ_LIST, oz_count, 0)
-    try:
-        outcome = backend.apply(ir, PassList(items, backend.vocabulary))
-    except CompileTimeoutError:
-        outcome = None
-    if outcome is None or not outcome.ok:
+    outcome = compile_items(backend, fn.ir, items)
+    if not outcome.ok:
         return BackupOutcome(OZ_LIST, oz_count, 1, predicted_failed=True)
     if outcome.instruction_count < oz_count:
         return BackupOutcome(" ".join(items), outcome.instruction_count, 1)

@@ -5,11 +5,13 @@ from pathlib import Path
 import pytest
 
 from passtune import __version__
+from passtune.backend import BackendUnavailableError
+from passtune.backend.llvm import resolve_opt_path
 from passtune.cli import main
 from passtune.evaluator import read_rows
 from passtune.ircore import read_corpus
 from passtune.predictor import read_predictions
-from passtune.util import file_digest
+from passtune.util import file_digest, write_jsonl
 
 DATA = Path(__file__).parent / "data"
 
@@ -341,6 +343,60 @@ def test_unavailable_llvm_backend_maps_to_exit_3(tmp_path, corpus_file):
         "--backend", "llvm",
         "--opt-path", "/nonexistent/opt",
     ) == 3
+
+
+def test_corpus_text_that_is_not_normalized_is_a_config_error(
+    tmp_path, corpus_file, capsys
+):
+    rows = [json.loads(line) for line in corpus_file.read_text().splitlines()]
+    rows[0]["normalized_text"] = "  " + rows[0]["normalized_text"]
+    bad = tmp_path / "bad.jsonl"
+    write_jsonl(rows, bad)
+    assert run(
+        "autotune",
+        "--corpus", bad,
+        "--output", tmp_path / "out.jsonl",
+        "--budget-evals", 2,
+    ) == 2
+    assert "not a fixed point" in capsys.readouterr().err
+
+
+def test_llvm_dataset_is_byte_identical_across_runs(tmp_path, corpus_file):
+    try:
+        resolve_opt_path()
+    except BackendUnavailableError:
+        pytest.skip("no optimizer executable on PATH or in PASSTUNE_OPT")
+    tuned = tmp_path / "tuned.jsonl"
+    write_jsonl(
+        (
+            {
+                "function_id": fn.id,
+                "baseline_pass_list": "-Oz",
+                "baseline_count": fn.instruction_count,
+                "best_pass_list": "-Oz",
+                "best_count": fn.instruction_count,
+                "evaluations_used": 1,
+            }
+            for fn in read_corpus(corpus_file)[:3]
+        ),
+        tuned,
+    )
+    outputs = []
+    for name in ("a.jsonl", "b.jsonl"):
+        out = tmp_path / name
+        assert run(
+            "dataset",
+            "--corpus", corpus_file,
+            "--tune-results", tuned,
+            "--output", out,
+            "--backend", "llvm",
+            "--opt-arg=-enable-new-pm=0",
+        ) == 0
+        outputs.append(out)
+    assert file_digest(outputs[0]) == file_digest(outputs[1])
+    text = outputs[0].read_text()
+    assert "<stdin>" in text
+    assert "/tmp/" not in text
 
 
 def test_retrieval_without_inputs_is_a_config_error(tmp_path, corpus_file):

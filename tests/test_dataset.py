@@ -6,25 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from passtune.autotuner import SearchBudget, TuneResult, autotune_corpus
-from passtune.backend.classify import diagnostic_from_message
 from passtune.backend.passlist import PassList, llvm10_vocabulary
-from passtune.backend.types import CompileOutcome
 from passtune.dataset import (
     AnswerParseError,
+    PassOrderingRecord,
+    RecordError,
+    SinglePassRecord,
     build_pass_dataset,
     build_single_pass_dataset,
     corpus_stats,
     dedup,
     parse_answer,
-    read_pass_records,
-    read_single_pass_records,
     records_to_rows,
     render_answer,
     render_single_pass_prompt,
     split,
 )
 from passtune.ircore import NormalizedIr
-from passtune.util import write_jsonl
+from passtune.util import read_jsonl, write_jsonl
+from test_predictor import PoisonBackend
 
 SAMPLE_CODE = "define i32 @f(i32 %a) {\nret i32 %a\n}"
 
@@ -141,25 +141,8 @@ def test_build_pass_dataset_unknown_function_raises(backend, corpus20, tuned):
         build_pass_dataset([stray], corpus20, backend)
 
 
-class FailingListBackend:
-    """Delegates to a real backend except for one poisoned flag."""
-
-    def __init__(self, inner, poison):
-        self._inner = inner
-        self._poison = poison
-
-    @property
-    def vocabulary(self):
-        return self._inner.vocabulary
-
-    def apply(self, ir, passes):
-        if self._poison in passes.items:
-            return CompileOutcome.failure(diagnostic_from_message("poisoned"))
-        return self._inner.apply(ir, passes)
-
-
 def test_build_pass_dataset_collects_errors(backend, corpus20):
-    rigged = FailingListBackend(backend, "-gvn")
+    rigged = PoisonBackend(backend, "-gvn")
     fn = corpus20[0]
     result = TuneResult(fn.id, "-Oz", fn.instruction_count, "-gvn", 1, 5)
     records, errors = build_pass_dataset([result], corpus20, rigged)
@@ -168,6 +151,15 @@ def test_build_pass_dataset_collects_errors(backend, corpus20):
     assert errors[0].function_id == fn.id
     assert errors[0].pass_list == "-gvn"
     assert "poisoned" in errors[0].message
+
+
+def test_build_pass_dataset_turns_a_timeout_into_a_record_error(backend, corpus20):
+    rigged = PoisonBackend(backend, None, timeout_flag="-gvn")
+    fn = corpus20[0]
+    result = TuneResult(fn.id, "-Oz", fn.instruction_count, "-gvn", 1, 5)
+    records, errors = build_pass_dataset([result], corpus20, rigged)
+    assert records == []
+    assert errors == [RecordError(fn.id, "-gvn", "induced")]
 
 
 # --- single-pass dataset ----------------------------------------------------
@@ -192,6 +184,21 @@ def test_single_pass_records_are_true_translations(backend, corpus20):
         )
         assert out.output.text == record.answer
         assert len(record.prefix_passes.split()) <= 2
+
+
+def test_single_pass_timeout_costs_one_attempt_not_the_run(backend, corpus20):
+    # A timed-out compilation is charged exactly like a failed one: the
+    # attempt is spent and sampling goes on, for -gvn and for -dce alike.
+    kwargs = dict(passes=("-gvn", "-dce"), per_pass=3, max_prefix_len=2, seed=5)
+    timed_out = build_single_pass_dataset(
+        PoisonBackend(backend, None, timeout_flag="-gvn"), corpus20, **kwargs
+    )
+    failed = build_single_pass_dataset(
+        PoisonBackend(backend, "-gvn"), corpus20, **kwargs
+    )
+    assert timed_out == failed
+    assert [r.target_pass for r in timed_out] == ["-dce"] * 3
+    assert all("-gvn" not in r.prefix_passes.split() for r in timed_out)
 
 
 def test_single_pass_dataset_is_deterministic(backend, corpus20):
@@ -290,7 +297,7 @@ def test_pass_records_round_trip(tmp_path, backend, corpus20, tuned):
     records, _ = build_pass_dataset(tuned, corpus20, backend)
     path = tmp_path / "pass.jsonl"
     write_jsonl(records_to_rows(records), path)
-    assert read_pass_records(path) == records
+    assert [PassOrderingRecord(**row) for row in read_jsonl(path)] == records
 
 
 def test_single_pass_records_round_trip(tmp_path, backend, corpus20):
@@ -299,4 +306,4 @@ def test_single_pass_records_round_trip(tmp_path, backend, corpus20):
     )
     path = tmp_path / "single.jsonl"
     write_jsonl(records_to_rows(records), path)
-    assert read_single_pass_records(path) == records
+    assert [SinglePassRecord(**row) for row in read_jsonl(path)] == records

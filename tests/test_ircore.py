@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -79,6 +80,53 @@ pos:
     assert count_instructions(multi) == 4
 
 
+def test_count_instructions_counts_a_switch_once():
+    # As opt prints it: one case per line and a closing bracket.
+    text = normalize(
+        """
+define i32 @s(i32 %x) {
+entry:
+  switch i32 %x, label %d [
+    i32 0, label %a
+    i32 1, label %b
+    i32 2, label %c
+  ]
+a:
+  ret i32 1
+b:
+  ret i32 2
+c:
+  ret i32 3
+d:
+  ret i32 0
+}
+"""
+    )
+    assert count_instructions(text) == 5
+
+
+LANDINGPAD = """
+define i32 @g() personality i32 (...)* @__gxx_personality_v0 {
+entry:
+  invoke void @h()
+          to label %ok unwind label %lp
+ok:
+  ret i32 1
+lp:
+  %e = landingpad { i8*, i32 }
+          cleanup
+          catch i8* null
+  resume { i8*, i32 } %e
+}
+"""
+
+
+def test_count_instructions_counts_a_landingpad_once():
+    assert count_instructions(normalize(LANDINGPAD)) == 4
+    one_line = LANDINGPAD.replace("\n          ", " ")
+    assert count_instructions(normalize(one_line)) == 4
+
+
 def test_count_instructions_rejects_imbalance():
     with pytest.raises(MalformedIrError):
         count_instructions("define i32 @f() {\nret i32 0\n")
@@ -132,6 +180,15 @@ def test_validate_rejects_tampered_fields():
     )
     with pytest.raises(ValueError):
         broken.validate()
+
+
+def test_read_corpus_rejects_text_that_is_not_normalized(tmp_path, corpus20):
+    row = asdict(corpus20[0])
+    row["normalized_text"] = row["normalized_text"].replace("\n", "\n  ", 1)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(ValueError, match="not a fixed point"):
+        read_corpus(path)
 
 
 def test_corpus_round_trip(tmp_path, corpus20):

@@ -15,9 +15,10 @@ from passtune.ircore import normalize
 
 DATA = Path(__file__).parent / "data"
 
-# A stand-in for opt: echoes the input module, with a few trigger flags
-# for exercising the driver's failure paths. Trigger flags are passed
-# via extra_args so they bypass vocabulary validation.
+# A stand-in for opt: echoes the input module (a file argument, or standard
+# input when there is none, as opt does), with a few trigger flags for
+# exercising the backend's failure paths. Trigger flags are passed via
+# extra_args so they bypass vocabulary validation.
 STUB_OPT = """\
 #!/usr/bin/env python3
 import sys, time
@@ -35,8 +36,8 @@ if "--stub-garbage" in args:
     sys.stdout.write("}\\n")
     sys.exit(0)
 
-src = args[-1]
-text = open(src).read()
+files = [a for a in args if not a.startswith("-")]
+text = open(files[-1]).read() if files else sys.stdin.read()
 if "-dce" in args:
     text = "\\n".join(l for l in text.splitlines() if "%dead" not in l)
 sys.stdout.write(text)

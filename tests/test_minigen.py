@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from passtune.backend.mini import mini_vocabulary
 from passtune.backend.passlist import PassList
-from passtune.ircore import NormalizedIr, count_instructions
+from passtune.ircore import NormalizedIr, count_instructions, normalize
 from passtune.minigen import generate_corpus, generate_function
 
 KINDS = {"arith", "constbranch", "dynbranch", "deadheavy", "phaseorder", "loop"}
@@ -82,3 +85,21 @@ def test_normalized_text_is_canonical(corpus80):
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError):
         generate_corpus(0, seed=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    index=st.integers(min_value=0, max_value=400),
+    seed=st.integers(min_value=0, max_value=2**16),
+    items=st.lists(
+        st.sampled_from(mini_vocabulary().all_flags), max_size=3
+    ).filter(lambda xs: xs.count("-Oz") <= 1),
+)
+def test_mini_output_is_canonical_and_counted(backend, index, seed, items):
+    # MiniBackend.apply does not normalize what it renders; this is the
+    # guarantee that lets it skip the work.
+    fn = generate_function(index, seed)
+    outcome = backend.apply(fn.ir, PassList(tuple(items), backend.vocabulary))
+    assert outcome.ok
+    assert normalize(outcome.output.text) == outcome.output
+    assert outcome.instruction_count == count_instructions(outcome.output.text)

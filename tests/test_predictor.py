@@ -23,7 +23,6 @@ from passtune.predictor import (
     build_frequency_table,
     jaccard_similarity,
     predict_always_oz,
-    predict_external,
     predict_retrieval,
     predict_top_frequency,
     read_predictions,
@@ -208,18 +207,6 @@ def test_process_predictor_garbage_degrades(tmp_path, vocab, corpus20):
 def test_process_predictor_rejects_empty_command(vocab):
     with pytest.raises(ValueError):
         ProcessPredictor([], vocab)
-
-
-def test_predict_external_dispatches_file_vs_command(tmp_path, vocab, corpus20):
-    fn = corpus20[0]
-    rows_path = tmp_path / "rows.jsonl"
-    write_jsonl([{"function_id": fn.id, "pass_list": "-dce"}], rows_path)
-    from_file = predict_external(fn, str(rows_path), vocab)
-    assert from_file.pass_list == "-dce"
-
-    command = write_script(tmp_path, ECHO_PREDICTOR)
-    from_process = predict_external(fn, " ".join(command), vocab)
-    assert from_process.items() == ("-instcombine", "-simplifycfg")
 
 
 # --- -Oz backup protocol ----------------------------------------------------
