@@ -26,14 +26,12 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from passtune.backend import Backend, PassVocabulary, compile_items
-from passtune.backend.passlist import DEFAULT_MAX_LEN, sample_items
+from passtune.backend.passlist import DEFAULT_MAX_LEN, OZ_ITEMS, sample_items
 from passtune.evaluator import overall_improvement
 from passtune.ircore import IrFunction, NormalizedIr
 from passtune.util import read_jsonl, stable_seed, write_jsonl
 
 DEFAULT_WALL_CLOCK_SECONDS = 780.0
-
-BASELINE_FLAGS = ("-Oz",)
 
 
 @dataclass(frozen=True)
@@ -133,14 +131,13 @@ def random_search(
     ir = fn.ir
     start = time.monotonic()
 
-    baseline_items = BASELINE_FLAGS
-    baseline = compile_items(backend, ir, baseline_items)
+    baseline = compile_items(backend, ir, OZ_ITEMS)
     if not baseline.ok:
         raise BaselineFailedError(f"-Oz failed on function {fn.id!r}")
     evaluations_used = 1
-    best_items, best_count = baseline_items, baseline.instruction_count
+    best_items, best_count = OZ_ITEMS, baseline.instruction_count
 
-    seen: set[tuple[str, ...]] = {baseline_items}
+    seen: set[tuple[str, ...]] = {OZ_ITEMS}
     space_size = count_valid_pass_lists(backend.vocabulary, max_len)
     candidates_tried = 0
     while True:
@@ -169,7 +166,7 @@ def random_search(
 
     return TuneResult(
         function_id=fn.id,
-        baseline_pass_list=" ".join(baseline_items),
+        baseline_pass_list=" ".join(OZ_ITEMS),
         baseline_count=baseline.instruction_count,
         best_pass_list=" ".join(best_items),
         best_count=best_count,

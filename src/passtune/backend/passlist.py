@@ -17,6 +17,7 @@ from typing import Iterator
 DEFAULT_MAX_LEN = 12
 
 META_FLAGS = ("-O0", "-O1", "-O2", "-O3", "-Os", "-Oz")
+OZ_ITEMS = ("-Oz",)  # the baseline every list is scored against
 
 
 class InvalidPassListError(ValueError):

@@ -20,6 +20,7 @@ import shlex
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,7 +33,7 @@ from passtune.autotuner import (
     write_results,
 )
 from passtune.backend import BackendUnavailableError
-from passtune.backend.llvm import DEFAULT_TIMEOUT_SECONDS, LlvmBackend, resolve_opt_path
+from passtune.backend.llvm import DEFAULT_TIMEOUT_SECONDS, LlvmBackend
 from passtune.backend.mini import MiniBackend, mini_vocabulary
 from passtune.backend.passlist import (
     DEFAULT_MAX_LEN,
@@ -100,7 +101,7 @@ def _make_backend(args: argparse.Namespace):
     if args.backend == "mini":
         return MiniBackend()
     return LlvmBackend(
-        resolve_opt_path(args.opt_path),
+        args.opt_path,
         timeout=args.timeout,
         extra_args=tuple(args.opt_arg or ()),
     )
@@ -304,13 +305,7 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 def _cmd_single_pass_dataset(args: argparse.Namespace) -> int:
     corpus = _read_corpus_checked(args.corpus)
     backend = _make_backend(args)
-    if args.passes:
-        passes = _parse_passes(args.passes)
-        for flag in passes:
-            if flag not in backend.vocabulary:
-                raise ConfigError(f"pass {flag!r} not in the backend vocabulary")
-    else:
-        passes = backend.vocabulary.passes
+    passes = _parse_passes(args.passes) if args.passes else backend.vocabulary.passes
     records = build_single_pass_dataset(
         backend,
         corpus,
@@ -348,16 +343,14 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     corpus = _read_corpus_checked(args.corpus)
     vocabulary = _make_vocabulary(args)
     inputs = [Path(args.corpus)]
-    failures: list[str] = []
-    predictions = []
     if args.method == "always-oz":
-        predictions = [predict_always_oz(fn) for fn in corpus]
+        predict = predict_always_oz
     elif args.method == "top-frequency":
         if not args.tune_results:
             raise ConfigError("--method top-frequency requires --tune-results")
         table = build_frequency_table(read_results(args.tune_results))
         inputs.append(Path(args.tune_results))
-        predictions = [predict_top_frequency(fn, table) for fn in corpus]
+        predict = partial(predict_top_frequency, frequency_table=table)
     elif args.method == "retrieval":
         if not (args.tune_results and args.train_corpus):
             raise ConfigError(
@@ -366,28 +359,27 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         train = _read_corpus_checked(args.train_corpus)
         index = RetrievalIndex.build(train, read_results(args.tune_results))
         inputs.extend([Path(args.train_corpus), Path(args.tune_results)])
-        predictions = [predict_retrieval(fn, index) for fn in corpus]
+        predict = partial(predict_retrieval, index=index)
     elif args.method == "file":
         if not args.predictions_file:
             raise ConfigError("--method file requires --predictions-file")
-        predictor = FilePredictor(args.predictions_file, vocabulary)
+        predict = FilePredictor(args.predictions_file, vocabulary).predict
         inputs.append(Path(args.predictions_file))
-        for fn in corpus:
-            try:
-                predictions.append(predictor.predict(fn))
-            except MissingPredictionError:
-                failures.append(f"{fn.id}: no prediction in file")
     else:  # command
         if not args.command:
             raise ConfigError("--method command requires --command")
-        predictor = ProcessPredictor(
+        predict = ProcessPredictor(
             shlex.split(args.command), vocabulary, timeout=args.timeout
-        )
-        for fn in corpus:
-            try:
-                predictions.append(predictor.predict(fn))
-            except ExternalPredictorError as err:
-                failures.append(f"{fn.id}: {err}")
+        ).predict
+    failures: list[str] = []
+    predictions = []
+    for fn in corpus:
+        try:
+            predictions.append(predict(fn))
+        except MissingPredictionError:
+            failures.append(f"{fn.id}: no prediction in file")
+        except ExternalPredictorError as err:
+            failures.append(f"{fn.id}: {err}")
     write_predictions(predictions, args.output)
     _write_manifest(Path(args.output), args, inputs)
     print(f"wrote {len(predictions)} predictions to {args.output}")

@@ -21,12 +21,12 @@ from passtune.backend import (
     Backend,
     ErrorCategory,
     InvalidPassListError,
-    PassList,
     compile_items,
     verify_ir,
 )
+from passtune.backend.passlist import OZ_ITEMS
 from passtune.ircore import IrFunction, count_instructions, normalize
-from passtune.predictor import Prediction, with_oz_backup
+from passtune.predictor import Prediction
 from passtune.util import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
@@ -145,10 +145,12 @@ def evaluate_predictions(
 ) -> tuple[EvalSummary, list[EvalRow]]:
     """Compile each predicted list and score it against -Oz.
 
+    -Oz is compiled once per function, and so is each valid non-Oz list.
     Functions without a prediction are scored as -Oz and flagged, as are
-    predictions whose list fails to compile. With the backup protocol
-    every non-Oz prediction costs one additional compilation and can
-    never regress.
+    predictions whose list is invalid or fails to compile. With the
+    backup protocol each compiled list is charged as one additional
+    compilation and kept only if strictly smaller than -Oz, so nothing
+    regresses.
     """
     by_id: dict[str, Prediction] = {}
     corpus_ids = {fn.id for fn in corpus}
@@ -160,37 +162,29 @@ def evaluate_predictions(
     rows: list[EvalRow] = []
     additional = 0
     for fn in corpus:
-        oz = compile_items(backend, fn.ir, ("-Oz",))
+        oz = compile_items(backend, fn.ir, OZ_ITEMS)
         if not oz.ok:
             raise ValueError(f"-Oz failed on function {fn.id!r}")
-        oz_count = oz.instruction_count
-        pred = by_id.get(fn.id)
+        predicted_count = oz_count = oz.instruction_count
         failed = False
-        missing = False
+        pred = by_id.get(fn.id)
         if pred is None:
             logger.warning("no prediction for %s; scoring as -Oz", fn.id)
-            missing = True
-            predicted_count = oz_count
         else:
             additional += pred.extra_compilations
-            try:
-                items = PassList(pred.items(), backend.vocabulary).items
-            except InvalidPassListError:
-                items = None
-            if items is None:
-                failed = True
-                predicted_count = oz_count
-            elif items == ("-Oz",):
-                predicted_count = oz_count
-            elif use_oz_backup:
-                backup = with_oz_backup(pred, fn, backend, oz_count=oz_count)
-                additional += backup.additional_compilations
-                predicted_count = backup.instruction_count
-                failed = backup.predicted_failed
-            else:
-                outcome = compile_items(backend, fn.ir, items)
-                failed = not outcome.ok
-                predicted_count = outcome.instruction_count if outcome.ok else oz_count
+            items = pred.items()
+            if items != OZ_ITEMS:
+                try:
+                    outcome = compile_items(backend, fn.ir, items)
+                except InvalidPassListError:
+                    failed = True
+                else:
+                    additional += int(use_oz_backup)
+                    failed = not outcome.ok
+                    if outcome.ok and (
+                        not use_oz_backup or outcome.instruction_count < oz_count
+                    ):
+                        predicted_count = outcome.instruction_count
         rows.append(
             EvalRow(
                 function_id=fn.id,
@@ -200,7 +194,7 @@ def evaluate_predictions(
                 predicted_count=predicted_count,
                 delta=oz_count - predicted_count,
                 prediction_failed=failed,
-                prediction_missing=missing,
+                prediction_missing=pred is None,
             )
         )
     return summarize_rows(rows, additional), rows
@@ -328,8 +322,8 @@ def _contain_frequencies(lists: Sequence[tuple[str, ...]]) -> dict[str, float]:
 def _length_stats(lists: Sequence[tuple[str, ...]]) -> LengthStats:
     if not lists:
         return LengthStats(0.0, 0.0, 0)
-    bare = sum(1 for items in lists if items == ("-Oz",))
-    rest = [len(items) for items in lists if items != ("-Oz",)]
+    bare = sum(1 for items in lists if items == OZ_ITEMS)
+    rest = [len(items) for items in lists if items != OZ_ITEMS]
     return LengthStats(
         share_bare_oz=bare / len(lists),
         mean_length=sum(rest) / len(rest) if rest else 0.0,
@@ -340,16 +334,13 @@ def _length_stats(lists: Sequence[tuple[str, ...]]) -> LengthStats:
 def _group_improvement(
     name: str, rows: Sequence[EvalRow]
 ) -> GroupImprovement:
-    sum_oz = sum(r.oz_count for r in rows)
-    sum_predicted = sum(r.predicted_count for r in rows)
+    summary = summarize_rows(rows, 0)
     return GroupImprovement(
         group=name,
-        functions=len(rows),
-        sum_oz=sum_oz,
-        sum_predicted=sum_predicted,
-        improvement_percent=(
-            overall_improvement(sum_oz, sum_predicted) if sum_predicted else 0.0
-        ),
+        functions=summary.total_functions,
+        sum_oz=summary.sum_oz,
+        sum_predicted=summary.sum_predicted,
+        improvement_percent=summary.overall_improvement,
     )
 
 

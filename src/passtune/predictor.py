@@ -1,14 +1,10 @@
-"""Pass-list predictors and the -Oz backup wrapper.
+"""Pass-list predictors.
 
 Built-in baselines (always -Oz, most-frequent tuned list, nearest
 neighbor by token Jaccard) plus adapters for external models: a
 predictions file keyed by function id, or an executable fed the prompt
-on stdin that answers on stdout. All predictors are deterministic given
-their inputs.
-
-``with_oz_backup`` implements the evaluation protocol that compiles the
-predicted list alongside -Oz and keeps whichever is smaller, so a
-deployed predictor can never regress below the default pipeline.
+on stdin that answers on stdout. Both adapters read model output with
+one parser. All predictors are deterministic given their inputs.
 """
 
 from __future__ import annotations
@@ -19,18 +15,13 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from passtune.backend import (
-    Backend,
-    InvalidPassListError,
-    PassList,
-    PassVocabulary,
-    compile_items,
-)
+from passtune.backend import InvalidPassListError, PassList, PassVocabulary
+from passtune.backend.passlist import OZ_ITEMS
 from passtune.dataset import AnswerParseError, parse_answer
 from passtune.ircore import IrFunction
 from passtune.util import read_jsonl, write_jsonl
 
-OZ_LIST = "-Oz"
+OZ_LIST = " ".join(OZ_ITEMS)
 
 
 @dataclass(frozen=True)
@@ -144,30 +135,46 @@ def predict_retrieval(fn: IrFunction, index: RetrievalIndex) -> Prediction:
     return Prediction(function_id=fn.id, pass_list=best.pass_list)
 
 
-def _prediction_from_answer(
-    fn: IrFunction, answer: str, vocabulary: PassVocabulary
+def _parse_prediction(
+    fn: IrFunction, output: object, vocabulary: PassVocabulary
 ) -> Prediction:
-    """Parse a model answer; malformed output falls back to -Oz, flagged."""
+    """Read model output: the answer template, else a bare flag list.
+
+    Text in the answer template gives the list plus the predicted counts
+    and code; any other text is split on whitespace, and a list (a file
+    row's array) is taken as it is. No flags at all (a missing field or
+    any other JSON value included), an unknown flag or a repeated
+    meta-flag gives -Oz, flagged ``parse_failed``.
+    """
+    claims: dict = {}
+    if isinstance(output, str):
+        try:
+            items, input_count, output_count, code = parse_answer(output)
+        except AnswerParseError:
+            items = tuple(output.split())
+        else:
+            claims = dict(
+                predicted_input_count=input_count,
+                predicted_output_count=output_count,
+                predicted_code=code,
+            )
+    else:
+        items = tuple(output) if isinstance(output, list) else ()
     try:
-        items, input_count, output_count, code = parse_answer(answer)
-        PassList(items, vocabulary)  # validate flags
-    except (AnswerParseError, InvalidPassListError):
+        if not (items or claims):
+            raise InvalidPassListError("no flags")
+        PassList(items, vocabulary)
+    except InvalidPassListError:
         return Prediction(function_id=fn.id, pass_list=OZ_LIST, parse_failed=True)
-    return Prediction(
-        function_id=fn.id,
-        pass_list=" ".join(items),
-        predicted_input_count=input_count,
-        predicted_output_count=output_count,
-        predicted_code=code,
-    )
+    return Prediction(function_id=fn.id, pass_list=" ".join(items), **claims)
 
 
 class FilePredictor:
     """Replays predictions from a JSON Lines file.
 
-    Rows carry ``function_id`` plus either ``answer`` (full answer text,
-    parsed with the shared template) or ``pass_list`` (a string or an
-    array of flags).
+    Rows carry ``function_id`` plus either ``answer`` or ``pass_list``
+    (a string or an array of flags); both are model output for
+    :func:`_parse_prediction`, and ``answer`` wins when a row has both.
     """
 
     def __init__(self, path: str | Path, vocabulary: PassVocabulary) -> None:
@@ -180,25 +187,17 @@ class FilePredictor:
         row = self.rows.get(fn.id)
         if row is None:
             raise MissingPredictionError(fn.id)
-        if "answer" in row:
-            return _prediction_from_answer(fn, row["answer"], self.vocabulary)
-        raw = row.get("pass_list")
-        if raw is None:
-            return Prediction(function_id=fn.id, pass_list=OZ_LIST, parse_failed=True)
-        items = tuple(raw.split()) if isinstance(raw, str) else tuple(raw)
-        try:
-            PassList(items, self.vocabulary)
-        except InvalidPassListError:
-            return Prediction(function_id=fn.id, pass_list=OZ_LIST, parse_failed=True)
-        return Prediction(function_id=fn.id, pass_list=" ".join(items))
+        output = row["answer"] if "answer" in row else row.get("pass_list")
+        return _parse_prediction(fn, output, self.vocabulary)
 
 
 class ProcessPredictor:
     """Runs one external process per prediction.
 
-    Protocol: prompt on standard input, answer (the shared template) on
-    standard output; a nonzero exit or a timeout is an error, while
-    unparseable output degrades to a flagged -Oz prediction.
+    Protocol: prompt on standard input, the answer template or a bare
+    flag list on standard output; a nonzero exit or a timeout is an
+    error, while output that does not parse degrades to a flagged -Oz
+    prediction.
     """
 
     def __init__(
@@ -232,45 +231,7 @@ class ProcessPredictor:
             raise ExternalPredictorError(
                 f"predictor exited with {proc.returncode}: {proc.stderr.strip()}"
             )
-        return _prediction_from_answer(fn, proc.stdout.rstrip("\n"), self.vocabulary)
-
-
-@dataclass(frozen=True)
-class BackupOutcome:
-    """Result of the -Oz backup protocol for one prediction."""
-
-    pass_list: str
-    instruction_count: int
-    additional_compilations: int
-    predicted_failed: bool = False
-
-
-def with_oz_backup(
-    prediction: Prediction,
-    fn: IrFunction,
-    backend: Backend,
-    oz_count: Optional[int] = None,
-) -> BackupOutcome:
-    """Keep the better of the predicted list and -Oz (ties go to -Oz).
-
-    The -Oz compilation is baseline accounting and is never charged
-    here; each non-Oz prediction costs exactly one additional
-    compilation, whether or not it succeeds.
-    """
-    if oz_count is None:
-        oz_outcome = compile_items(backend, fn.ir, ("-Oz",))
-        if not oz_outcome.ok:
-            raise ValueError(f"-Oz failed on function {fn.id!r}")
-        oz_count = oz_outcome.instruction_count
-    items = prediction.items()
-    if items == ("-Oz",):
-        return BackupOutcome(OZ_LIST, oz_count, 0)
-    outcome = compile_items(backend, fn.ir, items)
-    if not outcome.ok:
-        return BackupOutcome(OZ_LIST, oz_count, 1, predicted_failed=True)
-    if outcome.instruction_count < oz_count:
-        return BackupOutcome(" ".join(items), outcome.instruction_count, 1)
-    return BackupOutcome(OZ_LIST, oz_count, 1)
+        return _parse_prediction(fn, proc.stdout.rstrip("\n"), self.vocabulary)
 
 
 def write_predictions(predictions: Iterable[Prediction], path: str | Path) -> int:

@@ -1,5 +1,7 @@
 import json
+import shlex
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -441,6 +443,42 @@ def test_single_pass_shortfall_is_partial(tmp_path, capsys):
         "--max-prefix-len", 0,
     ) == 4
     assert "shortfall" in capsys.readouterr().err
+
+
+def test_single_pass_unknown_target_is_a_config_error(tmp_path, corpus_file, capsys):
+    out = tmp_path / "single.jsonl"
+    assert run(
+        "single-pass-dataset",
+        "--corpus", corpus_file,
+        "--output", out,
+        "--passes=-dce,-nope",
+    ) == 2
+    assert "'-nope'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_command_predictor_failures_are_partial(tmp_path, corpus_file, capsys):
+    # Fails on the first function only; the rest print a bare flag list.
+    script = tmp_path / "model.py"
+    first = read_corpus(corpus_file)[0]
+    script.write_text(
+        "import sys\n"
+        f"if sys.stdin.read() == {first.normalized_text!r}:\n"
+        "    sys.stderr.write('boom'); sys.exit(3)\n"
+        "print('-mem2reg -dce')\n"
+    )
+    preds = tmp_path / "preds.jsonl"
+    assert run(
+        "predict",
+        "--corpus", corpus_file,
+        "--output", preds,
+        "--method", "command",
+        "--command", shlex.join([sys.executable, str(script)]),
+    ) == 4
+    assert f"{first.id}: predictor exited with 3: boom" in capsys.readouterr().err
+    predictions = read_predictions(preds)
+    assert len(predictions) == len(read_corpus(corpus_file)) - 1
+    assert {p.pass_list for p in predictions} == {"-mem2reg -dce"}
 
 
 def test_evaluate_missing_predictions_is_partial(tmp_path, corpus_file, capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from passtune.evaluator import (
 from passtune.ircore import NormalizedIr
 from passtune.minigen import generate_function
 from passtune.predictor import Prediction, predict_always_oz
+from test_predictor import PoisonBackend
 
 DATA_TYPE_ERROR = (
     "define i32 @bad(i32 %a) {\n%x = add i1 %a, true\nret i32 0\n}"
@@ -173,6 +175,117 @@ def test_backup_mode_blocks_regressions(backend, trio):
     assert all(r.delta >= 0 for r in rows)
     # two non-Oz predictions, one extra compile each
     assert summary.additional_compilations == 2
+
+
+def evaluate_one(backend, fn, pass_list):
+    """Evaluate one prediction under the backup protocol; return its row
+    and the additional compilations charged."""
+    summary, rows = evaluate_predictions(
+        [Prediction(fn.id, pass_list)], [fn], backend, use_oz_backup=True
+    )
+    return rows[0], summary.additional_compilations
+
+
+def test_backup_oz_prediction_is_free(backend, corpus20):
+    fn = corpus20[0]
+    row, charged = evaluate_one(backend, fn, "-Oz")
+    assert row.predicted_count == row.oz_count == count_of(backend, fn, "-Oz")
+    assert charged == 0
+    assert not row.prediction_failed
+
+
+def test_backup_keeps_a_better_prediction(backend, trio):
+    beatable = trio[0]
+    row, charged = evaluate_one(backend, beatable, "-Oz -mem2reg")
+    assert row.predicted_count == count_of(backend, beatable, "-Oz", "-mem2reg")
+    assert row.predicted_count < row.oz_count
+    assert charged == 1
+    assert not row.prediction_failed
+
+
+def test_backup_replaces_a_worse_prediction(backend, trio):
+    hurtable = trio[1]
+    assert count_of(backend, hurtable, "-dce") > count_of(backend, hurtable, "-Oz")
+    row, charged = evaluate_one(backend, hurtable, "-dce")
+    assert row.predicted_count == row.oz_count
+    assert charged == 1
+    assert not row.prediction_failed
+
+
+def test_backup_breaks_ties_toward_oz(backend, corpus20):
+    fn = corpus20[0]
+    oz = count_of(backend, fn, "-Oz")
+    assert count_of(backend, fn, "-Oz", "-dce") == oz  # precondition: a genuine tie
+    summary, rows = evaluate_predictions(
+        [Prediction(fn.id, "-Oz -dce")], [fn], backend, use_oz_backup=True
+    )
+    assert rows[0].predicted_count == oz
+    assert summary.functions_improved == summary.functions_regressed == 0
+    assert summary.additional_compilations == 1
+
+
+def test_backup_handles_failing_prediction(backend, corpus20):
+    fn = corpus20[0]
+    row, charged = evaluate_one(PoisonBackend(backend, "-gvn"), fn, "-gvn")
+    assert row.predicted_count == row.oz_count
+    assert charged == 1
+    assert row.prediction_failed
+
+
+def test_backup_handles_timeout_like_failure(backend, corpus20):
+    fn = corpus20[0]
+    rigged = PoisonBackend(backend, None, timeout_flag="-gvn")
+    row, charged = evaluate_one(rigged, fn, "-gvn")
+    assert row.predicted_count == row.oz_count
+    assert charged == 1
+    assert row.prediction_failed
+
+
+def test_backup_never_regresses(backend, corpus20):
+    candidates = ["-dce", "-mem2reg -gvn", "-Oz -simplifycfg", "-constfold"]
+    for pass_list in candidates:
+        predictions = [Prediction(fn.id, pass_list) for fn in corpus20]
+        summary, rows = evaluate_predictions(
+            predictions, corpus20, backend, use_oz_backup=True
+        )
+        assert all(r.predicted_count <= r.oz_count for r in rows)
+        assert summary.additional_compilations == len(corpus20)
+
+
+class CountingBackend:
+    """Counts each (function text, flags) compilation it passes on."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.compiled = Counter()
+
+    @property
+    def vocabulary(self):
+        return self._inner.vocabulary
+
+    def apply(self, ir, passes):
+        self.compiled[ir.text, passes.items] += 1
+        return self._inner.apply(ir, passes)
+
+
+@pytest.mark.parametrize("use_oz_backup", [False, True])
+def test_oz_and_each_valid_list_are_compiled_once(backend, corpus20, use_oz_backup):
+    fns = corpus20[:5]
+    predictions = [
+        Prediction(fns[0].id, "-Oz -mem2reg"),
+        Prediction(fns[1].id, "-dce"),
+        Prediction(fns[2].id, "-Oz"),
+        Prediction(fns[3].id, "-Oz -Oz"),  # invalid: never compiled
+    ]  # fns[4] has no prediction
+    counting = CountingBackend(backend)
+    summary, _ = evaluate_predictions(
+        predictions, fns, counting, use_oz_backup=use_oz_backup
+    )
+    expected = Counter({(fn.normalized_text, ("-Oz",)): 1 for fn in fns})
+    expected[fns[0].normalized_text, ("-Oz", "-mem2reg")] += 1
+    expected[fns[1].normalized_text, ("-dce",)] += 1
+    assert counting.compiled == expected
+    assert summary.additional_compilations == (2 if use_oz_backup else 0)
 
 
 def test_missing_prediction_scores_as_oz(backend, corpus20, caplog):

@@ -6,13 +6,9 @@ import pytest
 
 from passtune.autotuner import SearchBudget, TuneResult, autotune_corpus
 from passtune.backend.classify import diagnostic_from_message
-from passtune.backend.passlist import PassList
 from passtune.backend.types import CompileOutcome, CompileTimeoutError
 from passtune.dataset import render_answer
-from passtune.ircore import NormalizedIr
-from passtune.minigen import generate_function
 from passtune.predictor import (
-    BackupOutcome,
     ExternalPredictorError,
     FilePredictor,
     MissingPredictionError,
@@ -26,7 +22,6 @@ from passtune.predictor import (
     predict_retrieval,
     predict_top_frequency,
     read_predictions,
-    with_oz_backup,
     write_predictions,
 )
 from passtune.util import write_jsonl
@@ -109,13 +104,14 @@ def test_retrieval_index_validates(corpus20, tuned):
 
 
 def test_file_predictor_row_forms(tmp_path, vocab, corpus20):
-    f0, f1, f2, f3 = corpus20[:4]
+    f0, f1, f2, f3, f4 = corpus20[:5]
     answer = render_answer(("-mem2reg", "-dce"), 9, 4, "define i32 @f() {\nret i32 0\n}")
     rows = [
         {"function_id": f0.id, "answer": answer},
         {"function_id": f1.id, "pass_list": "-Oz -gvn"},
         {"function_id": f2.id, "pass_list": ["-dce", "-instcombine"]},
         {"function_id": f3.id, "pass_list": "-not-a-real-flag"},
+        {"function_id": f4.id, "answer": "-mem2reg -dce\n"},  # a bare list
     ]
     path = tmp_path / "preds.jsonl"
     write_jsonl(rows, path)
@@ -133,6 +129,32 @@ def test_file_predictor_row_forms(tmp_path, vocab, corpus20):
     invalid = predictor.predict(f3)
     assert invalid.pass_list == "-Oz"
     assert invalid.parse_failed
+
+    bare = predictor.predict(f4)
+    assert bare.pass_list == "-mem2reg -dce"
+    assert bare.predicted_output_count is None
+    assert not bare.parse_failed
+
+
+@pytest.mark.parametrize(
+    "output", ["", "  \n", [], 5], ids=["empty", "blank", "empty-array", "number"]
+)
+def test_file_predictor_empty_output_degrades(tmp_path, vocab, corpus20, output):
+    path = tmp_path / "preds.jsonl"
+    write_jsonl([{"function_id": corpus20[0].id, "pass_list": output}], path)
+    degraded = FilePredictor(path, vocab).predict(corpus20[0])
+    assert degraded.pass_list == "-Oz"
+    assert degraded.parse_failed
+
+
+def test_file_predictor_keeps_an_empty_list_in_the_template(tmp_path, vocab, corpus20):
+    answer = render_answer((), 9, 9, "define i32 @f() {\nret i32 0\n}")
+    path = tmp_path / "preds.jsonl"
+    write_jsonl([{"function_id": corpus20[0].id, "answer": answer}], path)
+    prediction = FilePredictor(path, vocab).predict(corpus20[0])
+    assert prediction.items() == ()
+    assert prediction.predicted_input_count == 9
+    assert not prediction.parse_failed
 
 
 def test_file_predictor_missing_function(tmp_path, vocab, corpus20):
@@ -204,15 +226,38 @@ def test_process_predictor_garbage_degrades(tmp_path, vocab, corpus20):
     assert prediction.parse_failed
 
 
+def test_process_predictor_accepts_a_bare_flag_list(tmp_path, vocab, corpus20):
+    command = write_script(
+        tmp_path, "import sys; sys.stdin.read(); print('-mem2reg -dce')"
+    )
+    prediction = ProcessPredictor(command, vocab).predict(corpus20[0])
+    assert prediction.items() == ("-mem2reg", "-dce")
+    assert not prediction.parse_failed
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["", "print('-mem2reg -nope')", "print('-Oz -Oz')"],
+    ids=["empty", "unknown-flag", "repeated-meta"],
+)
+def test_process_predictor_rejects_empty_or_invalid_lists(tmp_path, vocab, corpus20, body):
+    command = write_script(tmp_path, "import sys; sys.stdin.read()\n" + body)
+    prediction = ProcessPredictor(command, vocab).predict(corpus20[0])
+    assert prediction.pass_list == "-Oz"
+    assert prediction.parse_failed
+
+
 def test_process_predictor_rejects_empty_command(vocab):
     with pytest.raises(ValueError):
         ProcessPredictor([], vocab)
 
 
-# --- -Oz backup protocol ----------------------------------------------------
+# --- a backend that fails on request ----------------------------------------
 
 
 class PoisonBackend:
+    """Fails every list holding ``poison``; times out on ``timeout_flag``."""
+
     def __init__(self, inner, poison, timeout_flag=None):
         self._inner = inner
         self._poison = poison
@@ -228,90 +273,6 @@ class PoisonBackend:
         if self._poison and self._poison in passes.items:
             return CompileOutcome.failure(diagnostic_from_message("poisoned"))
         return self._inner.apply(ir, passes)
-
-
-def oz_count_of(backend, fn):
-    ir = NormalizedIr(fn.normalized_text)
-    return backend.apply(ir, PassList(("-Oz",), backend.vocabulary)).instruction_count
-
-
-def test_backup_oz_prediction_is_free(backend, corpus20):
-    fn = corpus20[0]
-    outcome = with_oz_backup(predict_always_oz(fn), fn, backend)
-    assert outcome == BackupOutcome("-Oz", oz_count_of(backend, fn), 0)
-
-
-def test_backup_keeps_a_better_prediction(backend):
-    fn = next(
-        f
-        for f in (generate_function(i, seed=7) for i in range(80))
-        if f.source_dataset == "mini/phaseorder"
-    )
-    prediction = Prediction(fn.id, "-Oz -mem2reg")
-    outcome = with_oz_backup(prediction, fn, backend)
-    assert outcome.pass_list == "-Oz -mem2reg"
-    assert outcome.instruction_count < oz_count_of(backend, fn)
-    assert outcome.additional_compilations == 1
-    assert not outcome.predicted_failed
-
-
-def test_backup_replaces_a_worse_prediction(backend, corpus20):
-    fn = next(f for f in corpus20 if f.source_dataset == "mini/arith")
-    ir = NormalizedIr(fn.normalized_text)
-    dce_only = backend.apply(ir, PassList(("-dce",), backend.vocabulary))
-    oz = oz_count_of(backend, fn)
-    assert dce_only.instruction_count > oz  # precondition: -dce alone is worse
-    outcome = with_oz_backup(Prediction(fn.id, "-dce"), fn, backend)
-    assert outcome == BackupOutcome("-Oz", oz, 1)
-
-
-def test_backup_breaks_ties_toward_oz(backend, corpus20):
-    fn = corpus20[0]
-    ir = NormalizedIr(fn.normalized_text)
-    tied = backend.apply(ir, PassList(("-Oz", "-dce"), backend.vocabulary))
-    oz = oz_count_of(backend, fn)
-    assert tied.instruction_count == oz  # precondition: a genuine tie
-    outcome = with_oz_backup(Prediction(fn.id, "-Oz -dce"), fn, backend)
-    assert outcome.pass_list == "-Oz"
-    assert outcome.additional_compilations == 1
-
-
-def test_backup_handles_failing_prediction(backend, corpus20):
-    fn = corpus20[0]
-    rigged = PoisonBackend(backend, "-gvn")
-    outcome = with_oz_backup(Prediction(fn.id, "-gvn"), fn, rigged)
-    assert outcome.pass_list == "-Oz"
-    assert outcome.additional_compilations == 1
-    assert outcome.predicted_failed
-
-
-def test_backup_handles_timeout_like_failure(backend, corpus20):
-    fn = corpus20[0]
-    rigged = PoisonBackend(backend, None, timeout_flag="-gvn")
-    outcome = with_oz_backup(Prediction(fn.id, "-gvn"), fn, rigged)
-    assert outcome.pass_list == "-Oz"
-    assert outcome.predicted_failed
-
-
-def test_backup_uses_supplied_oz_count(backend, corpus20):
-    fn = corpus20[0]
-    rigged = PoisonBackend(backend, "-Oz")  # would fail if -Oz were recompiled
-    outcome = with_oz_backup(Prediction(fn.id, "-dce"), fn, rigged, oz_count=3)
-    assert outcome.additional_compilations == 1
-    assert outcome.instruction_count <= max(
-        3, backend.apply(
-            NormalizedIr(fn.normalized_text), PassList(("-dce",), backend.vocabulary)
-        ).instruction_count,
-    )
-
-
-def test_backup_never_regresses(backend, corpus20):
-    candidates = ["-dce", "-mem2reg -gvn", "-Oz -simplifycfg", "-constfold"]
-    for fn in corpus20:
-        oz = oz_count_of(backend, fn)
-        for pass_list in candidates:
-            outcome = with_oz_backup(Prediction(fn.id, pass_list), fn, backend)
-            assert outcome.instruction_count <= oz
 
 
 def test_prediction_round_trip(tmp_path, corpus20):
