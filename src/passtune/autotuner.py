@@ -9,9 +9,11 @@ The tuner treats the backend as a black box. For one function:
 4. optionally, at corpus level, try every function's winner on every
    other function (one broadcast round, no re-minimization).
 
-Failed and timed-out compilations consume budget and are otherwise
-ignored. Ties are broken toward shorter, then lexicographically
-smaller, lists, so results are reproducible for a given seed.
+Search, minimization and broadcast keep the best list through one step
+with one rule: a smaller count wins, then a shorter list, then the
+lexicographically smaller one, so results are reproducible for a given
+seed. Failed and timed-out compilations consume budget and are
+otherwise ignored.
 """
 
 from __future__ import annotations
@@ -21,15 +23,14 @@ import math
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from passtune.backend import Backend, PassVocabulary, compile_items
 from passtune.backend.passlist import DEFAULT_MAX_LEN, OZ_ITEMS, sample_items
 from passtune.evaluator import overall_improvement
 from passtune.ircore import IrFunction, NormalizedIr
-from passtune.util import read_jsonl, stable_seed, write_jsonl
+from passtune.util import stable_seed
 
 DEFAULT_WALL_CLOCK_SECONDS = 780.0
 
@@ -79,11 +80,6 @@ class TuneResult:
     best_count: int
     evaluations_used: int
 
-    def improvement_percent(self) -> float:
-        if self.best_count == 0:
-            return 0.0
-        return (self.baseline_count - self.best_count) / self.best_count * 100.0
-
 
 class BaselineFailedError(RuntimeError):
     """The -Oz baseline did not compile; the function cannot be tuned."""
@@ -109,14 +105,22 @@ def count_valid_pass_lists(vocabulary: PassVocabulary, max_len: int) -> int:
     return total
 
 
-def _sort_key(count: int, items: tuple[str, ...]) -> tuple:
-    return (count, len(items), items)
+def _keep_better(
+    backend: Backend,
+    ir: NormalizedIr,
+    items: tuple[str, ...],
+    best: tuple[int, tuple[str, ...]],
+) -> tuple[int, tuple[str, ...]]:
+    """Compile ``items``; return the better of it and ``best`` (count, items).
 
-
-def _sample_candidate(
-    rng: random.Random, vocabulary: PassVocabulary, max_len: int
-) -> tuple[str, ...]:
-    return sample_items(rng, vocabulary, rng.randint(1, max_len))
+    Better means a smaller count, then a shorter list, then the
+    lexicographically smaller one. A failed compilation keeps ``best``.
+    """
+    outcome = compile_items(backend, ir, items)
+    if not outcome.ok:
+        return best
+    new = (outcome.instruction_count, items)
+    return min(best, new, key=lambda kept: (kept[0], len(kept[1]), kept[1]))
 
 
 def random_search(
@@ -134,43 +138,31 @@ def random_search(
     baseline = compile_items(backend, ir, OZ_ITEMS)
     if not baseline.ok:
         raise BaselineFailedError(f"-Oz failed on function {fn.id!r}")
-    evaluations_used = 1
-    best_items, best_count = OZ_ITEMS, baseline.instruction_count
+    best = (baseline.instruction_count, OZ_ITEMS)
 
+    # Every distinct list tried, the prepaid -Oz baseline included.
     seen: set[tuple[str, ...]] = {OZ_ITEMS}
     space_size = count_valid_pass_lists(backend.vocabulary, max_len)
-    candidates_tried = 0
-    while True:
-        if budget.evaluations is not None and candidates_tried >= budget.evaluations:
-            break
-        if (
-            budget.wall_clock_seconds is not None
-            and time.monotonic() - start >= budget.wall_clock_seconds
-        ):
-            break
-        if len(seen) >= space_size:
-            break  # every valid list has been evaluated
-        items = _sample_candidate(rng, backend.vocabulary, max_len)
-        if items in seen:
-            continue  # repeats do not consume budget
-        seen.add(items)
-        candidates_tried += 1
-        evaluations_used += 1
-        outcome = compile_items(backend, ir, items)
-        if not outcome.ok:
-            continue
-        if _sort_key(outcome.instruction_count, items) < _sort_key(
-            best_count, best_items
-        ):
-            best_items, best_count = items, outcome.instruction_count
+    while (
+        (budget.evaluations is None or len(seen) <= budget.evaluations)
+        and (
+            budget.wall_clock_seconds is None
+            or time.monotonic() - start < budget.wall_clock_seconds
+        )
+        and len(seen) < space_size
+    ):
+        items = sample_items(rng, backend.vocabulary, rng.randint(1, max_len))
+        if items not in seen:  # repeats do not consume budget
+            seen.add(items)
+            best = _keep_better(backend, ir, items, best)
 
     return TuneResult(
         function_id=fn.id,
         baseline_pass_list=" ".join(OZ_ITEMS),
         baseline_count=baseline.instruction_count,
-        best_pass_list=" ".join(best_items),
-        best_count=best_count,
-        evaluations_used=evaluations_used,
+        best_pass_list=" ".join(best[1]),
+        best_count=best[0],
+        evaluations_used=len(seen),
     )
 
 
@@ -179,38 +171,31 @@ def minimize_pass_list(
     ir: NormalizedIr,
     items: tuple[str, ...],
     seed: int,
-    count: Optional[int] = None,
+    count: int,
 ) -> tuple[tuple[str, ...], int, int]:
     """Drop passes whose removal does not increase the count.
 
-    Sweeps removal candidates in seeded random order until a full sweep
-    keeps nothing droppable; the result is 1-minimal (every single
-    removal left would make the function bigger or fail to compile).
-    ``count`` may carry a known count for ``items`` to save one
-    compilation. Returns (items, count, evaluations used).
+    ``count`` is the known count of ``items``. Sweeps removal candidates
+    in seeded random order until a full sweep keeps nothing droppable;
+    the result is 1-minimal (every single removal left would make the
+    function bigger or fail to compile). Returns (items, count,
+    evaluations used).
     """
     rng = random.Random(seed)
-    current = tuple(items)
+    best = (count, tuple(items))
     evaluations = 0
-    if count is None:
-        outcome = compile_items(backend, ir, current)
-        evaluations += 1
-        if not outcome.ok:
-            raise ValueError("the input pass list does not compile")
-        count = outcome.instruction_count
-    current_count = count
-    improved = True
-    while improved and current:
-        improved = False
+    while best[1]:
+        current = best[1]
         for idx in rng.sample(range(len(current)), len(current)):
-            candidate = current[:idx] + current[idx + 1 :]
             evaluations += 1
-            outcome = compile_items(backend, ir, candidate)
-            if outcome.ok and outcome.instruction_count <= current_count:
-                current, current_count = candidate, outcome.instruction_count
-                improved = True
-                break
-    return current, current_count, evaluations
+            # The candidate is one pass shorter, so it wins exactly when
+            # its count does not exceed the current one.
+            best = _keep_better(backend, ir, current[:idx] + current[idx + 1 :], best)
+            if best[1] != current:
+                break  # sweep the shorter list afresh
+        else:
+            break  # a full sweep kept nothing
+    return best[1], best[0], evaluations
 
 
 def broadcast_best_lists(
@@ -221,8 +206,9 @@ def broadcast_best_lists(
     """Try every tuned list on every function; one round, no minimizing.
 
     Lists are applied in (length, lexicographic) order so the outcome is
-    independent of corpus ordering. Returns updated results keyed by
-    function id; evaluations_used grows by the compilations spent here.
+    independent of corpus ordering. A function's own list is never
+    compiled again. Returns updated results keyed by function id;
+    evaluations_used grows by the compilations spent here.
     """
     unique_lists = sorted(
         {tuple(r.best_pass_list.split()) for r in results.values()},
@@ -231,26 +217,16 @@ def broadcast_best_lists(
     updated: dict[str, TuneResult] = {}
     for fn in functions:
         result = results[fn.id]
-        ir = fn.ir
-        best_items = tuple(result.best_pass_list.split())
-        best_count = result.best_count
-        evaluations = result.evaluations_used
-        for items in unique_lists:
-            if items == best_items:
-                continue
-            evaluations += 1
-            outcome = compile_items(backend, ir, items)
-            if not outcome.ok:
-                continue
-            if _sort_key(outcome.instruction_count, items) < _sort_key(
-                best_count, best_items
-            ):
-                best_items, best_count = items, outcome.instruction_count
+        own = tuple(result.best_pass_list.split())
+        others = [items for items in unique_lists if items != own]
+        best = (result.best_count, own)
+        for items in others:
+            best = _keep_better(backend, fn.ir, items, best)
         updated[fn.id] = dataclasses.replace(
             result,
-            best_pass_list=" ".join(best_items),
-            best_count=best_count,
-            evaluations_used=evaluations,
+            best_pass_list=" ".join(best[1]),
+            best_count=best[0],
+            evaluations_used=result.evaluations_used + len(others),
         )
     return updated
 
@@ -310,24 +286,19 @@ def autotune_corpus(
     Per-function seeds derive from the run seed and the function id, so
     results do not depend on corpus order or worker scheduling.
     Functions whose -Oz baseline fails are skipped and listed in the
-    returned stats rather than aborting the run.
+    returned stats rather than aborting the run. ``workers`` (at least
+    1) searches run at once.
     """
     functions = list(functions)
     results: dict[str, TuneResult] = {}
     failures: list[str] = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tuned = list(
-                pool.map(
-                    lambda fn: _tune_one(backend, fn, budget, seed, max_len, minimize),
-                    functions,
-                )
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        tuned = list(
+            pool.map(
+                lambda fn: _tune_one(backend, fn, budget, seed, max_len, minimize),
+                functions,
             )
-    else:
-        tuned = [
-            _tune_one(backend, fn, budget, seed, max_len, minimize)
-            for fn in functions
-        ]
+        )
     for fn, result in zip(functions, tuned):
         if result is None:
             failures.append(fn.id)
@@ -355,11 +326,3 @@ def autotune_corpus(
         baseline_failures=tuple(failures),
     )
     return ordered, stats
-
-
-def write_results(results: Iterable[TuneResult], path: str | Path) -> int:
-    return write_jsonl((asdict(r) for r in results), path)
-
-
-def read_results(path: str | Path) -> list[TuneResult]:
-    return [TuneResult(**row) for row in read_jsonl(path)]

@@ -12,12 +12,17 @@ The executable is found via the constructor argument, the
 ``PASSTUNE_OPT`` environment variable, or ``opt`` on PATH, in that
 order. Extra fixed arguments (for example ``-enable-new-pm=0`` on
 newer LLVM releases, whose default pass manager does not accept the
-legacy flag set) can be supplied with ``extra_args``.
+legacy flag set) can be supplied with ``extra_args``. The vocabulary
+keeps only the flags that ``opt --help-hidden`` lists, so a flag the
+installed ``opt`` does not know is never sampled; the dropped flags are
+logged as one warning.
 """
 
 from __future__ import annotations
 
+import logging
 import os
+import re
 import shutil
 import subprocess
 from typing import Optional, Sequence
@@ -31,8 +36,13 @@ from passtune.backend.types import (
 )
 from passtune.ircore import MalformedIrError, NormalizedIr, count_instructions, normalize
 
+logger = logging.getLogger(__name__)
+
 OPT_ENV_VAR = "PASSTUNE_OPT"
 DEFAULT_TIMEOUT_SECONDS = 60.0
+
+# An option line of the help listing: "  --dce   - Dead Code Elimination".
+_LISTED_OPTION = re.compile(r"^\s*--?([\w.-]+)", re.MULTILINE)
 
 
 def resolve_opt_path(explicit: Optional[str] = None) -> str:
@@ -58,18 +68,18 @@ class LlvmBackend:
         extra_args: Sequence[str] = (),
     ) -> None:
         self.opt_path = resolve_opt_path(opt_path)
-        self._vocabulary = vocabulary or llvm10_vocabulary()
         self.timeout = timeout
         self.extra_args = tuple(extra_args)
+        self._vocabulary = self._listed_only(vocabulary or llvm10_vocabulary())
 
     @property
     def vocabulary(self) -> PassVocabulary:
         return self._vocabulary
 
-    def version(self) -> str:
+    def _query(self, option: str) -> subprocess.CompletedProcess:
         try:
-            proc = subprocess.run(
-                [self.opt_path, "--version"],
+            return subprocess.run(
+                [self.opt_path, option],
                 capture_output=True,
                 text=True,
                 timeout=self.timeout,
@@ -78,6 +88,30 @@ class LlvmBackend:
             raise BackendUnavailableError(
                 f"cannot run {self.opt_path!r}: {err}"
             ) from err
+
+    def _listed_only(self, vocabulary: PassVocabulary) -> PassVocabulary:
+        """The flags of ``vocabulary`` that ``opt --help-hidden`` lists."""
+        proc = self._query("--help-hidden")
+        if proc.returncode != 0:
+            raise BackendUnavailableError(
+                f"{self.opt_path} --help-hidden exited with {proc.returncode}"
+            )
+        listed = {f"-{name}" for name in _LISTED_OPTION.findall(proc.stdout)}
+        dropped = [f for f in vocabulary.all_flags if f not in listed]
+        if dropped:
+            logger.warning(
+                "%s does not list %d vocabulary flag(s); dropped: %s",
+                self.opt_path,
+                len(dropped),
+                " ".join(dropped),
+            )
+        return PassVocabulary(
+            tuple(f for f in vocabulary.passes if f in listed),
+            tuple(f for f in vocabulary.meta_flags if f in listed),
+        )
+
+    def version(self) -> str:
+        proc = self._query("--version")
         return " ".join(proc.stdout.split()) or f"opt at {self.opt_path}"
 
     def apply(self, ir: NormalizedIr, passes: PassList) -> CompileOutcome:

@@ -13,7 +13,7 @@ arguments. Semantics are fully deterministic:
 
 from __future__ import annotations
 
-from passtune.backend.mini_ir import TYPE_BITS, Function, Lit, Operand, Reg
+from passtune.backend.mini_ir import TYPE_BITS, Function, Lit, Operand
 from passtune.backend.mini_passes import wrap
 
 

@@ -113,8 +113,6 @@ def llvm10_vocabulary() -> PassVocabulary:
 
     Derived from the LLVM 10 legacy pass-manager flag space (the optimizer
     this harness targets); coverage-instrumentation flags are excluded.
-    Review against your local ``opt`` before long runs: a single unknown
-    flag fails every compile that samples it.
     """
     text = (
         resources.files("passtune.backend").joinpath("data/llvm10_passes.json")

@@ -28,9 +28,8 @@ from passtune import __version__
 from passtune.autotuner import (
     DEFAULT_WALL_CLOCK_SECONDS,
     SearchBudget,
+    TuneResult,
     autotune_corpus,
-    read_results,
-    write_results,
 )
 from passtune.backend import BackendUnavailableError
 from passtune.backend.llvm import DEFAULT_TIMEOUT_SECONDS, LlvmBackend
@@ -45,15 +44,13 @@ from passtune.dataset import (
     build_single_pass_dataset,
     corpus_stats,
     dedup,
-    records_to_rows,
     split,
 )
 from passtune.evaluator import (
+    EvalRow,
     evaluate_predictions,
-    read_rows,
     reports,
     write_report_csvs,
-    write_rows,
     write_summary,
 )
 from passtune.ircore import (
@@ -61,23 +58,21 @@ from passtune.ircore import (
     IrFunction,
     MalformedIrError,
     read_corpus,
-    write_corpus,
 )
 from passtune.minigen import generate_corpus
 from passtune.predictor import (
     ExternalPredictorError,
     FilePredictor,
     MissingPredictionError,
+    Prediction,
     ProcessPredictor,
     RetrievalIndex,
     build_frequency_table,
     predict_always_oz,
     predict_retrieval,
     predict_top_frequency,
-    read_predictions,
-    write_predictions,
 )
-from passtune.util import file_digest, read_jsonl, write_jsonl
+from passtune.util import file_digest, read_jsonl, read_records, write_records
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
@@ -186,7 +181,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     for raw_path in args.inputs:
         path = Path(raw_path)
         if path.suffix == ".jsonl":
-            for row in read_jsonl(path):
+            for _, row in read_jsonl(path):
                 fid = row.get("id", "?")
                 try:
                     functions.append(
@@ -224,11 +219,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         parts = split(functions, _parse_fractions(args.split), args.seed)
         for name, fns in parts.items():
             out = _derived_output(args.output, name)
-            write_corpus(fns, out)
+            write_records(fns, out)
             _write_manifest(out, args, inputs, {"corpus_stats": corpus_stats(fns)})
             print(f"wrote {len(fns)} functions to {out}")
     else:
-        write_corpus(functions, args.output)
+        write_records(functions, args.output)
         _write_manifest(
             Path(args.output), args, inputs, {"corpus_stats": corpus_stats(functions)}
         )
@@ -240,7 +235,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_gen_mini_corpus(args: argparse.Namespace) -> int:
     functions = generate_corpus(args.n, args.seed)
-    write_corpus(functions, args.output)
+    write_records(functions, args.output)
     _write_manifest(
         Path(args.output), args, [], {"corpus_stats": corpus_stats(functions)}
     )
@@ -249,6 +244,8 @@ def _cmd_gen_mini_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_autotune(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     corpus = _read_corpus_checked(args.corpus)
     backend = _make_backend(args)
     budget = _resolve_budget(args)
@@ -262,7 +259,7 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
         broadcast=not args.no_broadcast,
         workers=args.workers,
     )
-    write_results(results, args.output)
+    write_records(results, args.output)
     _write_manifest(
         Path(args.output), args, [Path(args.corpus)], {"stats": asdict(stats)}
     )
@@ -278,12 +275,12 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
 
 def _cmd_dataset(args: argparse.Namespace) -> int:
     corpus = _read_corpus_checked(args.corpus)
-    tune_results = read_results(args.tune_results)
+    tune_results = read_records(TuneResult, args.tune_results)
     backend = _make_backend(args)
     records, errors = build_pass_dataset(
         tune_results, corpus, backend, token_limit=args.token_limit
     )
-    write_jsonl(records_to_rows(records), args.output)
+    write_records(records, args.output)
     truncated = sum(1 for r in records if r.truncated)
     _write_manifest(
         Path(args.output),
@@ -315,7 +312,7 @@ def _cmd_single_pass_dataset(args: argparse.Namespace) -> int:
         seed=args.seed,
         token_limit=args.token_limit,
     )
-    write_jsonl(records_to_rows(records), args.output)
+    write_records(records, args.output)
     expected = len(passes) * args.per_pass
     truncated = sum(1 for r in records if r.truncated)
     _write_manifest(
@@ -348,7 +345,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     elif args.method == "top-frequency":
         if not args.tune_results:
             raise ConfigError("--method top-frequency requires --tune-results")
-        table = build_frequency_table(read_results(args.tune_results))
+        table = build_frequency_table(read_records(TuneResult, args.tune_results))
         inputs.append(Path(args.tune_results))
         predict = partial(predict_top_frequency, frequency_table=table)
     elif args.method == "retrieval":
@@ -357,7 +354,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
                 "--method retrieval requires --tune-results and --train-corpus"
             )
         train = _read_corpus_checked(args.train_corpus)
-        index = RetrievalIndex.build(train, read_results(args.tune_results))
+        index = RetrievalIndex.build(train, read_records(TuneResult, args.tune_results))
         inputs.extend([Path(args.train_corpus), Path(args.tune_results)])
         predict = partial(predict_retrieval, index=index)
     elif args.method == "file":
@@ -380,7 +377,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             failures.append(f"{fn.id}: no prediction in file")
         except ExternalPredictorError as err:
             failures.append(f"{fn.id}: {err}")
-    write_predictions(predictions, args.output)
+    write_records(predictions, args.output)
     _write_manifest(Path(args.output), args, inputs)
     print(f"wrote {len(predictions)} predictions to {args.output}")
     for line in failures:
@@ -395,12 +392,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.predictions == "always-oz":
         predictions = [predict_always_oz(fn) for fn in corpus]
     else:
-        predictions = read_predictions(args.predictions)
+        predictions = read_records(Prediction, args.predictions)
         inputs.append(Path(args.predictions))
     summary, rows = evaluate_predictions(
         predictions, corpus, backend, use_oz_backup=args.oz_backup
     )
-    write_rows(rows, args.output)
+    write_records(rows, args.output)
     summary_path = (
         Path(args.summary) if args.summary else _derived_output(args.output, "summary")
     )
@@ -416,11 +413,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    rows = read_rows(args.rows)
+    rows = read_records(EvalRow, args.rows)
     if not rows:
         raise ConfigError(f"rows file {args.rows} is empty")
-    predictions = read_predictions(args.predictions)
-    tune_results = read_results(args.tune_results)
+    predictions = read_records(Prediction, args.predictions)
+    tune_results = read_records(TuneResult, args.tune_results)
     bundle = reports(rows, predictions, tune_results)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import random
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from passtune.backend import Backend, compile_items
@@ -296,7 +296,3 @@ def corpus_stats(functions: Sequence[IrFunction]) -> dict[str, int]:
         "total_tokens": sum(fn.token_estimate for fn in functions),
         "text_bytes": sum(len(fn.normalized_text.encode("utf-8")) for fn in functions),
     }
-
-
-def records_to_rows(records: Iterable) -> Iterable[dict]:
-    return (asdict(r) for r in records)

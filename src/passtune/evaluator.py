@@ -13,7 +13,7 @@ import csv
 import logging
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -27,7 +27,6 @@ from passtune.backend import (
 from passtune.backend.passlist import OZ_ITEMS
 from passtune.ircore import IrFunction, count_instructions, normalize
 from passtune.predictor import Prediction
-from passtune.util import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -409,14 +408,6 @@ def reports(
         novel_lists=novel,
         beats_autotuner=beats,
     )
-
-
-def write_rows(rows: Iterable[EvalRow], path: str | Path) -> int:
-    return write_jsonl((asdict(r) for r in rows), path)
-
-
-def read_rows(path: str | Path) -> list[EvalRow]:
-    return [EvalRow(**row) for row in read_jsonl(path)]
 
 
 def write_summary(values: Mapping[str, object], path: str | Path) -> None:

@@ -8,16 +8,15 @@ metadata, no attribute groups, newlines preserved.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from passtune.util import read_jsonl, write_jsonl
+from passtune.util import read_records
 
 # The reference tokenizer averages 2.02 characters per token on IR text.
 # Kept as an exact rational (101/50) so the ceiling never drifts with
 # float rounding.
-CHARS_PER_TOKEN = 2.02
 _CHARS_PER_TOKEN_NUM = 101
 _CHARS_PER_TOKEN_DEN = 50
 
@@ -210,20 +209,13 @@ class IrFunction:
             raise ValueError(f"{self.id}: expected exactly one definition")
 
 
-def write_corpus(functions: Iterable[IrFunction], path: str | Path) -> int:
-    """Write functions as JSON Lines; returns the number written."""
-    return write_jsonl((asdict(fn) for fn in functions), path)
-
-
 def read_corpus(path: str | Path) -> list[IrFunction]:
     """Read and validate a corpus: the one place its text is checked.
 
     Every row's ``normalized_text`` must be a fixed point of
     :func:`normalize`, so later stages can compile ``fn.ir`` as it is.
     """
-    out = []
-    for row in read_jsonl(path):
-        fn = IrFunction(**row)
+    functions = read_records(IrFunction, path)
+    for fn in functions:
         fn.validate()
-        out.append(fn)
-    return out
+    return functions

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import subprocess
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -19,7 +19,7 @@ from passtune.backend import InvalidPassListError, PassList, PassVocabulary
 from passtune.backend.passlist import OZ_ITEMS
 from passtune.dataset import AnswerParseError, parse_answer
 from passtune.ircore import IrFunction
-from passtune.util import read_jsonl, write_jsonl
+from passtune.util import read_jsonl
 
 OZ_LIST = " ".join(OZ_ITEMS)
 
@@ -172,15 +172,19 @@ def _parse_prediction(
 class FilePredictor:
     """Replays predictions from a JSON Lines file.
 
-    Rows carry ``function_id`` plus either ``answer`` or ``pass_list``
-    (a string or an array of flags); both are model output for
-    :func:`_parse_prediction`, and ``answer`` wins when a row has both.
+    Rows carry a string ``function_id`` plus either ``answer`` or
+    ``pass_list`` (a string or an array of flags); both are model output
+    for :func:`_parse_prediction`, and ``answer`` wins when a row has
+    both. A row without a string ``function_id`` is a ValueError naming
+    its ``path:line``.
     """
 
     def __init__(self, path: str | Path, vocabulary: PassVocabulary) -> None:
         self.vocabulary = vocabulary
         self.rows: dict[str, dict] = {}
-        for row in read_jsonl(path):
+        for where, row in read_jsonl(path):
+            if not isinstance(row.get("function_id"), str):
+                raise ValueError(f"{where}: expected a string function_id")
             self.rows[row["function_id"]] = row
 
     def predict(self, fn: IrFunction) -> Prediction:
@@ -232,11 +236,3 @@ class ProcessPredictor:
                 f"predictor exited with {proc.returncode}: {proc.stderr.strip()}"
             )
         return _parse_prediction(fn, proc.stdout.rstrip("\n"), self.vocabulary)
-
-
-def write_predictions(predictions: Iterable[Prediction], path: str | Path) -> int:
-    return write_jsonl((asdict(p) for p in predictions), path)
-
-
-def read_predictions(path: str | Path) -> list[Prediction]:
-    return [Prediction(**row) for row in read_jsonl(path)]

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import types
+import typing
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TypeVar
+
+_T = TypeVar("_T")
 
 
 def stable_seed(seed: int, tag: str) -> int:
@@ -27,12 +32,75 @@ def write_jsonl(rows: Iterable[dict[str, Any]], path: str | Path) -> int:
     return n
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
+def read_jsonl(path: str | Path) -> Iterator[tuple[str, dict[str, Any]]]:
+    """Yield ``("path:line", object)`` for every non-blank line.
+
+    A line that is not a JSON object is a ValueError naming its place.
+    """
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                yield json.loads(line)
+            if not line:
+                continue
+            where = f"{path}:{number}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{where}: not JSON: {err}") from None
+            if not isinstance(row, dict):
+                raise ValueError(f"{where}: expected a JSON object")
+            yield where, row
+
+
+def write_records(records: Iterable[Any], path: str | Path) -> int:
+    """Write dataclass records as JSON Lines; returns the number written."""
+    return write_jsonl((dataclasses.asdict(r) for r in records), path)
+
+
+def _has_type(value: Any, hint: Any) -> bool:
+    """Whether a JSON value fits a field's type (JSON true is not an int)."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_has_type(value, arg) for arg in typing.get_args(hint))
+    if hint is int and isinstance(value, bool):
+        return False
+    return isinstance(value, hint)
+
+
+def read_records(cls: type[_T], path: str | Path) -> list[_T]:
+    """Read JSON Lines written by :func:`write_records` back into ``cls``.
+
+    A row that is not a JSON object, lacks a field without a default,
+    has a field ``cls`` does not know, holds a value of the wrong JSON
+    type, or fails the record's own checks is a ValueError naming
+    ``path:line``.
+    """
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    required = {
+        f.name
+        for f in fields
+        if f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    }
+    known = {f.name for f in fields}
+    out = []
+    for where, row in read_jsonl(path):
+        missing = sorted(required - row.keys())
+        if missing:
+            raise ValueError(f"{where}: missing field(s) {', '.join(missing)}")
+        unknown = sorted(row.keys() - known)
+        if unknown:
+            raise ValueError(f"{where}: unknown field(s) {', '.join(unknown)}")
+        for name, value in row.items():
+            if not _has_type(value, hints[name]):
+                raise ValueError(
+                    f"{where}: field {name} has the wrong type: {json.dumps(value)}"
+                )
+        try:
+            out.append(cls(**row))
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
+    return out
 
 
 def file_digest(path: str | Path) -> str:

@@ -9,14 +9,14 @@ from passtune.autotuner import (
     count_valid_pass_lists,
     minimize_pass_list,
     random_search,
-    read_results,
-    write_results,
 )
 from passtune.backend.classify import diagnostic_from_message
 from passtune.backend.passlist import PassList, PassVocabulary
 from passtune.backend.types import CompileOutcome
 from passtune.ircore import NormalizedIr
 from passtune.minigen import generate_function
+from passtune.util import read_records, write_records
+from test_evaluator import CountingBackend
 
 
 class RiggedBackend:
@@ -42,6 +42,11 @@ def find_function(predicate, seed=7, limit=80):
         if predicate(fn):
             return fn
     raise AssertionError("no generated function matches the predicate")
+
+
+def count_of(backend, fn, items):
+    ir = NormalizedIr(fn.normalized_text)
+    return backend.apply(ir, PassList(items, backend.vocabulary)).instruction_count
 
 
 def assert_one_minimal(backend, ir, items, count):
@@ -155,7 +160,9 @@ def test_minimize_drops_redundant_pass(backend, corpus20):
     ir = NormalizedIr(fn.normalized_text)
     oz = backend.apply(ir, PassList(("-Oz",), backend.vocabulary))
     padded = ("-Oz", "-dce")
-    items, count, evals = minimize_pass_list(backend, ir, padded, seed=5)
+    items, count, evals = minimize_pass_list(
+        backend, ir, padded, seed=5, count=count_of(backend, fn, padded)
+    )
     assert count <= oz.instruction_count
     assert len(items) < len(padded)
     assert evals >= len(padded)
@@ -167,9 +174,11 @@ def test_minimize_result_is_one_minimal(backend, corpus20, index):
     fn = corpus20[index]
     ir = NormalizedIr(fn.normalized_text)
     start = ("-mem2reg", "-Oz", "-instcombine", "-dce")
-    items, count, _ = minimize_pass_list(backend, ir, start, seed=index)
-    assert_one_minimal(backend, ir, items, count)
     baseline = backend.apply(ir, PassList(start, backend.vocabulary))
+    items, count, _ = minimize_pass_list(
+        backend, ir, start, seed=index, count=baseline.instruction_count
+    )
+    assert_one_minimal(backend, ir, items, count)
     assert count <= baseline.instruction_count
 
 
@@ -181,29 +190,11 @@ def test_minimize_reaches_empty_list_when_nothing_helps(backend):
     unopt = backend.apply(ir, PassList((), backend.vocabulary))
     oz = backend.apply(ir, PassList(("-Oz",), backend.vocabulary))
     assert oz.instruction_count == unopt.instruction_count  # precondition
-    items, count, _ = minimize_pass_list(backend, ir, ("-Oz",), seed=2)
+    items, count, _ = minimize_pass_list(
+        backend, ir, ("-Oz",), seed=2, count=oz.instruction_count
+    )
     assert items == ()
     assert count == unopt.instruction_count
-
-
-def test_minimize_rejects_failing_input(backend, corpus20):
-    rigged = RiggedBackend(backend, lambda ir, passes: "-gvn" in passes.items)
-    ir = NormalizedIr(corpus20[0].normalized_text)
-    with pytest.raises(ValueError):
-        minimize_pass_list(rigged, ir, ("-gvn", "-dce"), seed=0)
-
-
-def test_minimize_accepts_known_count(backend, corpus20):
-    fn = corpus20[2]
-    ir = NormalizedIr(fn.normalized_text)
-    oz = backend.apply(ir, PassList(("-Oz",), backend.vocabulary))
-    with_known = minimize_pass_list(
-        backend, ir, ("-Oz",), seed=1, count=oz.instruction_count
-    )
-    without = minimize_pass_list(backend, ir, ("-Oz",), seed=1)
-    assert with_known[0] == without[0]
-    assert with_known[1] == without[1]
-    assert with_known[2] == without[2] - 1  # the prepaid compile
 
 
 # --- broadcast ----------------------------------------------------------
@@ -237,6 +228,28 @@ def test_broadcast_shares_winning_lists(backend):
     assert got.best_count < results[target.id].best_count
     # exactly one foreign list was tried on the target
     assert got.evaluations_used == results[target.id].evaluations_used + 1
+
+
+def test_broadcast_never_compiles_a_functions_own_list(backend, corpus20):
+    fn, donor = corpus20[0], corpus20[1]
+    own, shorter = ("-Oz", "-dce", "-dce"), ("-Oz",)
+    own_count = count_of(backend, fn, own)
+    assert count_of(backend, fn, shorter) <= own_count  # the donor list wins
+    results = {
+        fn.id: TuneResult(fn.id, "-Oz", own_count, " ".join(own), own_count, 5),
+        donor.id: TuneResult(
+            donor.id, "-Oz", 9, " ".join(shorter), count_of(backend, donor, shorter), 5
+        ),
+    }
+    counting = CountingBackend(backend)
+    updated = broadcast_best_lists(counting, [fn, donor], results)
+    assert counting.compiled == {
+        (fn.normalized_text, shorter): 1,
+        (donor.normalized_text, own): 1,
+    }
+    assert updated[fn.id].best_pass_list == "-Oz"
+    assert updated[fn.id].evaluations_used == 6
+    assert updated[donor.id].evaluations_used == 6
 
 
 def test_broadcast_never_regresses(backend, corpus20):
@@ -274,6 +287,13 @@ def test_autotune_corpus_threaded_matches_serial(backend, corpus20):
     assert serial == threaded
 
 
+def test_autotune_corpus_rejects_fewer_than_one_worker(backend, corpus20):
+    with pytest.raises(ValueError):
+        autotune_corpus(
+            backend, corpus20[:2], SearchBudget.evaluation_count(1), seed=0, workers=0
+        )
+
+
 def test_autotune_corpus_skips_baseline_failures(backend, corpus20):
     doomed = corpus20[0]
     rigged = RiggedBackend(
@@ -290,12 +310,5 @@ def test_results_round_trip(tmp_path, backend, corpus20):
     budget = SearchBudget.evaluation_count(5)
     results, _ = autotune_corpus(backend, corpus20[:4], budget, seed=6)
     path = tmp_path / "results.jsonl"
-    assert write_results(results, path) == 4
-    assert read_results(path) == results
-
-
-def test_improvement_percent():
-    result = TuneResult("f", "-Oz", 12, "-mem2reg", 8, 10)
-    assert result.improvement_percent() == pytest.approx(50.0)
-    degenerate = TuneResult("g", "-Oz", 5, "-dce", 0, 2)
-    assert degenerate.improvement_percent() == 0.0
+    assert write_records(results, path) == 4
+    assert read_records(TuneResult, path) == results

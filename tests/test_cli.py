@@ -10,10 +10,10 @@ from passtune import __version__
 from passtune.backend import BackendUnavailableError
 from passtune.backend.llvm import resolve_opt_path
 from passtune.cli import main
-from passtune.evaluator import read_rows
+from passtune.evaluator import EvalRow
 from passtune.ircore import read_corpus
-from passtune.predictor import read_predictions
-from passtune.util import file_digest, write_jsonl
+from passtune.predictor import Prediction
+from passtune.util import file_digest, read_records, write_jsonl
 
 DATA = Path(__file__).parent / "data"
 
@@ -167,7 +167,7 @@ def test_full_pipeline_runs_clean(tmp_path, corpus_file, tuned_file):
         "--method", "top-frequency",
         "--tune-results", tuned_file,
     ) == 0
-    assert len(read_predictions(preds)) == 12
+    assert len(read_records(Prediction, preds)) == 12
 
     rows = tmp_path / "rows.jsonl"
     assert run(
@@ -177,7 +177,7 @@ def test_full_pipeline_runs_clean(tmp_path, corpus_file, tuned_file):
         "--output", rows,
         "--oz-backup",
     ) == 0
-    assert len(read_rows(rows)) == 12
+    assert len(read_records(EvalRow, rows)) == 12
     assert (tmp_path / "rows.summary.jsonl").exists()
 
     report_dir = tmp_path / "report"
@@ -336,6 +336,110 @@ def test_conflicting_budgets_are_rejected(tmp_path, corpus_file):
     ) == 2
 
 
+def test_fewer_than_one_worker_is_a_config_error(tmp_path, corpus_file, capsys):
+    assert run(
+        "autotune",
+        "--corpus", corpus_file,
+        "--output", tmp_path / "out.jsonl",
+        "--budget-evals", 2,
+        "--workers", 0,
+    ) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.fixture
+def input_files(tmp_path, corpus_file, tuned_file):
+    """One valid input file of every kind a subcommand reads."""
+    raw = tmp_path / "raw.jsonl"
+    write_jsonl([{"id": "f", "raw_text": "define i32 @f() {\nret i32 0\n}"}], raw)
+    preds = tmp_path / "preds.jsonl"
+    rows = tmp_path / "rows.jsonl"
+    assert run(
+        "predict", "--corpus", corpus_file, "--method", "top-frequency",
+        "--tune-results", tuned_file, "--output", preds,
+    ) == 0
+    assert run(
+        "evaluate", "--corpus", corpus_file, "--predictions", preds, "--output", rows
+    ) == 0
+    return {
+        "raw": raw, "corpus": corpus_file, "train": corpus_file,
+        "tuned": tuned_file, "preds": preds, "rows": rows,
+    }
+
+
+def _without(field):
+    return lambda row: json.dumps({k: v for k, v in row.items() if k != field})
+
+
+def _with(field, value):
+    return lambda row: json.dumps({**row, field: value})
+
+
+# case id -> (input whose second row is malformed, that row, command line)
+MALFORMED_ROWS = {
+    "ingest-not-json": ("raw", lambda row: "{not json", "ingest {raw} --output {out}"),
+    "autotune-missing-field": (
+        "corpus", _without("token_estimate"),
+        "autotune --corpus {corpus} --output {out} --budget-evals 1",
+    ),
+    "single-pass-not-an-object": (
+        "corpus", lambda row: "[1, 2]",
+        "single-pass-dataset --corpus {corpus} --output {out}",
+    ),
+    "dataset-wrong-type": (
+        "tuned", _with("best_pass_list", 7),
+        "dataset --corpus {corpus} --tune-results {tuned} --output {out}",
+    ),
+    "predict-top-frequency-missing-fields": (
+        "tuned", lambda row: json.dumps({"function_id": row["function_id"]}),
+        "predict --corpus {corpus} --method top-frequency --tune-results {tuned}"
+        " --output {out}",
+    ),
+    "predict-retrieval-unknown-field": (
+        "train", _with("comment", "x"),
+        "predict --corpus {corpus} --method retrieval --tune-results {tuned}"
+        " --train-corpus {train} --output {out}",
+    ),
+    "predict-file-no-function-id": (
+        "preds", _without("function_id"),
+        "predict --corpus {corpus} --method file --predictions-file {preds}"
+        " --output {out}",
+    ),
+    "evaluate-missing-pass-list": (
+        "preds", _without("pass_list"),
+        "evaluate --corpus {corpus} --predictions {preds} --output {out}",
+    ),
+    "evaluate-pass-list-number": (
+        "preds", _with("pass_list", 5),
+        "evaluate --corpus {corpus} --predictions {preds} --output {out}",
+    ),
+    "report-rows-wrong-type": (
+        "rows", _with("delta", "1"),
+        "report --rows {rows} --predictions {preds} --tune-results {tuned}"
+        " --output-dir {out}",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,bad_row,argv", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS.keys()
+)
+def test_a_malformed_input_row_is_a_config_error(
+    tmp_path, input_files, capsys, kind, bad_row, argv
+):
+    first = input_files[kind].read_text().splitlines()[0]
+    bad = tmp_path / f"bad-{kind}.jsonl"
+    bad.write_text(first + "\n" + bad_row(json.loads(first)) + "\n")
+    names = {key: str(path) for key, path in input_files.items()}
+    names.update({kind: str(bad), "out": str(tmp_path / "out")})
+    capsys.readouterr()
+    assert run(*(arg.format(**names) for arg in argv.split())) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:2: " in err
+    assert "Traceback" not in err
+
+
 def test_unavailable_llvm_backend_maps_to_exit_3(tmp_path, corpus_file):
     assert run(
         "autotune",
@@ -424,7 +528,7 @@ def test_file_predictions_missing_function_is_partial(tmp_path, corpus_file, cap
         "--method", "file",
         "--predictions-file", partial,
     ) == 4
-    assert len(read_predictions(preds)) == 1
+    assert len(read_records(Prediction, preds)) == 1
     assert "no prediction in file" in capsys.readouterr().err
 
 
@@ -476,7 +580,7 @@ def test_command_predictor_failures_are_partial(tmp_path, corpus_file, capsys):
         "--command", shlex.join([sys.executable, str(script)]),
     ) == 4
     assert f"{first.id}: predictor exited with 3: boom" in capsys.readouterr().err
-    predictions = read_predictions(preds)
+    predictions = read_records(Prediction, preds)
     assert len(predictions) == len(read_corpus(corpus_file)) - 1
     assert {p.pass_list for p in predictions} == {"-mem2reg -dce"}
 
@@ -495,4 +599,4 @@ def test_evaluate_missing_predictions_is_partial(tmp_path, corpus_file, capsys):
         "--output", rows,
     ) == 4
     assert "had no prediction" in capsys.readouterr().err
-    assert len(read_rows(rows)) == len(corpus)
+    assert len(read_records(EvalRow, rows)) == len(corpus)

@@ -17,13 +17,12 @@ from passtune.dataset import (
     corpus_stats,
     dedup,
     parse_answer,
-    records_to_rows,
     render_answer,
     render_single_pass_prompt,
     split,
 )
 from passtune.ircore import NormalizedIr
-from passtune.util import read_jsonl, write_jsonl
+from passtune.util import read_records, write_records
 from test_predictor import PoisonBackend
 
 SAMPLE_CODE = "define i32 @f(i32 %a) {\nret i32 %a\n}"
@@ -296,8 +295,8 @@ def test_corpus_stats_sums(corpus20):
 def test_pass_records_round_trip(tmp_path, backend, corpus20, tuned):
     records, _ = build_pass_dataset(tuned, corpus20, backend)
     path = tmp_path / "pass.jsonl"
-    write_jsonl(records_to_rows(records), path)
-    assert [PassOrderingRecord(**row) for row in read_jsonl(path)] == records
+    write_records(records, path)
+    assert read_records(PassOrderingRecord, path) == records
 
 
 def test_single_pass_records_round_trip(tmp_path, backend, corpus20):
@@ -305,5 +304,5 @@ def test_single_pass_records_round_trip(tmp_path, backend, corpus20):
         backend, corpus20, ("-dce",), per_pass=3, max_prefix_len=1, seed=4
     )
     path = tmp_path / "single.jsonl"
-    write_jsonl(records_to_rows(records), path)
-    assert [SinglePassRecord(**row) for row in read_jsonl(path)] == records
+    write_records(records, path)
+    assert read_records(SinglePassRecord, path) == records

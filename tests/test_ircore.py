@@ -12,8 +12,8 @@ from passtune.ircore import (
     estimate_tokens,
     normalize,
     read_corpus,
-    write_corpus,
 )
+from passtune.util import write_records
 
 MESSY = """\
 ; ModuleID = 'x.c'
@@ -193,7 +193,7 @@ def test_read_corpus_rejects_text_that_is_not_normalized(tmp_path, corpus20):
 
 def test_corpus_round_trip(tmp_path, corpus20):
     path = tmp_path / "corpus.jsonl"
-    assert write_corpus(corpus20, path) == len(corpus20)
+    assert write_records(corpus20, path) == len(corpus20)
     again = read_corpus(path)
     assert again == corpus20
     # plain JSON lines, one object per function

@@ -1,4 +1,7 @@
+import logging
+import shutil
 import stat
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,7 @@ from passtune.backend.llvm import (
     LlvmBackend,
     resolve_opt_path,
 )
-from passtune.backend.passlist import PassList, PassVocabulary
+from passtune.backend.passlist import PassList, PassVocabulary, llvm10_vocabulary
 from passtune.backend.types import BackendUnavailableError, CompileTimeoutError
 from passtune.ircore import normalize
 
@@ -18,14 +21,21 @@ DATA = Path(__file__).parent / "data"
 # A stand-in for opt: echoes the input module (a file argument, or standard
 # input when there is none, as opt does), with a few trigger flags for
 # exercising the backend's failure paths. Trigger flags are passed via
-# extra_args so they bypass vocabulary validation.
+# extra_args so they bypass vocabulary validation. `--help-hidden` lists
+# the flags in LISTED, one option line each, as opt prints them.
 STUB_OPT = """\
 #!/usr/bin/env python3
 import sys, time
 
+LISTED = {listed}
 args = sys.argv[1:]
 if "--version" in args:
     print("stub LLVM (http://llvm.org/) version 10.0.0")
+    sys.exit(0)
+if "--help-hidden" in args:
+    print("OPTIONS:")
+    for flag in LISTED:
+        print(f"  -{flag:<40} - the {flag} option")
     sys.exit(0)
 if "--stub-crash" in args:
     sys.stderr.write("stub: error: '%a' defined with type 'i32' but expected 'i1'\\n")
@@ -44,12 +54,17 @@ sys.stdout.write(text)
 """
 
 
-@pytest.fixture
-def stub_opt(tmp_path):
+def write_stub(tmp_path, omit=()):
+    listed = [f for f in llvm10_vocabulary().all_flags if f not in omit]
     path = tmp_path / "stub-opt"
-    path.write_text(STUB_OPT)
+    path.write_text(STUB_OPT.replace("{listed}", repr(listed)))
     path.chmod(path.stat().st_mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)
     return str(path)
+
+
+@pytest.fixture
+def stub_opt(tmp_path):
+    return write_stub(tmp_path)
 
 
 @pytest.fixture
@@ -135,6 +150,43 @@ def test_backend_vocabulary_is_llvm10(stub_opt):
     backend = LlvmBackend(stub_opt)
     assert len(backend.vocabulary.passes) == 122
     assert "-Oz" in backend.vocabulary.meta_flags
+
+
+def test_flags_opt_does_not_list_leave_the_vocabulary(tmp_path, caplog):
+    stub = write_stub(tmp_path, omit=("-die", "-O1"))
+    with caplog.at_level(logging.WARNING, logger="passtune.backend.llvm"):
+        backend = LlvmBackend(stub)
+    assert "-die" not in backend.vocabulary
+    assert "-O1" not in backend.vocabulary
+    assert len(backend.vocabulary) == len(llvm10_vocabulary()) - 2
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{stub} does not list 2 vocabulary flag(s); dropped: -die -O1"
+    ]
+
+
+def test_a_failing_flag_listing_means_the_backend_is_unavailable(tmp_path):
+    failing = tmp_path / "failing-opt"
+    failing.write_text("#!/bin/sh\nexit 1\n")
+    failing.chmod(0o755)
+    with pytest.raises(BackendUnavailableError, match="--help-hidden"):
+        LlvmBackend(str(failing))
+
+
+def test_the_vocabulary_drops_exactly_the_flags_the_installed_opt_rejects():
+    opt = shutil.which("opt")
+    if opt is None:
+        pytest.skip("no opt on PATH")
+    kept = LlvmBackend(opt).vocabulary
+    for flag in llvm10_vocabulary().all_flags:
+        proc = subprocess.run(
+            [opt, "-S", "-enable-new-pm=0", flag],
+            input="",
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        unknown = "Unknown command line argument" in proc.stderr
+        assert (proc.returncode != 0 and unknown) == (flag not in kept), flag
 
 
 def test_nonexecutable_path_raises(tmp_path):

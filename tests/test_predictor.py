@@ -21,10 +21,8 @@ from passtune.predictor import (
     predict_always_oz,
     predict_retrieval,
     predict_top_frequency,
-    read_predictions,
-    write_predictions,
 )
-from passtune.util import write_jsonl
+from passtune.util import read_records, write_jsonl, write_records
 
 
 @pytest.fixture(scope="module")
@@ -281,8 +279,8 @@ def test_prediction_round_trip(tmp_path, corpus20):
         Prediction(corpus20[1].id, "-dce -gvn", 9, 4, "code", 0, False),
     ]
     path = tmp_path / "preds.jsonl"
-    assert write_predictions(predictions, path) == 2
-    assert read_predictions(path) == predictions
+    assert write_records(predictions, path) == 2
+    assert read_records(Prediction, path) == predictions
 
 
 def test_prediction_rejects_negative_compilations(corpus20):

@@ -6,14 +6,13 @@ from passtune.autotuner import TuneResult
 from passtune.evaluator import (
     EvalRow,
     overall_improvement,
-    read_rows,
     reports,
     summarize_rows,
     write_report_csvs,
-    write_rows,
     write_summary,
 )
 from passtune.predictor import Prediction
+from passtune.util import read_records, write_records
 
 
 def make_row(fid, dataset, unopt, oz, predicted):
@@ -155,8 +154,8 @@ def test_csv_outputs(tmp_path, bundle_inputs):
 def test_rows_round_trip_and_summary_file(tmp_path, bundle_inputs):
     rows, _, _ = bundle_inputs
     path = tmp_path / "rows.jsonl"
-    assert write_rows(rows, path) == len(rows)
-    assert read_rows(path) == rows
+    assert write_records(rows, path) == len(rows)
+    assert read_records(EvalRow, path) == rows
 
     summary = summarize_rows(rows, additional_compilations=1)
     out = tmp_path / "summary.txt"
