@@ -25,7 +25,6 @@ from passtune.backend.types import (
     CompileOutcome,
     CompileTimeoutError,
     compile_items,
-    verify_ir,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "classify_error",
     "compile_items",
     "llvm10_vocabulary",
-    "verify_ir",
 ]

@@ -7,7 +7,7 @@ from typing import Optional, Protocol, runtime_checkable
 
 from passtune.backend.classify import IrDiagnostic, diagnostic_from_message
 from passtune.backend.passlist import PassList, PassVocabulary
-from passtune.ircore import NormalizedIr, normalize
+from passtune.ircore import NormalizedIr
 
 
 class BackendUnavailableError(RuntimeError):
@@ -75,8 +75,3 @@ def compile_items(
         return backend.apply(ir, PassList(items, backend.vocabulary))
     except CompileTimeoutError as err:
         return CompileOutcome.failure(diagnostic_from_message(str(err)))
-
-
-def verify_ir(backend: Backend, text: str) -> CompileOutcome:
-    """Check that text is acceptable IR by compiling with no passes."""
-    return compile_items(backend, normalize(text), ())

@@ -18,7 +18,7 @@ import argparse
 import json
 import shlex
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -33,12 +33,8 @@ from passtune.autotuner import (
 )
 from passtune.backend import BackendUnavailableError
 from passtune.backend.llvm import DEFAULT_TIMEOUT_SECONDS, LlvmBackend
-from passtune.backend.mini import MiniBackend, mini_vocabulary
-from passtune.backend.passlist import (
-    DEFAULT_MAX_LEN,
-    PassVocabulary,
-    llvm10_vocabulary,
-)
+from passtune.backend.mini import MiniBackend
+from passtune.backend.passlist import DEFAULT_MAX_LEN
 from passtune.dataset import (
     build_pass_dataset,
     build_single_pass_dataset,
@@ -72,7 +68,7 @@ from passtune.predictor import (
     predict_retrieval,
     predict_top_frequency,
 )
-from passtune.util import file_digest, read_jsonl, read_records, write_records
+from passtune.util import file_digest, read_records, write_records
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
@@ -84,12 +80,17 @@ class ConfigError(ValueError):
     """Unusable flag/config combination; maps to exit code 2."""
 
 
+@dataclass(frozen=True)
+class _IngestRow:
+    """One function to ingest: a JSON Lines row, or a whole .ll file."""
+
+    id: str
+    raw_text: str
+    source_dataset: Optional[str] = None
+
+
 # ---------------------------------------------------------------------------
 # shared plumbing
-
-
-def _make_vocabulary(args: argparse.Namespace) -> PassVocabulary:
-    return mini_vocabulary() if args.backend == "mini" else llvm10_vocabulary()
 
 
 def _make_backend(args: argparse.Namespace):
@@ -181,33 +182,24 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     for raw_path in args.inputs:
         path = Path(raw_path)
         if path.suffix == ".jsonl":
-            for _, row in read_jsonl(path):
-                fid = row.get("id", "?")
-                try:
-                    functions.append(
-                        IrFunction.from_raw(
-                            id=row["id"],
-                            source_dataset=row.get(
-                                "source_dataset", args.source_dataset or path.stem
-                            ),
-                            raw_text=row["raw_text"],
-                        )
-                    )
-                except KeyError as err:
-                    failures.append(f"{path}:{fid}: missing field {err}")
-                except MalformedIrError as err:
-                    failures.append(f"{path}:{fid}: {err}")
-        else:
+            rows = read_records(_IngestRow, path)
+            label = args.source_dataset or path.stem
+        else:  # one .ll file is one function
+            rows = [_IngestRow(path.stem, path.read_text(encoding="utf-8"))]
+            label = args.source_dataset or path.parent.name or "ingest"
+        for row in rows:
             try:
                 functions.append(
                     IrFunction.from_raw(
-                        id=path.stem,
-                        source_dataset=args.source_dataset or (path.parent.name or "ingest"),
-                        raw_text=path.read_text(encoding="utf-8"),
+                        id=row.id,
+                        source_dataset=(
+                            label if row.source_dataset is None else row.source_dataset
+                        ),
+                        raw_text=row.raw_text,
                     )
                 )
             except MalformedIrError as err:
-                failures.append(f"{path}: {err}")
+                failures.append(f"{path}:{row.id}: {err}")
     for line in failures:
         print(f"error: {line}", file=sys.stderr)
     if args.dedup:
@@ -338,7 +330,6 @@ def _cmd_single_pass_dataset(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     corpus = _read_corpus_checked(args.corpus)
-    vocabulary = _make_vocabulary(args)
     inputs = [Path(args.corpus)]
     if args.method == "always-oz":
         predict = predict_always_oz
@@ -360,11 +351,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     elif args.method == "file":
         if not args.predictions_file:
             raise ConfigError("--method file requires --predictions-file")
+        vocabulary = _make_backend(args).vocabulary
         predict = FilePredictor(args.predictions_file, vocabulary).predict
         inputs.append(Path(args.predictions_file))
     else:  # command
         if not args.command:
             raise ConfigError("--method command requires --command")
+        vocabulary = _make_backend(args).vocabulary
         predict = ProcessPredictor(
             shlex.split(args.command), vocabulary, timeout=args.timeout
         ).predict
@@ -401,9 +394,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     summary_path = (
         Path(args.summary) if args.summary else _derived_output(args.output, "summary")
     )
-    write_summary(asdict(summary), summary_path)
-    _write_manifest(Path(args.output), args, inputs, {"summary": asdict(summary)})
-    for key, value in asdict(summary).items():
+    values = summary.flat()
+    write_summary(values, summary_path)
+    _write_manifest(Path(args.output), args, inputs, {"summary": values})
+    for key, value in values.items():
         print(f"{key} = {value}")
     missing = sum(1 for row in rows if row.prediction_missing)
     if missing:

@@ -1,10 +1,11 @@
 """Evaluation metrics and reports for pass-list predictors.
 
-Covers the aggregate accounting (functions improved/regressed, summed
-savings, overall improvement over -Oz), text metrics for generated code
-(BLEU, exact match, compile rate, error histogram, count MAPE), and the
-report breakdowns: pass frequency, list lengths, improvement by source
-dataset and by input size, novel lists, and beats-the-autotuner counts.
+One loop, :func:`evaluate_predictions`, scores a pass list against -Oz
+(functions improved/regressed, savings, overall improvement) and any
+claims that come with it (compile rate, error histogram, exact match,
+BLEU, count MAPE). The reports add pass frequency, list lengths,
+improvement by source dataset and input size, novel lists, and
+beats-the-autotuner counts.
 """
 
 from __future__ import annotations
@@ -13,19 +14,19 @@ import csv
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 from passtune.backend import (
     Backend,
+    CompileOutcome,
     ErrorCategory,
     InvalidPassListError,
     compile_items,
-    verify_ir,
 )
 from passtune.backend.passlist import OZ_ITEMS
-from passtune.ircore import IrFunction, count_instructions, normalize
+from passtune.ircore import IrFunction, normalize
 from passtune.predictor import Prediction
 
 logger = logging.getLogger(__name__)
@@ -111,8 +112,28 @@ class EvalRow:
 
 
 @dataclass(frozen=True)
+class CodeQualityMetrics:
+    """How well ``claims`` predictions' code and counts match the compiler.
+
+    The code is compiled with no passes (compile rate, error histogram)
+    and compared with the compiler's output for the predicted list (exact
+    match, BLEU; a list that failed scores 0). Input counts are measured
+    against the unoptimized count, output counts against the list's count
+    where it compiled (``None`` when no list did).
+    """
+
+    claims: int
+    bleu: float
+    compile_rate: float
+    exact_match_rate: float
+    error_histogram: dict[str, int]
+    input_count_mape: float
+    output_count_mape: Optional[float]
+
+
+@dataclass(frozen=True)
 class EvalSummary:
-    """Aggregates over one evaluation run."""
+    """Aggregates over one evaluation run; ``code_quality`` needs claims."""
 
     total_functions: int
     functions_improved: int
@@ -123,17 +144,21 @@ class EvalSummary:
     overall_improvement: float
     sum_oz: int
     sum_predicted: int
+    code_quality: Optional[CodeQualityMetrics] = None
 
+    def flat(self) -> dict[str, object]:
+        """Flat key/value pairs for the summary file and the manifest.
 
-@dataclass(frozen=True)
-class CodeQualityMetrics:
-    """Text-level quality of generated optimized code."""
-
-    bleu: float
-    compile_rate: float
-    exact_match_rate: float
-    error_histogram: dict[str, int]
-    output_count_mape: Optional[float]
+        With claims scored, each code-quality field adds ``code_<field>``
+        and each error category ``code_error_<category>``.
+        """
+        values = asdict(self)
+        quality = values.pop("code_quality")
+        if quality is not None:
+            histogram = quality.pop("error_histogram")
+            values.update({f"code_{key}": value for key, value in quality.items()})
+            values.update({f"code_error_{key}": n for key, n in histogram.items()})
+        return values
 
 
 def evaluate_predictions(
@@ -149,7 +174,9 @@ def evaluate_predictions(
     predictions whose list is invalid or fails to compile. With the
     backup protocol each compiled list is charged as one additional
     compilation and kept only if strictly smaller than -Oz, so nothing
-    regresses.
+    regresses. The claims a prediction carries are scored in the same
+    block (see :class:`CodeQualityMetrics`); compiling its code is
+    evaluation cost, not counted in ``additional_compilations``.
     """
     by_id: dict[str, Prediction] = {}
     corpus_ids = {fn.id for fn in corpus}
@@ -160,6 +187,10 @@ def evaluate_predictions(
 
     rows: list[EvalRow] = []
     additional = 0
+    histogram = {category.value: 0 for category in ErrorCategory}
+    text_scores: list[tuple[bool, float]] = []  # (exact match, BLEU) per claim
+    input_counts: list[tuple[int, int]] = []  # (claimed, actual)
+    output_counts: list[tuple[int, int]] = []
     for fn in corpus:
         oz = compile_items(backend, fn.ir, OZ_ITEMS)
         if not oz.ok:
@@ -172,18 +203,36 @@ def evaluate_predictions(
         else:
             additional += pred.extra_compilations
             items = pred.items()
+            # The compiler's output for the predicted list; None if it has none.
+            compiled: Optional[CompileOutcome] = oz
             if items != OZ_ITEMS:
                 try:
-                    outcome = compile_items(backend, fn.ir, items)
+                    compiled = compile_items(backend, fn.ir, items)
                 except InvalidPassListError:
-                    failed = True
+                    compiled = None
                 else:
                     additional += int(use_oz_backup)
-                    failed = not outcome.ok
-                    if outcome.ok and (
-                        not use_oz_backup or outcome.instruction_count < oz_count
-                    ):
-                        predicted_count = outcome.instruction_count
+                    if not compiled.ok:
+                        compiled = None
+                    elif not use_oz_backup or compiled.instruction_count < oz_count:
+                        predicted_count = compiled.instruction_count
+                failed = compiled is None
+            if pred.predicted_code is not None:
+                code = normalize(pred.predicted_code)
+                check = compile_items(backend, code, ())
+                if not check.ok:
+                    histogram[check.diagnostic.category.value] += 1
+                input_counts.append((pred.predicted_input_count, fn.instruction_count))
+                if compiled is None:
+                    text_scores.append((False, 0.0))
+                else:
+                    reference = compiled.output.text
+                    text_scores.append(
+                        (code.text == reference, bleu(code.text, reference))
+                    )
+                    output_counts.append(
+                        (pred.predicted_output_count, compiled.instruction_count)
+                    )
         rows.append(
             EvalRow(
                 function_id=fn.id,
@@ -196,7 +245,24 @@ def evaluate_predictions(
                 prediction_missing=pred is None,
             )
         )
-    return summarize_rows(rows, additional), rows
+    summary = summarize_rows(rows, additional)
+    if text_scores:
+        n = len(text_scores)
+        summary = replace(
+            summary,
+            code_quality=CodeQualityMetrics(
+                claims=n,
+                bleu=sum(score for _, score in text_scores) / n,
+                compile_rate=(n - sum(histogram.values())) / n,
+                exact_match_rate=sum(exact for exact, _ in text_scores) / n,
+                error_histogram=histogram,
+                input_count_mape=mape(*zip(*input_counts)),
+                output_count_mape=(
+                    mape(*zip(*output_counts)) if output_counts else None
+                ),
+            ),
+        )
+    return summary, rows
 
 
 def summarize_rows(rows: Sequence[EvalRow], additional_compilations: int) -> EvalSummary:
@@ -217,57 +283,6 @@ def summarize_rows(rows: Sequence[EvalRow], additional_compilations: int) -> Eva
     )
 
 
-def code_quality(
-    generated: Mapping[str, str],
-    references: Mapping[str, str],
-    backend: Backend,
-    predicted_counts: Optional[Mapping[str, int]] = None,
-) -> CodeQualityMetrics:
-    """Score generated optimized code against compiler ground truth.
-
-    ``generated`` and ``references`` are keyed by function id; every
-    generated id needs a reference. MAPE is computed for ids present in
-    ``predicted_counts`` against the reference's instruction count.
-    """
-    if not generated:
-        raise ValueError("no generated code to score")
-    missing = set(generated) - set(references)
-    if missing:
-        raise ValueError(f"no reference for ids: {sorted(missing)[:3]}")
-    histogram = {category.value: 0 for category in ErrorCategory}
-    bleu_total = 0.0
-    compiled = 0
-    exact = 0
-    mape_pairs: list[tuple[float, float]] = []
-    for fid in generated:
-        gen_text = normalize(generated[fid]).text
-        ref_text = normalize(references[fid]).text
-        bleu_total += bleu(gen_text, ref_text)
-        if gen_text == ref_text:
-            exact += 1
-        outcome = verify_ir(backend, gen_text)
-        if outcome.ok:
-            compiled += 1
-        else:
-            histogram[outcome.diagnostic.category.value] += 1
-        if predicted_counts is not None and fid in predicted_counts:
-            mape_pairs.append(
-                (predicted_counts[fid], count_instructions(ref_text))
-            )
-    n = len(generated)
-    return CodeQualityMetrics(
-        bleu=bleu_total / n,
-        compile_rate=compiled / n,
-        exact_match_rate=exact / n,
-        error_histogram=histogram,
-        output_count_mape=(
-            mape([p for p, _ in mape_pairs], [a for _, a in mape_pairs])
-            if mape_pairs
-            else None
-        ),
-    )
-
-
 @dataclass(frozen=True)
 class PassFrequencyRow:
     flag: str
@@ -285,21 +300,14 @@ class LengthStats:
 
 
 @dataclass(frozen=True)
-class GroupImprovement:
-    group: str
-    functions: int
-    sum_oz: int
-    sum_predicted: int
-    improvement_percent: float
-
-
-@dataclass(frozen=True)
 class ReportBundle:
+    """The breakdowns; each group is scored by :func:`summarize_rows`."""
+
     pass_frequency: tuple[PassFrequencyRow, ...]
     autotuner_lengths: LengthStats
     predictor_lengths: LengthStats
-    by_dataset: tuple[GroupImprovement, ...]
-    by_size_bucket: tuple[GroupImprovement, ...]
+    by_dataset: tuple[tuple[str, EvalSummary], ...]
+    by_size_bucket: tuple[tuple[str, EvalSummary], ...]
     novel_lists: tuple[str, ...]
     beats_autotuner: int
 
@@ -327,19 +335,6 @@ def _length_stats(lists: Sequence[tuple[str, ...]]) -> LengthStats:
         share_bare_oz=bare / len(lists),
         mean_length=sum(rest) / len(rest) if rest else 0.0,
         max_length=max(rest) if rest else 0,
-    )
-
-
-def _group_improvement(
-    name: str, rows: Sequence[EvalRow]
-) -> GroupImprovement:
-    summary = summarize_rows(rows, 0)
-    return GroupImprovement(
-        group=name,
-        functions=summary.total_functions,
-        sum_oz=summary.sum_oz,
-        sum_predicted=summary.sum_predicted,
-        improvement_percent=summary.overall_improvement,
     )
 
 
@@ -374,7 +369,7 @@ def reports(
     for row in rows:
         by_dataset_groups.setdefault(row.source_dataset, []).append(row)
     by_dataset = tuple(
-        _group_improvement(name, group)
+        (name, summarize_rows(group, 0))
         for name, group in sorted(by_dataset_groups.items())
     )
 
@@ -382,7 +377,7 @@ def reports(
     for row in rows:
         by_bucket_groups.setdefault(_size_bucket(row.unopt_count), []).append(row)
     by_size = tuple(
-        _group_improvement(name, group)
+        (name, summarize_rows(group, 0))
         for name, group in sorted(
             by_bucket_groups.items(), key=lambda kv: int(kv[0][1:].split(",")[0])
         )
@@ -464,13 +459,13 @@ def write_report_csvs(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
             ["group", "functions", "sum_oz", "sum_predicted", "improvement_percent"],
             (
                 (
-                    g.group,
-                    g.functions,
-                    g.sum_oz,
-                    g.sum_predicted,
-                    f"{g.improvement_percent:.4f}",
+                    group,
+                    s.total_functions,
+                    s.sum_oz,
+                    s.sum_predicted,
+                    f"{s.overall_improvement:.4f}",
                 )
-                for g in groups
+                for group, s in groups
             ),
         )
     _write(

@@ -28,9 +28,11 @@ OZ_LIST = " ".join(OZ_ITEMS)
 class Prediction:
     """A predicted pass list plus the model's optional auxiliary claims.
 
-    ``extra_compilations`` counts compilations the predictor itself
-    spent (0 for pure predictors). ``parse_failed`` marks predictions
-    that fell back to -Oz because the model output did not parse.
+    The claims (input count, output count, code) come together, as the
+    answer template gives them, or not at all. ``extra_compilations``
+    counts compilations the predictor itself spent (0 for pure
+    predictors). ``parse_failed`` marks predictions that fell back to
+    -Oz because the model output did not parse.
     """
 
     function_id: str
@@ -44,6 +46,13 @@ class Prediction:
     def __post_init__(self) -> None:
         if self.extra_compilations < 0:
             raise ValueError("extra_compilations must be >= 0")
+        claims = (
+            self.predicted_input_count,
+            self.predicted_output_count,
+            self.predicted_code,
+        )
+        if len({claim is None for claim in claims}) > 1:
+            raise ValueError("predicted counts and code must be given together")
 
     def items(self) -> tuple[str, ...]:
         return tuple(self.pass_list.split())

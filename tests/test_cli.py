@@ -10,10 +10,13 @@ from passtune import __version__
 from passtune.backend import BackendUnavailableError
 from passtune.backend.llvm import resolve_opt_path
 from passtune.cli import main
+from passtune.dataset import parse_answer, render_answer
 from passtune.evaluator import EvalRow
 from passtune.ircore import read_corpus
 from passtune.predictor import Prediction
-from passtune.util import file_digest, read_records, write_jsonl
+from passtune.util import file_digest, read_jsonl, read_records, write_jsonl
+
+from test_llvm_backend import write_stub
 
 DATA = Path(__file__).parent / "data"
 
@@ -379,6 +382,13 @@ def _with(field, value):
 # case id -> (input whose second row is malformed, that row, command line)
 MALFORMED_ROWS = {
     "ingest-not-json": ("raw", lambda row: "{not json", "ingest {raw} --output {out}"),
+    "ingest-raw-text-number": (
+        "raw", _with("raw_text", 5), "ingest {raw} --output {out}"
+    ),
+    "ingest-id-number": ("raw", _with("id", 7), "ingest {raw} --output {out}"),
+    "ingest-missing-raw-text": (
+        "raw", _without("raw_text"), "ingest {raw} --output {out}"
+    ),
     "autotune-missing-field": (
         "corpus", _without("token_estimate"),
         "autotune --corpus {corpus} --output {out} --budget-evals 1",
@@ -600,3 +610,114 @@ def test_evaluate_missing_predictions_is_partial(tmp_path, corpus_file, capsys):
     ) == 4
     assert "had no prediction" in capsys.readouterr().err
     assert len(read_records(EvalRow, rows)) == len(corpus)
+
+
+def test_file_predictions_are_checked_against_the_installed_vocabulary(
+    tmp_path, corpus_file
+):
+    # The stub opt does not list -die, as opt 14 does not.
+    stub = write_stub(tmp_path, omit=("-die",))
+    corpus = read_corpus(corpus_file)
+    answers = tmp_path / "answers.jsonl"
+    write_jsonl(
+        (
+            {"function_id": fn.id, "pass_list": "-die" if i == 0 else "-dce"}
+            for i, fn in enumerate(corpus)
+        ),
+        answers,
+    )
+    preds = tmp_path / "preds.jsonl"
+    assert run(
+        "predict",
+        "--corpus", corpus_file,
+        "--output", preds,
+        "--method", "file",
+        "--predictions-file", answers,
+        "--backend", "llvm",
+        "--opt-path", stub,
+    ) == 0
+    predictions = read_records(Prediction, preds)
+    assert (predictions[0].pass_list, predictions[0].parse_failed) == ("-Oz", True)
+    assert all(
+        (p.pass_list, p.parse_failed) == ("-dce", False) for p in predictions[1:]
+    )
+
+
+def _summary_values(path):
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+
+
+PERFECT_CLAIMS = {
+    "code_compile_rate": "1.0",
+    "code_exact_match_rate": "1.0",
+    "code_bleu": "1.0",
+    "code_input_count_mape": "0.0",
+    "code_output_count_mape": "0.0",
+}
+
+
+def _break_type(code):
+    head, ret, tail = code.rpartition("ret i32")
+    return head + "ret i1" + tail
+
+
+# name -> (rewrite of one answer's (items, input, output, code), the
+# scores it must lower; every other score stays perfect)
+CORRUPTIONS = {
+    "clean": (lambda a: a, set()),
+    "type-error": (
+        lambda a: (*a[:3], _break_type(a[3])),
+        {"code_compile_rate", "code_exact_match_rate", "code_bleu"},
+    ),
+    "changed-code": (
+        lambda a: (*a[:3], a[3].replace("\nret ", "\n%x9 = add i32 1, 2\nret ", 1)),
+        {"code_exact_match_rate", "code_bleu"},
+    ),
+    "counts-off-by-one": (
+        lambda a: (a[0], a[1] + 1, a[2] + 1, a[3]),
+        {"code_input_count_mape", "code_output_count_mape"},
+    ),
+}
+
+
+def test_replayed_dataset_answers_score_perfect_claims(
+    tmp_path, corpus_file, tuned_file
+):
+    """dataset's own answers, replayed as predictions, match the compiler
+    exactly; one corrupted answer lowers just the scores it touches."""
+    records = tmp_path / "records.jsonl"
+    assert run(
+        "dataset", "--corpus", corpus_file, "--tune-results", tuned_file,
+        "--output", records,
+    ) == 0
+    answers = [row for _, row in read_jsonl(records)]
+    n = len(read_corpus(corpus_file))
+    assert len(answers) == n
+    for name, (rewrite, lowered) in CORRUPTIONS.items():
+        rows = [dict(row) for row in answers]
+        rows[0]["answer"] = render_answer(*rewrite(parse_answer(rows[0]["answer"])))
+        replay = tmp_path / f"{name}.answers.jsonl"
+        write_jsonl(rows, replay)
+        preds = tmp_path / f"{name}.preds.jsonl"
+        assert run(
+            "predict", "--corpus", corpus_file, "--method", "file",
+            "--predictions-file", replay, "--output", preds,
+        ) == 0
+        out = tmp_path / f"{name}.rows.jsonl"
+        assert run(
+            "evaluate", "--corpus", corpus_file, "--predictions", preds,
+            "--output", out,
+        ) == 0
+        values = _summary_values(tmp_path / f"{name}.rows.summary.jsonl")
+        assert values["code_claims"] == str(n), name
+        for key, perfect in PERFECT_CLAIMS.items():
+            if key in lowered:
+                assert float(values[key]) != float(perfect), (name, key)
+            else:
+                assert values[key] == perfect, (name, key)
+        type_errors = 1 if name == "type-error" else 0
+        assert values["code_error_type_error"] == str(type_errors), name
+        others = [v for k, v in values.items() if k.startswith("code_error_")]
+        assert sum(map(int, others)) == type_errors, name
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        assert list(manifest["summary"]) == list(values)

@@ -1,15 +1,16 @@
 import math
 from collections import Counter
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from passtune.backend import compile_items
 from passtune.backend.passlist import PassList
 from passtune.evaluator import (
     EvalRow,
     bleu,
-    code_quality,
     evaluate_predictions,
     mape,
     overall_improvement,
@@ -271,10 +272,13 @@ class CountingBackend:
 @pytest.mark.parametrize("use_oz_backup", [False, True])
 def test_oz_and_each_valid_list_are_compiled_once(backend, corpus20, use_oz_backup):
     fns = corpus20[:5]
+    claim = claiming(
+        backend, fns[2], "-Oz", predicted_code="define void @c() {\nret void\n}"
+    )
     predictions = [
         Prediction(fns[0].id, "-Oz -mem2reg"),
         Prediction(fns[1].id, "-dce"),
-        Prediction(fns[2].id, "-Oz"),
+        claim,  # its code is compiled once with no passes
         Prediction(fns[3].id, "-Oz -Oz"),  # invalid: never compiled
     ]  # fns[4] has no prediction
     counting = CountingBackend(backend)
@@ -284,6 +288,7 @@ def test_oz_and_each_valid_list_are_compiled_once(backend, corpus20, use_oz_back
     expected = Counter({(fn.normalized_text, ("-Oz",)): 1 for fn in fns})
     expected[fns[0].normalized_text, ("-Oz", "-mem2reg")] += 1
     expected[fns[1].normalized_text, ("-dce",)] += 1
+    expected[claim.predicted_code, ()] += 1
     assert counting.compiled == expected
     assert summary.additional_compilations == (2 if use_oz_backup else 0)
 
@@ -345,43 +350,83 @@ def test_eval_row_checks_delta():
         EvalRow("a", "d", 10, 8, 5, 0)
 
 
-# --- generated-code quality --------------------------------------------------
+# --- the model's code and count claims ---------------------------------------
+
+
+def claiming(backend, fn, pass_list, **changes):
+    """A prediction whose claims are the compiler's own answer for the list."""
+    outcome = compile_items(backend, fn.ir, tuple(pass_list.split()))
+    return replace(
+        Prediction(
+            fn.id,
+            pass_list,
+            predicted_input_count=fn.instruction_count,
+            predicted_output_count=outcome.instruction_count,
+            predicted_code=outcome.output.text,
+        ),
+        **changes,
+    )
 
 
 def test_code_quality_perfect_copy(backend, corpus20):
-    texts = {fn.id: fn.normalized_text for fn in corpus20[:5]}
-    counts = {fn.id: fn.instruction_count for fn in corpus20[:5]}
-    metrics = code_quality(texts, texts, backend, predicted_counts=counts)
-    assert metrics.bleu == pytest.approx(1.0)
+    lists = ["-Oz", "-dce", "-Oz -mem2reg", "-gvn", "-mem2reg -dce"]
+    fns = corpus20[: len(lists)]
+    predictions = [claiming(backend, fn, lst) for fn, lst in zip(fns, lists)]
+    summary, _ = evaluate_predictions(predictions, fns, backend)
+    metrics = summary.code_quality
+    assert metrics.claims == len(fns)
+    assert metrics.bleu == 1.0
     assert metrics.compile_rate == 1.0
     assert metrics.exact_match_rate == 1.0
     assert all(v == 0 for v in metrics.error_histogram.values())
-    assert metrics.output_count_mape == pytest.approx(0.0)
+    assert metrics.input_count_mape == 0.0
+    assert metrics.output_count_mape == 0.0
+    assert summary.additional_compilations == 0  # the code check is not charged
 
 
 def test_code_quality_classifies_broken_output(backend, corpus20):
-    ref = corpus20[0].normalized_text
-    generated = {corpus20[0].id: DATA_TYPE_ERROR}
-    references = {corpus20[0].id: ref}
-    metrics = code_quality(generated, references, backend)
+    fn = corpus20[0]
+    # The list fails to compile, so there is no reference code and no
+    # output count to score.
+    predictions = [claiming(backend, fn, "-gvn", predicted_code=DATA_TYPE_ERROR)]
+    summary, _ = evaluate_predictions(
+        predictions, [fn], PoisonBackend(backend, "-gvn")
+    )
+    metrics = summary.code_quality
+    assert metrics.claims == 1
     assert metrics.compile_rate == 0.0
     assert metrics.exact_match_rate == 0.0
     assert metrics.error_histogram["type_error"] == 1
-    assert metrics.bleu < 1.0
+    assert sum(metrics.error_histogram.values()) == 1
+    assert metrics.bleu == 0.0
+    assert metrics.input_count_mape == 0.0
     assert metrics.output_count_mape is None
 
 
 def test_code_quality_mape_wiring(backend, corpus20):
     fn = corpus20[0]
-    texts = {fn.id: fn.normalized_text}
-    predicted = {fn.id: round(fn.instruction_count * 1.5)}
-    metrics = code_quality(texts, texts, backend, predicted_counts=predicted)
-    expected = abs(predicted[fn.id] - fn.instruction_count) / fn.instruction_count
-    assert metrics.output_count_mape == pytest.approx(expected * 100.0)
+    honest = claiming(backend, fn, "-dce")
+    claimed_in = round(fn.instruction_count * 1.5)
+    claimed_out = honest.predicted_output_count + 1
+    predictions = [
+        replace(
+            honest, predicted_input_count=claimed_in, predicted_output_count=claimed_out
+        )
+    ]
+    metrics = evaluate_predictions(predictions, [fn], backend)[0].code_quality
+    actual_out = honest.predicted_output_count
+    assert metrics.input_count_mape == pytest.approx(
+        abs(claimed_in - fn.instruction_count) / fn.instruction_count * 100.0
+    )
+    assert metrics.output_count_mape == pytest.approx(100.0 / actual_out)
+    assert metrics.exact_match_rate == 1.0  # the counts do not touch the code scores
 
 
-def test_code_quality_validation(backend, corpus20):
-    with pytest.raises(ValueError):
-        code_quality({}, {}, backend)
-    with pytest.raises(ValueError):
-        code_quality({"x": "ret"}, {}, backend)
+def test_predictions_without_claims_score_no_code(backend, corpus20):
+    summary, _ = evaluate_predictions(
+        [predict_always_oz(fn) for fn in corpus20[:3]], corpus20[:3], backend
+    )
+    assert summary.code_quality is None
+    assert summary.flat() == {
+        k: v for k, v in asdict(summary).items() if k != "code_quality"
+    }

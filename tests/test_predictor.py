@@ -286,3 +286,13 @@ def test_prediction_round_trip(tmp_path, corpus20):
 def test_prediction_rejects_negative_compilations(corpus20):
     with pytest.raises(ValueError):
         Prediction(corpus20[0].id, "-Oz", extra_compilations=-1)
+
+
+@pytest.mark.parametrize(
+    "claims",
+    [{"predicted_input_count": 9}, {"predicted_code": "ret"}],
+    ids=["counts-only", "code-only"],
+)
+def test_prediction_claims_come_together(corpus20, claims):
+    with pytest.raises(ValueError, match="together"):
+        Prediction(corpus20[0].id, "-Oz", **claims)

@@ -77,14 +77,15 @@ def test_length_stats_exclude_bare_oz(bundle_inputs):
 def test_dataset_groups_recombine_to_global(bundle_inputs):
     rows, predictions, tune_results = bundle_inputs
     bundle = reports(rows, predictions, tune_results)
-    assert [g.group for g in bundle.by_dataset] == ["suite/x", "suite/y"]
-    assert sum(g.functions for g in bundle.by_dataset) == len(rows)
-    assert sum(g.sum_oz for g in bundle.by_dataset) == sum(r.oz_count for r in rows)
-    assert sum(g.sum_predicted for g in bundle.by_dataset) == sum(
+    assert [name for name, _ in bundle.by_dataset] == ["suite/x", "suite/y"]
+    groups = [g for _, g in bundle.by_dataset]
+    assert sum(g.total_functions for g in groups) == len(rows)
+    assert sum(g.sum_oz for g in groups) == sum(r.oz_count for r in rows)
+    assert sum(g.sum_predicted for g in groups) == sum(
         r.predicted_count for r in rows
     )
-    x = bundle.by_dataset[0]
-    assert x.improvement_percent == pytest.approx(
+    x = groups[0]
+    assert x.overall_improvement == pytest.approx(
         overall_improvement(x.sum_oz, x.sum_predicted)
     )
 
@@ -92,16 +93,16 @@ def test_dataset_groups_recombine_to_global(bundle_inputs):
 def test_size_buckets_are_powers_of_two(bundle_inputs):
     rows, predictions, tune_results = bundle_inputs
     bundle = reports(rows, predictions, tune_results)
-    buckets = {g.group: g for g in bundle.by_size_bucket}
+    buckets = dict(bundle.by_size_bucket)
     # unopt counts 3, 6, 9, 20 land in [2,4), [4,8), [8,16), [16,32)
     assert set(buckets) == {"[2,4)", "[4,8)", "[8,16)", "[16,32)"}
-    assert [g.group for g in bundle.by_size_bucket] == [
+    assert [name for name, _ in bundle.by_size_bucket] == [
         "[2,4)",
         "[4,8)",
         "[8,16)",
         "[16,32)",
     ]
-    assert buckets["[2,4)"].functions == 1
+    assert buckets["[2,4)"].total_functions == 1
 
 
 def test_novel_lists_and_beats_autotuner(bundle_inputs):
