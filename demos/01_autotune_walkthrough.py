@@ -14,8 +14,8 @@ from passtune.autotuner import (
     minimize_pass_list,
     random_search,
 )
+from passtune.backend import compile_items
 from passtune.backend.mini import MiniBackend
-from passtune.backend.passlist import PassList
 from passtune.minigen import generate_corpus
 
 backend = MiniBackend()
@@ -25,7 +25,7 @@ corpus = generate_corpus(40, seed=1)
 # The baseline: every function is measured against -Oz.
 
 fn = corpus[0]
-oz = backend.apply(fn.ir, PassList(("-Oz",), backend.vocabulary))
+oz = compile_items(backend, fn.ir, ("-Oz",))
 print(f"function {fn.id} ({fn.source_dataset})")
 print(fn.normalized_text)
 print()

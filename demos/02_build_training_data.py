@@ -77,8 +77,9 @@ print(one.answer)
 print()
 
 # ---------------------------------------------------------------------------
-# Train/test hygiene: deterministic splits; dedup with an exclusion set
-# keeps test functions out of training data.
+# Train/test hygiene: a seeded split puts each function in exactly one
+# part; deduplicate first (`passtune ingest --dedup`) so that no text
+# lands in both.
 
 parts = split(corpus, {"train": 0.8, "test": 0.2}, seed=0)
 print({name: len(fns) for name, fns in parts.items()})

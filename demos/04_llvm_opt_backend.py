@@ -12,8 +12,7 @@ import sys
 from pathlib import Path
 
 from passtune.backend.llvm import OPT_ENV_VAR, LlvmBackend, resolve_opt_path
-from passtune.backend.passlist import PassList
-from passtune.backend.types import BackendUnavailableError
+from passtune.backend.types import BackendUnavailableError, compile_items
 from passtune.ircore import normalize
 
 try:
@@ -39,8 +38,8 @@ ir = normalize(sample.read_text())
 # Compile once with no passes to get the unoptimized count, then with
 # -Oz. The backend normalizes output IR, so counts are comparable.
 
-unopt = backend.apply(ir, PassList((), backend.vocabulary))
-oz = backend.apply(ir, PassList(("-Oz",), backend.vocabulary))
+unopt = compile_items(backend, ir, ())
+oz = compile_items(backend, ir, ("-Oz",))
 print(f"{sample.name}: {unopt.instruction_count} instructions unoptimized, "
       f"{oz.instruction_count} under -Oz")
 print()
@@ -51,7 +50,7 @@ print()
 
 for name in ("bad_type.ll", "bad_float.ll"):
     broken = normalize(sample.with_name(name).read_text())
-    outcome = backend.apply(broken, PassList((), backend.vocabulary))
+    outcome = compile_items(backend, broken, ())
     assert not outcome.ok
     print(f"{name}: {outcome.diagnostic.category.value}")
     print(f"  {outcome.diagnostic.message.splitlines()[0]}")

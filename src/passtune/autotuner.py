@@ -131,6 +131,8 @@ def random_search(
     max_len: int = DEFAULT_MAX_LEN,
 ) -> TuneResult:
     """Tune one function; returns the best list found under the budget."""
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
     rng = random.Random(seed)
     ir = fn.ir
     start = time.monotonic()

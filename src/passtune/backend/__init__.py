@@ -8,8 +8,12 @@ Two implementations share one interface:
   compiler for an LLVM-shaped subset, used for fast deterministic tests
   and demos.
 
-Both return :class:`CompileOutcome`; failures carry a category from the
-shared diagnostic taxonomy in :mod:`passtune.backend.classify`.
+Both return a :class:`CompileOutcome` for every compilation, and every
+failed compile, a time limit included, is a failed outcome carrying a
+category from the shared diagnostic taxonomy in
+:mod:`passtune.backend.classify`. Callers compile through
+:func:`compile_items`, which checks the flags against the backend's
+vocabulary once.
 """
 
 from passtune.backend.classify import ErrorCategory, IrDiagnostic, classify_error
@@ -23,7 +27,6 @@ from passtune.backend.types import (
     Backend,
     BackendUnavailableError,
     CompileOutcome,
-    CompileTimeoutError,
     compile_items,
 )
 
@@ -31,7 +34,6 @@ __all__ = [
     "Backend",
     "BackendUnavailableError",
     "CompileOutcome",
-    "CompileTimeoutError",
     "ErrorCategory",
     "InvalidPassListError",
     "IrDiagnostic",

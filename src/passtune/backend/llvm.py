@@ -3,10 +3,9 @@
 Each application runs ``opt -S <flags...>`` with a wall-clock limit and
 feeds it the IR on standard input. There is no temporary file, so the
 output names its source ``<stdin>`` on every run. The output is
-re-normalized. Nonzero exits become classified failure outcomes; a limit
-hit raises :class:`CompileTimeoutError`, which
-:func:`~passtune.backend.types.compile_items` charges as one failed
-compilation.
+re-normalized. A nonzero exit, unparseable output and a time-limit hit
+each become a classified failure outcome, so a hang costs one failed
+compilation and nothing more.
 
 The executable is found via the constructor argument, the
 ``PASSTUNE_OPT`` environment variable, or ``opt`` on PATH, in that
@@ -29,11 +28,7 @@ from typing import Optional, Sequence
 
 from passtune.backend.classify import diagnostic_from_message
 from passtune.backend.passlist import PassList, PassVocabulary, llvm10_vocabulary
-from passtune.backend.types import (
-    BackendUnavailableError,
-    CompileOutcome,
-    CompileTimeoutError,
-)
+from passtune.backend.types import BackendUnavailableError, CompileOutcome
 from passtune.ircore import MalformedIrError, NormalizedIr, count_instructions, normalize
 
 logger = logging.getLogger(__name__)
@@ -63,14 +58,13 @@ class LlvmBackend:
     def __init__(
         self,
         opt_path: Optional[str] = None,
-        vocabulary: Optional[PassVocabulary] = None,
         timeout: float = DEFAULT_TIMEOUT_SECONDS,
         extra_args: Sequence[str] = (),
     ) -> None:
         self.opt_path = resolve_opt_path(opt_path)
         self.timeout = timeout
         self.extra_args = tuple(extra_args)
-        self._vocabulary = self._listed_only(vocabulary or llvm10_vocabulary())
+        self._vocabulary = self._listed_only(llvm10_vocabulary())
 
     @property
     def vocabulary(self) -> PassVocabulary:
@@ -115,9 +109,6 @@ class LlvmBackend:
         return " ".join(proc.stdout.split()) or f"opt at {self.opt_path}"
 
     def apply(self, ir: NormalizedIr, passes: PassList) -> CompileOutcome:
-        for flag in passes:
-            if flag not in self._vocabulary:
-                raise ValueError(f"flag {flag!r} is not in this backend's vocabulary")
         cmd = [self.opt_path, "-S", *self.extra_args, *passes.items]
         try:
             proc = subprocess.run(
@@ -127,10 +118,9 @@ class LlvmBackend:
                 text=True,
                 timeout=self.timeout,
             )
-        except subprocess.TimeoutExpired as err:
-            raise CompileTimeoutError(
-                f"{' '.join(cmd)} exceeded {self.timeout:.0f}s"
-            ) from err
+        except subprocess.TimeoutExpired:
+            message = f"{' '.join(cmd)} exceeded {self.timeout:.0f}s"
+            return CompileOutcome.failure(diagnostic_from_message(message))
         except OSError as err:
             raise BackendUnavailableError(
                 f"cannot run {self.opt_path!r}: {err}"

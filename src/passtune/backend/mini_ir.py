@@ -137,9 +137,6 @@ class Function:
         for block in self.blocks:
             yield from block.instrs
 
-    def instruction_count(self) -> int:
-        return sum(len(b.instrs) for b in self.blocks)
-
 
 def clone_function(fn: Function) -> Function:
     """Deep enough copy for pass mutation; operands are immutable."""

@@ -12,7 +12,6 @@ import json
 import random
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterator
 
 DEFAULT_MAX_LEN = 12
 
@@ -57,10 +56,9 @@ class PassVocabulary:
 
 @dataclass(frozen=True)
 class PassList:
-    """Validated, ordered flag sequence.
+    """Validated, ordered flag sequence, as ``Backend.apply`` receives it.
 
-    Equality and hashing follow the item tuple, so pass lists can key
-    dicts and sets (deduplication during search relies on this).
+    Equality and hashing follow the item tuple, not the vocabulary.
     """
 
     items: tuple[str, ...]
@@ -76,15 +74,6 @@ class PassList:
 
     def render(self) -> str:
         return " ".join(self.items)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 def sample_items(

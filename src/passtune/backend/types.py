@@ -1,21 +1,24 @@
-"""Shared backend interface and result types."""
+"""Shared backend interface and result types.
+
+The contract: :meth:`Backend.apply` returns a :class:`CompileOutcome` for
+every compilation, and a compile that fails for any reason (bad input,
+optimizer error, time limit) is a failed outcome, never an exception. Only
+:class:`BackendUnavailableError`, a backend that cannot run at all, is
+raised. Every stage compiles through :func:`compile_items`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol
 
-from passtune.backend.classify import IrDiagnostic, diagnostic_from_message
+from passtune.backend.classify import IrDiagnostic
 from passtune.backend.passlist import PassList, PassVocabulary
 from passtune.ircore import NormalizedIr
 
 
 class BackendUnavailableError(RuntimeError):
     """The backend cannot run at all (missing executable, bad install)."""
-
-
-class CompileTimeoutError(RuntimeError):
-    """A single compilation exceeded its wall-clock limit."""
 
 
 @dataclass(frozen=True)
@@ -53,9 +56,11 @@ class CompileOutcome:
         return cls(False, None, None, diagnostic)
 
 
-@runtime_checkable
 class Backend(Protocol):
-    """Anything that can apply a pass list to normalized IR."""
+    """Anything that can apply a pass list to normalized IR.
+
+    ``passes`` arrives already checked against ``vocabulary``.
+    """
 
     @property
     def vocabulary(self) -> PassVocabulary: ...
@@ -68,10 +73,6 @@ def compile_items(
 ) -> CompileOutcome:
     """The one compile path: apply ``items`` to ``ir`` on ``backend``.
 
-    A compilation that exceeds its time limit is charged as one failed
-    compilation, like any other failure, so no stage dies of a hang.
+    ``items`` are checked against the backend's vocabulary here, once.
     """
-    try:
-        return backend.apply(ir, PassList(items, backend.vocabulary))
-    except CompileTimeoutError as err:
-        return CompileOutcome.failure(diagnostic_from_message(str(err)))
+    return backend.apply(ir, PassList(items, backend.vocabulary))

@@ -381,12 +381,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     corpus = _read_corpus_checked(args.corpus)
     backend = _make_backend(args)
-    inputs = [Path(args.corpus)]
-    if args.predictions == "always-oz":
-        predictions = [predict_always_oz(fn) for fn in corpus]
-    else:
-        predictions = read_records(Prediction, args.predictions)
-        inputs.append(Path(args.predictions))
+    inputs = [Path(args.corpus), Path(args.predictions)]
+    predictions = read_records(Prediction, args.predictions)
     summary, rows = evaluate_predictions(
         predictions, corpus, backend, use_oz_backup=args.oz_backup
     )
@@ -601,11 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="score predictions against the -Oz baseline",
     )
     p.add_argument("--corpus", required=True)
-    p.add_argument(
-        "--predictions",
-        required=True,
-        help="predictions file, or the literal 'always-oz'",
-    )
+    p.add_argument("--predictions", required=True, help="predictions file")
     p.add_argument("--output", required=True, help="per-function rows file to write")
     p.add_argument(
         "--summary",

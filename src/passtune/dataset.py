@@ -18,7 +18,7 @@ import logging
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from passtune.backend import Backend, compile_items
 from passtune.backend.passlist import sample_items
@@ -238,18 +238,9 @@ def build_single_pass_dataset(
     return records
 
 
-def dedup(
-    corpus: Iterable[IrFunction],
-    exclusion: Optional[Iterable[IrFunction]] = None,
-) -> list[IrFunction]:
-    """Keep the first function per distinct normalized text.
-
-    ``exclusion`` drops any function whose text appears there as well
-    (test-versus-train separation).
-    """
-    seen: set[str] = (
-        {fn.normalized_text for fn in exclusion} if exclusion is not None else set()
-    )
+def dedup(corpus: Iterable[IrFunction]) -> list[IrFunction]:
+    """Keep the first function per distinct normalized text."""
+    seen: set[str] = set()
     out: list[IrFunction] = []
     for fn in corpus:
         if fn.normalized_text in seen:

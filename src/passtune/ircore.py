@@ -205,6 +205,8 @@ class IrFunction:
             raise ValueError(f"{self.id}: normalized_text is not a fixed point")
         if count_instructions(self.normalized_text) != self.instruction_count:
             raise ValueError(f"{self.id}: instruction_count mismatch")
+        if estimate_tokens(self.normalized_text) != self.token_estimate:
+            raise ValueError(f"{self.id}: token_estimate mismatch")
         if _count_definitions(self.normalized_text) != 1:
             raise ValueError(f"{self.id}: expected exactly one definition")
 
@@ -215,7 +217,4 @@ def read_corpus(path: str | Path) -> list[IrFunction]:
     Every row's ``normalized_text`` must be a fixed point of
     :func:`normalize`, so later stages can compile ``fn.ir`` as it is.
     """
-    functions = read_records(IrFunction, path)
-    for fn in functions:
-        fn.validate()
-    return functions
+    return read_records(IrFunction, path, check=IrFunction.validate)

@@ -8,7 +8,7 @@ import json
 import types
 import typing
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
 
 _T = TypeVar("_T")
 
@@ -66,13 +66,15 @@ def _has_type(value: Any, hint: Any) -> bool:
     return isinstance(value, hint)
 
 
-def read_records(cls: type[_T], path: str | Path) -> list[_T]:
+def read_records(
+    cls: type[_T], path: str | Path, check: Optional[Callable[[_T], None]] = None
+) -> list[_T]:
     """Read JSON Lines written by :func:`write_records` back into ``cls``.
 
     A row that is not a JSON object, lacks a field without a default,
     has a field ``cls`` does not know, holds a value of the wrong JSON
-    type, or fails the record's own checks is a ValueError naming
-    ``path:line``.
+    type, or fails the record's own checks or ``check`` is a ValueError
+    naming ``path:line``.
     """
     hints = typing.get_type_hints(cls)
     fields = dataclasses.fields(cls)
@@ -98,6 +100,8 @@ def read_records(cls: type[_T], path: str | Path) -> list[_T]:
                 )
         try:
             out.append(cls(**row))
+            if check is not None:
+                check(out[-1])
         except ValueError as err:
             raise ValueError(f"{where}: {err}") from None
     return out

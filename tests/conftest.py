@@ -1,7 +1,7 @@
 import pytest
 
+from passtune.backend import compile_items
 from passtune.backend.mini import MiniBackend
-from passtune.backend.passlist import PassList
 from passtune.ircore import normalize
 from passtune.minigen import generate_corpus
 
@@ -26,6 +26,6 @@ def apply_flags(backend):
     """Compile raw IR text under the given flags on the mini backend."""
 
     def _run(text, *flags):
-        return backend.apply(normalize(text), PassList(tuple(flags), backend.vocabulary))
+        return compile_items(backend, normalize(text), flags)
 
     return _run

@@ -7,7 +7,7 @@ space is enumerated with itertools and the winner picked by the same
 
 from itertools import product
 
-from passtune.backend.passlist import PassList
+from passtune.backend import compile_items
 from passtune.ircore import NormalizedIr
 
 
@@ -30,7 +30,7 @@ def best_by_enumeration(backend, fn, max_len):
     ir = NormalizedIr(fn.normalized_text)
     best = None
     for items in all_valid_lists(backend.vocabulary, max_len):
-        outcome = backend.apply(ir, PassList(items, backend.vocabulary))
+        outcome = compile_items(backend, ir, items)
         if not outcome.ok:
             continue
         key = (outcome.instruction_count, len(items), items)

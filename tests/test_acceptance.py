@@ -27,8 +27,8 @@ from passtune.backend.llvm import LlvmBackend, resolve_opt_path
 from passtune.backend.mini_interp import run_function
 from passtune.backend.mini_ir import parse_function
 from passtune.backend.mini_passes import PASSES, run_pipeline
-from passtune.backend.passlist import PassList, llvm10_vocabulary, sample_items
-from passtune.backend.types import BackendUnavailableError
+from passtune.backend.passlist import llvm10_vocabulary, sample_items
+from passtune.backend.types import BackendUnavailableError, compile_items
 from passtune.cli import main as cli_main
 from passtune.dataset import parse_answer, render_answer, render_single_pass_prompt
 from passtune.evaluator import bleu, evaluate_predictions, mape, overall_improvement
@@ -59,7 +59,7 @@ def corpus100():
 
 def oz_count(backend, fn):
     ir = NormalizedIr(fn.normalized_text)
-    return backend.apply(ir, PassList(("-Oz",), backend.vocabulary)).instruction_count
+    return compile_items(backend, ir, ("-Oz",)).instruction_count
 
 
 def test_criterion_01_published_aggregates():
@@ -169,7 +169,7 @@ def test_criterion_05_minimized_lists_are_one_minimal(backend, corpus100):
             items = tuple(result.best_pass_list.split())
             for idx in range(len(items)):
                 shorter = items[:idx] + items[idx + 1 :]
-                outcome = backend.apply(ir, PassList(shorter, backend.vocabulary))
+                outcome = compile_items(backend, ir, shorter)
                 assert (
                     not outcome.ok
                     or outcome.instruction_count > result.best_count
@@ -277,18 +277,18 @@ def test_criterion_10_llvm_integration(tmp_path):
     backend = LlvmBackend(opt)
     with criterion(10, "gated LLVM integration"):
         sample = normalize((DATA / "sample.ll").read_text())
-        unopt = backend.apply(sample, PassList((), backend.vocabulary))
+        unopt = compile_items(backend, sample, ())
         assert unopt.ok
-        optimized = backend.apply(sample, PassList(("-Oz",), backend.vocabulary))
+        optimized = compile_items(backend, sample, ("-Oz",))
         assert optimized.ok
         assert optimized.instruction_count < unopt.instruction_count
 
         bad_type = normalize((DATA / "bad_type.ll").read_text())
-        outcome = backend.apply(bad_type, PassList((), backend.vocabulary))
+        outcome = compile_items(backend, bad_type, ())
         assert not outcome.ok
         assert outcome.diagnostic.category is ErrorCategory.TYPE_ERROR
 
         bad_float = normalize((DATA / "bad_float.ll").read_text())
-        outcome = backend.apply(bad_float, PassList((), backend.vocabulary))
+        outcome = compile_items(backend, bad_float, ())
         assert not outcome.ok
         assert outcome.diagnostic.category is ErrorCategory.INVALID_CONSTANT

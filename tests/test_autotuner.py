@@ -11,8 +11,8 @@ from passtune.autotuner import (
     random_search,
 )
 from passtune.backend.classify import diagnostic_from_message
-from passtune.backend.passlist import PassList, PassVocabulary
-from passtune.backend.types import CompileOutcome
+from passtune.backend.passlist import PassVocabulary
+from passtune.backend.types import CompileOutcome, compile_items
 from passtune.ircore import NormalizedIr
 from passtune.minigen import generate_function
 from passtune.util import read_records, write_records
@@ -46,14 +46,14 @@ def find_function(predicate, seed=7, limit=80):
 
 def count_of(backend, fn, items):
     ir = NormalizedIr(fn.normalized_text)
-    return backend.apply(ir, PassList(items, backend.vocabulary)).instruction_count
+    return compile_items(backend, ir, items).instruction_count
 
 
 def assert_one_minimal(backend, ir, items, count):
     """Every single-pass removal must fail or strictly grow the output."""
     for idx in range(len(items)):
         shorter = items[:idx] + items[idx + 1 :]
-        outcome = backend.apply(ir, PassList(shorter, backend.vocabulary))
+        outcome = compile_items(backend, ir, shorter)
         assert not outcome.ok or outcome.instruction_count > count
 
 
@@ -150,6 +150,17 @@ def test_search_raises_when_baseline_fails(backend, corpus20):
         random_search(rigged, corpus20[0], SearchBudget.evaluation_count(2), seed=0)
 
 
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_search_rejects_a_max_len_below_one(backend, corpus20, max_len):
+    # With no list length to draw from, the search would try nothing and
+    # report the baseline as tuned.
+    counting = CountingBackend(backend)
+    budget = SearchBudget.evaluation_count(5)
+    with pytest.raises(ValueError, match="max_len"):
+        random_search(counting, corpus20[0], budget, seed=0, max_len=max_len)
+    assert not counting.compiled
+
+
 # --- minimization -------------------------------------------------------
 
 
@@ -158,7 +169,7 @@ def test_minimize_drops_redundant_pass(backend, corpus20):
         lambda f: f.source_dataset == "mini/arith",
     )
     ir = NormalizedIr(fn.normalized_text)
-    oz = backend.apply(ir, PassList(("-Oz",), backend.vocabulary))
+    oz = compile_items(backend, ir, ("-Oz",))
     padded = ("-Oz", "-dce")
     items, count, evals = minimize_pass_list(
         backend, ir, padded, seed=5, count=count_of(backend, fn, padded)
@@ -174,7 +185,7 @@ def test_minimize_result_is_one_minimal(backend, corpus20, index):
     fn = corpus20[index]
     ir = NormalizedIr(fn.normalized_text)
     start = ("-mem2reg", "-Oz", "-instcombine", "-dce")
-    baseline = backend.apply(ir, PassList(start, backend.vocabulary))
+    baseline = compile_items(backend, ir, start)
     items, count, _ = minimize_pass_list(
         backend, ir, start, seed=index, count=baseline.instruction_count
     )
@@ -187,8 +198,8 @@ def test_minimize_reaches_empty_list_when_nothing_helps(backend):
         lambda f: f.source_dataset == "mini/loop",
     )
     ir = NormalizedIr(fn.normalized_text)
-    unopt = backend.apply(ir, PassList((), backend.vocabulary))
-    oz = backend.apply(ir, PassList(("-Oz",), backend.vocabulary))
+    unopt = compile_items(backend, ir, ())
+    oz = compile_items(backend, ir, ("-Oz",))
     assert oz.instruction_count == unopt.instruction_count  # precondition
     items, count, _ = minimize_pass_list(
         backend, ir, ("-Oz",), seed=2, count=oz.instruction_count
@@ -210,9 +221,7 @@ def test_broadcast_shares_winning_lists(backend):
     }
     donor_ir = NormalizedIr(donor.normalized_text)
     shared = ("-Oz", "-mem2reg")
-    donor_count = backend.apply(
-        donor_ir, PassList(shared, backend.vocabulary)
-    ).instruction_count
+    donor_count = compile_items(backend, donor_ir, shared).instruction_count
     results[donor.id] = TuneResult(
         function_id=donor.id,
         baseline_pass_list="-Oz",

@@ -226,11 +226,19 @@ def test_reruns_are_byte_identical(tmp_path, corpus_file):
 
 
 def test_evaluate_always_oz_scores_zero(tmp_path, corpus_file, capsys):
+    preds = tmp_path / "preds.jsonl"
     rows = tmp_path / "rows.jsonl"
+    assert run(
+        "predict",
+        "--corpus", corpus_file,
+        "--method", "always-oz",
+        "--output", preds,
+    ) == 0
+    capsys.readouterr()
     assert run(
         "evaluate",
         "--corpus", corpus_file,
-        "--predictions", "always-oz",
+        "--predictions", preds,
         "--output", rows,
     ) == 0
     printed = capsys.readouterr().out
@@ -351,6 +359,18 @@ def test_fewer_than_one_worker_is_a_config_error(tmp_path, corpus_file, capsys):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def test_a_max_len_below_one_is_a_config_error(tmp_path, corpus_file, capsys):
+    assert run(
+        "autotune",
+        "--corpus", corpus_file,
+        "--output", tmp_path / "out.jsonl",
+        "--budget-evals", 2,
+        "--max-len", 0,
+    ) == 2
+    assert "max_len must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 @pytest.fixture
 def input_files(tmp_path, corpus_file, tuned_file):
     """One valid input file of every kind a subcommand reads."""
@@ -388,6 +408,10 @@ MALFORMED_ROWS = {
     "ingest-id-number": ("raw", _with("id", 7), "ingest {raw} --output {out}"),
     "ingest-missing-raw-text": (
         "raw", _without("raw_text"), "ingest {raw} --output {out}"
+    ),
+    "dataset-stale-token-estimate": (
+        "corpus", _with("token_estimate", 999999),
+        "dataset --corpus {corpus} --tune-results {tuned} --output {out}",
     ),
     "autotune-missing-field": (
         "corpus", _without("token_estimate"),

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from passtune.autotuner import SearchBudget, TuneResult, autotune_corpus
-from passtune.backend.passlist import PassList, llvm10_vocabulary
+from passtune.backend import compile_items
+from passtune.backend.passlist import llvm10_vocabulary
 from passtune.dataset import (
     AnswerParseError,
     PassOrderingRecord,
@@ -120,10 +121,7 @@ def test_build_pass_dataset_recompiles_answers(backend, corpus20, tuned):
         items, inp, out, code = parse_answer(record.answer)
         assert items == tuple(result.best_pass_list.split())
         assert (inp, out) == (record.input_count, record.output_count)
-        redone = backend.apply(
-            NormalizedIr(fn.normalized_text),
-            PassList(items, backend.vocabulary),
-        )
+        redone = compile_items(backend, fn.ir, items)
         assert redone.output.text == code
         assert not record.truncated
 
@@ -177,10 +175,7 @@ def test_single_pass_records_are_true_translations(backend, corpus20):
         head, blank, ir_text = record.prompt.split("\n", 2)
         assert head == f"Optimize the following LLVM-IR using {record.target_pass}:"
         assert blank == ""
-        out = backend.apply(
-            NormalizedIr(ir_text),
-            PassList((record.target_pass,), backend.vocabulary),
-        )
+        out = compile_items(backend, NormalizedIr(ir_text), (record.target_pass,))
         assert out.output.text == record.answer
         assert len(record.prefix_passes.split()) <= 2
 
@@ -251,12 +246,6 @@ def test_dedup_keeps_first_of_each_text(corpus20):
     mixed = list(corpus20) + [clone]
     kept = dedup(mixed)
     assert kept == list(corpus20)
-
-
-def test_dedup_exclusion_separates_splits(corpus20):
-    held_out = corpus20[:5]
-    kept = dedup(corpus20, exclusion=held_out)
-    assert kept == list(corpus20[5:])
 
 
 def test_split_sizes_and_disjointness(corpus20):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from passtune.backend import compile_items
-from passtune.backend.passlist import PassList
 from passtune.evaluator import (
     EvalRow,
     bleu,
@@ -16,7 +15,6 @@ from passtune.evaluator import (
     overall_improvement,
     summarize_rows,
 )
-from passtune.ircore import NormalizedIr
 from passtune.minigen import generate_function
 from passtune.predictor import Prediction, predict_always_oz
 from test_predictor import PoisonBackend
@@ -27,8 +25,7 @@ DATA_TYPE_ERROR = (
 
 
 def count_of(backend, fn, *flags):
-    ir = NormalizedIr(fn.normalized_text)
-    return backend.apply(ir, PassList(flags, backend.vocabulary)).instruction_count
+    return compile_items(backend, fn.ir, flags).instruction_count
 
 
 @pytest.fixture(scope="module")

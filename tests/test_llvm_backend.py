@@ -12,8 +12,8 @@ from passtune.backend.llvm import (
     LlvmBackend,
     resolve_opt_path,
 )
-from passtune.backend.passlist import PassList, PassVocabulary, llvm10_vocabulary
-from passtune.backend.types import BackendUnavailableError, CompileTimeoutError
+from passtune.backend.passlist import llvm10_vocabulary
+from passtune.backend.types import BackendUnavailableError, compile_items
 from passtune.ircore import normalize
 
 DATA = Path(__file__).parent / "data"
@@ -96,7 +96,7 @@ def test_version_reports_stub(stub_opt):
 
 def test_apply_success_counts_output(stub_opt, sample_ir):
     backend = LlvmBackend(stub_opt)
-    outcome = backend.apply(sample_ir, PassList((), backend.vocabulary))
+    outcome = compile_items(backend, sample_ir, ())
     assert outcome.ok
     assert outcome.instruction_count == 5
     assert outcome.output == sample_ir  # identity stub round-trips normalization
@@ -104,35 +104,51 @@ def test_apply_success_counts_output(stub_opt, sample_ir):
 
 def test_apply_pass_effect_via_stub(stub_opt, sample_ir):
     backend = LlvmBackend(stub_opt)
-    outcome = backend.apply(sample_ir, PassList(("-dce",), backend.vocabulary))
+    outcome = compile_items(backend, sample_ir, ("-dce",))
     assert outcome.ok
     assert outcome.instruction_count == 4  # %dead line dropped
 
 
-def test_apply_rejects_foreign_flags(stub_opt, sample_ir):
-    backend = LlvmBackend(stub_opt)
-    foreign = PassVocabulary(("-not-a-flag",), ())
-    with pytest.raises(ValueError):
-        backend.apply(sample_ir, PassList(("-not-a-flag",), foreign))
-
-
 def test_apply_failure_is_classified(stub_opt, sample_ir):
     backend = LlvmBackend(stub_opt, extra_args=("--stub-crash",))
-    outcome = backend.apply(sample_ir, PassList((), backend.vocabulary))
+    outcome = compile_items(backend, sample_ir, ())
     assert not outcome.ok
     assert outcome.diagnostic.category is ErrorCategory.TYPE_ERROR
     assert "but expected" in outcome.diagnostic.message
 
 
-def test_apply_timeout_raises(stub_opt, sample_ir):
+class ReturnedOutcomes:
+    """Delegates to a backend and keeps every outcome its ``apply`` returned."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.outcomes = []
+
+    @property
+    def vocabulary(self):
+        return self._inner.vocabulary
+
+    def apply(self, ir, passes):
+        outcome = self._inner.apply(ir, passes)
+        self.outcomes.append(outcome)
+        return outcome
+
+
+def test_apply_timeout_is_a_failed_outcome(stub_opt, sample_ir):
     backend = LlvmBackend(stub_opt, timeout=0.3, extra_args=("--stub-hang",))
-    with pytest.raises(CompileTimeoutError):
-        backend.apply(sample_ir, PassList((), backend.vocabulary))
+    returned = ReturnedOutcomes(backend)
+    outcome = compile_items(returned, sample_ir, ())
+    # the backend itself returns the failure; nothing raises past it
+    assert returned.outcomes == [outcome]
+    assert not outcome.ok
+    assert outcome.diagnostic.message == (
+        f"{backend.opt_path} -S --stub-hang exceeded 0s"
+    )
 
 
 def test_apply_unparseable_output_is_failure(stub_opt, sample_ir):
     backend = LlvmBackend(stub_opt, extra_args=("--stub-garbage",))
-    outcome = backend.apply(sample_ir, PassList((), backend.vocabulary))
+    outcome = compile_items(backend, sample_ir, ())
     assert not outcome.ok
     assert "unparseable optimizer output" in outcome.diagnostic.message
 
@@ -141,7 +157,7 @@ def test_extra_args_reach_the_command_line(stub_opt, sample_ir):
     # mixing a real pass flag with a stub trigger shows extra_args are
     # forwarded alongside the pass list, not swallowed
     backend = LlvmBackend(stub_opt, extra_args=("--stub-garbage",))
-    outcome = backend.apply(sample_ir, PassList(("-dce",), backend.vocabulary))
+    outcome = compile_items(backend, sample_ir, ("-dce",))
     assert not outcome.ok
     assert "unparseable" in outcome.diagnostic.message
 

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from passtune.backend import compile_items
 from passtune.backend.mini import mini_vocabulary
-from passtune.backend.passlist import PassList
-from passtune.ircore import NormalizedIr, count_instructions, normalize
+from passtune.ircore import count_instructions, normalize
 from passtune.minigen import generate_corpus, generate_function
 
 KINDS = {"arith", "constbranch", "dynbranch", "deadheavy", "phaseorder", "loop"}
@@ -27,9 +27,8 @@ def test_ids_are_stable_and_unique(corpus80):
 
 
 def test_every_function_compiles(backend, corpus80):
-    empty = PassList((), backend.vocabulary)
     for fn in corpus80:
-        outcome = backend.apply(NormalizedIr(fn.normalized_text), empty)
+        outcome = compile_items(backend, fn.ir, ())
         assert outcome.ok, fn.id
         assert outcome.instruction_count == fn.instruction_count
 
@@ -45,10 +44,9 @@ def test_all_kinds_appear(corpus80):
 
 
 def test_most_functions_are_improvable(backend, corpus80):
-    oz = PassList(("-Oz",), backend.vocabulary)
     improved = 0
     for fn in corpus80:
-        outcome = backend.apply(NormalizedIr(fn.normalized_text), oz)
+        outcome = compile_items(backend, fn.ir, ("-Oz",))
         assert outcome.ok
         if outcome.instruction_count < fn.instruction_count:
             improved += 1
@@ -57,23 +55,19 @@ def test_most_functions_are_improvable(backend, corpus80):
 
 def test_phase_ordering_functions_beat_oz_with_extra_round(backend, corpus80):
     """The point of the phaseorder family: -Oz alone is not optimal."""
-    oz = PassList(("-Oz",), backend.vocabulary)
-    longer = PassList(("-Oz", "-mem2reg"), backend.vocabulary)
     targets = [fn for fn in corpus80 if fn.source_dataset == "mini/phaseorder"]
     assert targets
     for fn in targets:
-        ir = NormalizedIr(fn.normalized_text)
-        oz_count = backend.apply(ir, oz).instruction_count
-        long_count = backend.apply(ir, longer).instruction_count
-        assert long_count < oz_count, fn.id
+        oz = compile_items(backend, fn.ir, ("-Oz",))
+        longer = compile_items(backend, fn.ir, ("-Oz", "-mem2reg"))
+        assert longer.instruction_count < oz.instruction_count, fn.id
 
 
 def test_loop_functions_resist_oz(backend, corpus80):
-    oz = PassList(("-Oz",), backend.vocabulary)
     targets = [fn for fn in corpus80 if fn.source_dataset == "mini/loop"]
     assert targets
     for fn in targets:
-        outcome = backend.apply(NormalizedIr(fn.normalized_text), oz)
+        outcome = compile_items(backend, fn.ir, ("-Oz",))
         assert outcome.instruction_count == fn.instruction_count, fn.id
 
 
@@ -99,7 +93,7 @@ def test_mini_output_is_canonical_and_counted(backend, index, seed, items):
     # MiniBackend.apply does not normalize what it renders; this is the
     # guarantee that lets it skip the work.
     fn = generate_function(index, seed)
-    outcome = backend.apply(fn.ir, PassList(tuple(items), backend.vocabulary))
+    outcome = compile_items(backend, fn.ir, tuple(items))
     assert outcome.ok
     assert normalize(outcome.output.text) == outcome.output
     assert outcome.instruction_count == count_instructions(outcome.output.text)

@@ -6,7 +6,7 @@ import pytest
 
 from passtune.autotuner import SearchBudget, TuneResult, autotune_corpus
 from passtune.backend.classify import diagnostic_from_message
-from passtune.backend.types import CompileOutcome, CompileTimeoutError
+from passtune.backend.types import CompileOutcome
 from passtune.dataset import render_answer
 from passtune.predictor import (
     ExternalPredictorError,
@@ -254,7 +254,8 @@ def test_process_predictor_rejects_empty_command(vocab):
 
 
 class PoisonBackend:
-    """Fails every list holding ``poison``; times out on ``timeout_flag``."""
+    """Fails every list holding ``poison`` or ``timeout_flag``; the second
+    stands for a time-limit hit, which a backend also returns as a failure."""
 
     def __init__(self, inner, poison, timeout_flag=None):
         self._inner = inner
@@ -267,7 +268,7 @@ class PoisonBackend:
 
     def apply(self, ir, passes):
         if self._timeout_flag and self._timeout_flag in passes.items:
-            raise CompileTimeoutError("induced")
+            return CompileOutcome.failure(diagnostic_from_message("induced"))
         if self._poison and self._poison in passes.items:
             return CompileOutcome.failure(diagnostic_from_message("poisoned"))
         return self._inner.apply(ir, passes)
