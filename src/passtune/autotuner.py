@@ -291,6 +291,8 @@ def autotune_corpus(
     returned stats rather than aborting the run. ``workers`` (at least
     1) searches run at once.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     functions = list(functions)
     results: dict[str, TuneResult] = {}
     failures: list[str] = []

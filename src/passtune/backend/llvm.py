@@ -61,6 +61,8 @@ class LlvmBackend:
         timeout: float = DEFAULT_TIMEOUT_SECONDS,
         extra_args: Sequence[str] = (),
     ) -> None:
+        if not timeout > 0:
+            raise ValueError(f"timeout must be positive, got {timeout}")
         self.opt_path = resolve_opt_path(opt_path)
         self.timeout = timeout
         self.extra_args = tuple(extra_args)
@@ -119,7 +121,7 @@ class LlvmBackend:
                 timeout=self.timeout,
             )
         except subprocess.TimeoutExpired:
-            message = f"{' '.join(cmd)} exceeded {self.timeout:.0f}s"
+            message = f"{' '.join(cmd)} exceeded {self.timeout:g}s"
             return CompileOutcome.failure(diagnostic_from_message(message))
         except OSError as err:
             raise BackendUnavailableError(

@@ -20,7 +20,7 @@ from passtune.backend.mini_ir import (
     render_function,
     verify_function,
 )
-from passtune.backend.mini_passes import PASSES, run_pipeline
+from passtune.backend.mini_passes import META_PIPELINES, PASSES, run_pipeline
 from passtune.backend.passlist import PassList, PassVocabulary
 from passtune.backend.types import CompileOutcome
 from passtune.ircore import NormalizedIr, count_instructions
@@ -28,11 +28,9 @@ from passtune.ircore import NormalizedIr, count_instructions
 # Not called here: the name stays bound because perfbench's tracer test wraps it.
 from passtune.ircore import normalize  # noqa: F401
 
-MINI_META_FLAGS = ("-Oz",)
-
 
 def mini_vocabulary() -> PassVocabulary:
-    return PassVocabulary(tuple(PASSES), MINI_META_FLAGS)
+    return PassVocabulary(tuple(PASSES), tuple(META_PIPELINES))
 
 
 @lru_cache(maxsize=1024)

@@ -15,7 +15,6 @@ from importlib import resources
 
 DEFAULT_MAX_LEN = 12
 
-META_FLAGS = ("-O0", "-O1", "-O2", "-O3", "-Os", "-Oz")
 OZ_ITEMS = ("-Oz",)  # the baseline every list is scored against
 
 
@@ -50,9 +49,6 @@ class PassVocabulary:
     def __contains__(self, flag: str) -> bool:
         return flag in self.passes or flag in self.meta_flags
 
-    def __len__(self) -> int:
-        return len(self.passes) + len(self.meta_flags)
-
 
 @dataclass(frozen=True)
 class PassList:
@@ -79,22 +75,16 @@ class PassList:
 def sample_items(
     rng: "random.Random", vocabulary: PassVocabulary, length: int
 ) -> tuple[str, ...]:
-    """Draw a valid random flag tuple: uniform flags, meta-flags at most
-    once each (enforced by rejection)."""
+    """Draw a valid random flag tuple: uniform flags, redrawn until
+    ``PassList`` accepts it (meta-flags at most once each)."""
     flags = vocabulary.all_flags
-    meta = set(vocabulary.meta_flags)
     while True:
         items = tuple(rng.choice(flags) for _ in range(length))
-        seen_meta: set[str] = set()
-        ok = True
-        for item in items:
-            if item in meta:
-                if item in seen_meta:
-                    ok = False
-                    break
-                seen_meta.add(item)
-        if ok:
-            return items
+        try:
+            PassList(items, vocabulary)
+        except InvalidPassListError:
+            continue
+        return items
 
 
 def llvm10_vocabulary() -> PassVocabulary:

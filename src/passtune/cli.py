@@ -8,7 +8,11 @@ a sibling ``<name>.manifest.json`` recording the resolved config, seed,
 input digests, and tool version; timestamps appear only there, so
 reruns with identical inputs are byte-identical.
 
-Exit codes: 0 success, 2 configuration error, 3 backend unavailable,
+``--config file.json`` stands for the flags it names, inserted right after
+the subcommand: argparse checks them like typed flags, and explicit flags win.
+
+Exit codes: 0 success, 2 configuration error (a usage error, or a
+``ValueError`` or ``OSError``), 3 backend unavailable,
 4 partial failure (some functions or records failed; output written).
 """
 
@@ -76,10 +80,6 @@ EXIT_BACKEND_ERROR = 3
 EXIT_PARTIAL_FAILURE = 4
 
 
-class ConfigError(ValueError):
-    """Unusable flag/config combination; maps to exit code 2."""
-
-
 @dataclass(frozen=True)
 class _IngestRow:
     """One function to ingest: a JSON Lines row, or a whole .ll file."""
@@ -104,8 +104,6 @@ def _make_backend(args: argparse.Namespace):
 
 
 def _resolve_budget(args: argparse.Namespace) -> SearchBudget:
-    if args.budget_evals is not None and args.budget_seconds is not None:
-        raise ConfigError("--budget-evals and --budget-seconds are mutually exclusive")
     if args.budget_evals is not None:
         return SearchBudget.evaluation_count(args.budget_evals)
     if args.budget_seconds is not None:
@@ -118,11 +116,11 @@ def _parse_fractions(text: str) -> dict[str, float]:
     for part in text.split(","):
         name, sep, value = part.partition("=")
         if not sep or not name.strip():
-            raise ConfigError(f"bad split part {part!r}; use name=fraction,...")
+            raise ValueError(f"bad split part {part!r}; use name=fraction,...")
         try:
             out[name.strip()] = float(value)
         except ValueError:
-            raise ConfigError(f"bad fraction in {part!r}") from None
+            raise ValueError(f"bad fraction in {part!r}") from None
     return out
 
 
@@ -168,7 +166,7 @@ def _write_manifest(
 def _read_corpus_checked(path: str | Path) -> list[IrFunction]:
     corpus = read_corpus(path)
     if not corpus:
-        raise ConfigError(f"corpus {path} is empty")
+        raise ValueError(f"corpus {path} is empty")
     return corpus
 
 
@@ -205,21 +203,17 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.dedup:
         functions = dedup(functions)
     if not functions:
-        raise ConfigError("no functions ingested")
-    inputs = [Path(p) for p in args.inputs]
+        raise ValueError("no functions ingested")
     if args.split:
         parts = split(functions, _parse_fractions(args.split), args.seed)
-        for name, fns in parts.items():
-            out = _derived_output(args.output, name)
-            write_records(fns, out)
-            _write_manifest(out, args, inputs, {"corpus_stats": corpus_stats(fns)})
-            print(f"wrote {len(fns)} functions to {out}")
+        outputs = {_derived_output(args.output, name): fns for name, fns in parts.items()}
     else:
-        write_records(functions, args.output)
-        _write_manifest(
-            Path(args.output), args, inputs, {"corpus_stats": corpus_stats(functions)}
-        )
-        print(f"wrote {len(functions)} functions to {args.output}")
+        outputs = {args.output: functions}
+    inputs = [Path(p) for p in args.inputs]
+    for out, fns in outputs.items():
+        write_records(fns, out)
+        _write_manifest(Path(out), args, inputs, {"corpus_stats": corpus_stats(fns)})
+        print(f"wrote {len(fns)} functions to {out}")
     for key, value in corpus_stats(functions).items():
         print(f"{key} = {value}")
     return EXIT_PARTIAL_FAILURE if failures else EXIT_OK
@@ -236,8 +230,6 @@ def _cmd_gen_mini_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_autotune(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     corpus = _read_corpus_checked(args.corpus)
     backend = _make_backend(args)
     budget = _resolve_budget(args)
@@ -335,13 +327,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         predict = predict_always_oz
     elif args.method == "top-frequency":
         if not args.tune_results:
-            raise ConfigError("--method top-frequency requires --tune-results")
+            raise ValueError("--method top-frequency requires --tune-results")
         table = build_frequency_table(read_records(TuneResult, args.tune_results))
         inputs.append(Path(args.tune_results))
         predict = partial(predict_top_frequency, frequency_table=table)
     elif args.method == "retrieval":
         if not (args.tune_results and args.train_corpus):
-            raise ConfigError(
+            raise ValueError(
                 "--method retrieval requires --tune-results and --train-corpus"
             )
         train = _read_corpus_checked(args.train_corpus)
@@ -350,13 +342,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         predict = partial(predict_retrieval, index=index)
     elif args.method == "file":
         if not args.predictions_file:
-            raise ConfigError("--method file requires --predictions-file")
+            raise ValueError("--method file requires --predictions-file")
         vocabulary = _make_backend(args).vocabulary
         predict = FilePredictor(args.predictions_file, vocabulary).predict
         inputs.append(Path(args.predictions_file))
     else:  # command
         if not args.command:
-            raise ConfigError("--method command requires --command")
+            raise ValueError("--method command requires --command")
         vocabulary = _make_backend(args).vocabulary
         predict = ProcessPredictor(
             shlex.split(args.command), vocabulary, timeout=args.timeout
@@ -405,7 +397,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     rows = read_records(EvalRow, args.rows)
     if not rows:
-        raise ConfigError(f"rows file {args.rows} is empty")
+        raise ValueError(f"rows file {args.rows} is empty")
     predictions = read_records(Prediction, args.predictions)
     tune_results = read_records(TuneResult, args.tune_results)
     bundle = reports(rows, predictions, tune_results)
@@ -478,7 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-compilation timeout in seconds",
     )
 
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
+    # Full flag names only, so a config key "max" is not read as --max-len.
+    whole_names = partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(
+        dest="subcommand", required=True, metavar="SUBCOMMAND", parser_class=whole_names
+    )
 
     p = sub.add_parser(
         "ingest",
@@ -513,13 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--corpus", required=True, help="corpus file from ingest/gen-mini-corpus")
     p.add_argument("--output", required=True, help="results file to write")
-    p.add_argument(
+    budget = p.add_mutually_exclusive_group()
+    budget.add_argument(
         "--budget-evals",
         type=int,
         default=None,
         help="evaluation-count budget per function (deterministic mode)",
     )
-    p.add_argument(
+    budget.add_argument(
         "--budget-seconds",
         type=float,
         default=None,
@@ -625,80 +622,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect_dests(parser: argparse.ArgumentParser) -> set[str]:
-    dests: set[str] = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for child in action.choices.values():
-                dests |= _collect_dests(child)
-        elif action.dest not in ("help", "==SUPPRESS=="):
-            dests.add(action.dest)
-    return dests
-
-
 def _find_config(argv: Sequence[str]) -> Optional[str]:
     for i, arg in enumerate(argv):
-        if arg == "--config":
-            if i + 1 >= len(argv):
-                raise ConfigError("--config requires a path")
-            return argv[i + 1]
         if arg.startswith("--config="):
             return arg.split("=", 1)[1]
+        if arg == "--config" and i + 1 < len(argv):
+            return argv[i + 1]
     return None
 
 
-def _apply_config(parser: argparse.ArgumentParser, defaults: dict) -> None:
-    """Install config values as defaults on every (sub)parser that knows them.
+def _expand_config(argv: list[str]) -> list[str]:
+    """``argv`` with its ``--config`` file's flags inserted after the subcommand.
 
-    Subparsers parse into a fresh namespace and copy it over the parent's,
-    so defaults set only on the main parser would be clobbered.
+    A key is a flag name without its leading dashes. ``true`` gives the switch,
+    ``false`` and ``null`` nothing, a list one flag per item, else ``--key=value``.
     """
-    own = {a.dest for a in parser._actions}
-    parser.set_defaults(**{k: v for k, v in defaults.items() if k in own})
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for child in action.choices.values():
-                _apply_config(child, defaults)
-
-
-def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
+    path = _find_config(argv)
+    if path is None:
+        return argv
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
-        raise ConfigError(f"config {path}: {err}") from err
+        raise ValueError(f"config {path}: {err}") from err
     if not isinstance(data, dict):
-        raise ConfigError(f"config {path}: expected a JSON object")
-    known = _collect_dests(parser)
-    defaults = {}
+        raise ValueError(f"config {path}: expected a JSON object")
+    tokens = []
     for key, value in data.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
-            raise ConfigError(f"config {path}: unknown key {key!r}")
-        defaults[dest] = value
-    return defaults
+        flag = "--" + key.replace("_", "-")
+        for item in value if isinstance(value, list) else [value]:
+            if item is True:
+                tokens.append(flag)
+            elif item is not False and item is not None:
+                tokens.append(f"{flag}={item}")
+    at = next((i for i, arg in enumerate(argv) if not arg.startswith("-")), -1) + 1
+    return argv[:at] + tokens + argv[at:]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        config_path = _find_config(argv)
-        if config_path is not None:
-            _apply_config(parser, _load_config(config_path, parser))
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_expand_config(argv))
         return args.handler(args)
     except SystemExit as err:  # argparse --help/--version or usage error
-        code = err.code
-        if code in (0, None):
-            return EXIT_OK
-        return EXIT_CONFIG_ERROR
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        return EXIT_OK if err.code in (0, None) else EXIT_CONFIG_ERROR
     except BackendUnavailableError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BACKEND_ERROR
-    except (OSError, MalformedIrError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -221,6 +221,8 @@ class ProcessPredictor:
     ) -> None:
         if not command:
             raise ValueError("empty command")
+        if not timeout > 0:
+            raise ValueError(f"timeout must be positive, got {timeout}")
         self.command = list(command)
         self.vocabulary = vocabulary
         self.timeout = timeout
@@ -236,7 +238,7 @@ class ProcessPredictor:
             )
         except subprocess.TimeoutExpired as err:
             raise ExternalPredictorError(
-                f"predictor timed out after {self.timeout:.0f}s"
+                f"predictor timed out after {self.timeout:g}s"
             ) from err
         except OSError as err:
             raise ExternalPredictorError(f"cannot run predictor: {err}") from err

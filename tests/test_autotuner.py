@@ -297,7 +297,7 @@ def test_autotune_corpus_threaded_matches_serial(backend, corpus20):
 
 
 def test_autotune_corpus_rejects_fewer_than_one_worker(backend, corpus20):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
         autotune_corpus(
             backend, corpus20[:2], SearchBudget.evaluation_count(1), seed=0, workers=0
         )

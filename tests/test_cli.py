@@ -312,7 +312,59 @@ def test_unknown_config_key_is_rejected(tmp_path, corpus_file, capsys):
         "autotune", "--config", config,
         "--corpus", corpus_file, "--output", tmp_path / "x.jsonl",
     ) == 2
-    assert "unknown key" in capsys.readouterr().err
+    assert "unrecognized arguments: --max-length=2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"backend": "gcc"}, {"max-len": 2.5}, {"max": 2}],
+    ids=["bad-choice", "bad-type", "flag-prefix"],
+)
+def test_config_values_are_checked_like_flags(tmp_path, corpus_file, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"budget-evals": 2, **config}))
+    out = tmp_path / "x.jsonl"
+    assert run(
+        "autotune", "--config", path, "--corpus", corpus_file, "--output", out
+    ) == 2
+    assert not out.exists()
+
+
+def test_a_config_key_the_subcommand_does_not_take_is_rejected(
+    tmp_path, corpus_file, tuned_file, capsys
+):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"budget-evals": 5}))
+    out = tmp_path / "records.jsonl"
+    assert run(
+        "dataset", "--config", path,
+        "--corpus", corpus_file, "--tune-results", tuned_file, "--output", out,
+    ) == 2
+    assert "--budget-evals=5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_values_map_to_flags(tmp_path, corpus_file):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "budget_evals": 2,
+        "no-broadcast": True,
+        "no-minimize": False,
+        "opt-path": None,
+        "opt-arg": ["-a", "-b"],
+    }))
+    out = tmp_path / "x.jsonl"
+    assert run(
+        "autotune", "--config", path, "--opt-arg=-c",
+        "--corpus", corpus_file, "--output", out,
+    ) == 0
+    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+    config = manifest["config"]
+    assert config["budget_evals"] == 2
+    assert config["no_broadcast"] is True
+    assert config["no_minimize"] is False
+    assert config["opt_path"] is None
+    assert config["opt_arg"] == ["-a", "-b", "-c"]
 
 
 def test_malformed_config_is_rejected(tmp_path, corpus_file):
@@ -355,8 +407,25 @@ def test_fewer_than_one_worker_is_a_config_error(tmp_path, corpus_file, capsys):
         "--budget-evals", 2,
         "--workers", 0,
     ) == 2
-    assert "--workers" in capsys.readouterr().err
+    assert "workers must be at least 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_a_timeout_that_is_not_positive_is_a_config_error(
+    tmp_path, corpus_file, capsys
+):
+    out = tmp_path / "out.jsonl"
+    assert run(
+        "autotune",
+        "--corpus", corpus_file,
+        "--output", out,
+        "--budget-evals", 2,
+        "--backend", "llvm",
+        "--opt-path", write_stub(tmp_path),
+        "--timeout", 0,
+    ) == 2
+    assert "timeout must be positive, got 0.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_a_max_len_below_one_is_a_config_error(tmp_path, corpus_file, capsys):

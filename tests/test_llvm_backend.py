@@ -142,8 +142,14 @@ def test_apply_timeout_is_a_failed_outcome(stub_opt, sample_ir):
     assert returned.outcomes == [outcome]
     assert not outcome.ok
     assert outcome.diagnostic.message == (
-        f"{backend.opt_path} -S --stub-hang exceeded 0s"
+        f"{backend.opt_path} -S --stub-hang exceeded 0.3s"
     )
+
+
+@pytest.mark.parametrize("timeout", [0, -0.5])
+def test_a_timeout_that_is_not_positive_is_rejected(stub_opt, timeout):
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        LlvmBackend(stub_opt, timeout=timeout)
 
 
 def test_apply_unparseable_output_is_failure(stub_opt, sample_ir):
@@ -174,7 +180,7 @@ def test_flags_opt_does_not_list_leave_the_vocabulary(tmp_path, caplog):
         backend = LlvmBackend(stub)
     assert "-die" not in backend.vocabulary
     assert "-O1" not in backend.vocabulary
-    assert len(backend.vocabulary) == len(llvm10_vocabulary()) - 2
+    assert len(backend.vocabulary.all_flags) == len(llvm10_vocabulary().all_flags) - 2
     assert [r.getMessage() for r in caplog.records] == [
         f"{stub} does not list 2 vocabulary flag(s); dropped: -die -O1"
     ]

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from passtune.backend.passlist import (
     DEFAULT_MAX_LEN,
-    META_FLAGS,
     InvalidPassListError,
     PassList,
     PassVocabulary,
@@ -28,7 +27,7 @@ def test_vocabulary_rejects_duplicates_and_overlap():
 def test_vocabulary_membership_and_size():
     assert "-a" in TINY and "-Oz" in TINY
     assert "-zz" not in TINY
-    assert len(TINY) == 5
+    assert len(TINY.all_flags) == 5
     assert TINY.all_flags == ("-a", "-b", "-c", "-Oz", "-O2")
 
 
@@ -72,14 +71,13 @@ def test_default_max_len():
 
 
 def test_meta_flags_are_the_six_optimization_levels():
-    assert META_FLAGS == ("-O0", "-O1", "-O2", "-O3", "-Os", "-Oz")
+    assert llvm10_vocabulary().meta_flags == ("-O0", "-O1", "-O2", "-O3", "-Os", "-Oz")
 
 
 def test_llvm10_vocabulary_shape():
     vocab = llvm10_vocabulary()
     assert len(vocab.passes) == 122
-    assert vocab.meta_flags == META_FLAGS
-    assert len(vocab) == 128
+    assert len(vocab.all_flags) == 128
     for flag in ("-mem2reg", "-instcombine", "-simplifycfg", "-gvn", "-adce"):
         assert flag in vocab
     assert all(flag.startswith("-") for flag in vocab.all_flags)

@@ -213,7 +213,7 @@ def test_process_predictor_nonzero_exit(tmp_path, vocab, corpus20):
 
 def test_process_predictor_timeout(tmp_path, vocab, corpus20):
     command = write_script(tmp_path, "import time; time.sleep(30)")
-    with pytest.raises(ExternalPredictorError, match="timed out"):
+    with pytest.raises(ExternalPredictorError, match="timed out after 0.3s"):
         ProcessPredictor(command, vocab, timeout=0.3).predict(corpus20[0])
 
 
@@ -248,6 +248,12 @@ def test_process_predictor_rejects_empty_or_invalid_lists(tmp_path, vocab, corpu
 def test_process_predictor_rejects_empty_command(vocab):
     with pytest.raises(ValueError):
         ProcessPredictor([], vocab)
+
+
+@pytest.mark.parametrize("timeout", [0, -1.5])
+def test_process_predictor_rejects_a_timeout_that_is_not_positive(vocab, timeout):
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        ProcessPredictor(["true"], vocab, timeout=timeout)
 
 
 # --- a backend that fails on request ----------------------------------------
