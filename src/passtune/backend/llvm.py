@@ -73,12 +73,13 @@ class LlvmBackend:
         return self._vocabulary
 
     def _query(self, option: str) -> subprocess.CompletedProcess:
+        """Run ``opt <option>`` under the default limit, not the per-compile one."""
         try:
             return subprocess.run(
                 [self.opt_path, option],
                 capture_output=True,
                 text=True,
-                timeout=self.timeout,
+                timeout=DEFAULT_TIMEOUT_SECONDS,
             )
         except (OSError, subprocess.TimeoutExpired) as err:
             raise BackendUnavailableError(

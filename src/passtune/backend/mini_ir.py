@@ -108,10 +108,6 @@ class Block:
     instrs: list[Instr]
     explicit_label: bool = True
 
-    @property
-    def terminator(self) -> Instr:
-        return self.instrs[-1]
-
     def successors(self) -> tuple[str, ...]:
         term = self.instrs[-1] if self.instrs else None
         if term is not None and term.opcode == "br":

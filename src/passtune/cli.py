@@ -11,9 +11,11 @@ reruns with identical inputs are byte-identical.
 ``--config file.json`` stands for the flags it names, inserted right after
 the subcommand: argparse checks them like typed flags, and explicit flags win.
 
-Exit codes: 0 success, 2 configuration error (a usage error, or a
-``ValueError`` or ``OSError``), 3 backend unavailable,
-4 partial failure (some functions or records failed; output written).
+Each ``_cmd_*`` handler returns its per-item failures as messages; ``main``
+alone prints them, one ``error: ...`` line each, and picks the exit code:
+0 success, 2 configuration error (a usage error, or a ``ValueError`` or
+``OSError``), 3 backend unavailable, 4 partial failure (some functions or
+records failed; output written).
 """
 
 from __future__ import annotations
@@ -133,12 +135,19 @@ def _derived_output(output: str | Path, tag: str) -> Path:
     return p.with_name(f"{p.stem}.{tag}{p.suffix}")
 
 
+class _NothingWritten(ValueError):
+    """No output to write; ``failures`` are the per-item failures behind it."""
+
+    def __init__(self, message: str, failures: list[str]) -> None:
+        super().__init__(message)
+        self.failures = failures
+
+
 def _write_manifest(
-    output: Path,
+    path: Path,
     args: argparse.Namespace,
-    inputs: Sequence[Path],
+    inputs: Sequence[str],
     extra: Optional[dict] = None,
-    manifest_path: Optional[Path] = None,
 ) -> None:
     config = {
         key: value
@@ -151,16 +160,27 @@ def _write_manifest(
         "subcommand": args.subcommand,
         "seed": getattr(args, "seed", None),
         "config": config,
-        "inputs": {str(p): file_digest(p) for p in inputs},
+        "inputs": {str(Path(p)): file_digest(p) for p in inputs},
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     if extra:
         manifest.update(extra)
-    if manifest_path is None:
-        manifest_path = output.with_name(output.name + ".manifest.json")
-    manifest_path.write_text(
+    path.write_text(
         json.dumps(manifest, indent=2, default=str) + "\n", encoding="utf-8"
     )
+
+
+def _write_output(
+    args: argparse.Namespace,
+    records: Sequence,
+    inputs: Sequence[str],
+    extra: Optional[dict] = None,
+    path: Optional[str | Path] = None,
+) -> None:
+    """Write ``records`` to ``path`` (default ``--output``), then its manifest."""
+    out = Path(args.output if path is None else path)
+    write_records(records, out)
+    _write_manifest(out.with_name(out.name + ".manifest.json"), args, inputs, extra)
 
 
 def _read_corpus_checked(path: str | Path) -> list[IrFunction]:
@@ -174,7 +194,7 @@ def _read_corpus_checked(path: str | Path) -> list[IrFunction]:
 # subcommand handlers
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
+def _cmd_ingest(args: argparse.Namespace) -> list[str]:
     functions: list[IrFunction] = []
     failures: list[str] = []
     for raw_path in args.inputs:
@@ -198,38 +218,31 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 )
             except MalformedIrError as err:
                 failures.append(f"{path}:{row.id}: {err}")
-    for line in failures:
-        print(f"error: {line}", file=sys.stderr)
     if args.dedup:
         functions = dedup(functions)
     if not functions:
-        raise ValueError("no functions ingested")
+        raise _NothingWritten("no functions ingested", failures)
     if args.split:
         parts = split(functions, _parse_fractions(args.split), args.seed)
         outputs = {_derived_output(args.output, name): fns for name, fns in parts.items()}
     else:
         outputs = {args.output: functions}
-    inputs = [Path(p) for p in args.inputs]
     for out, fns in outputs.items():
-        write_records(fns, out)
-        _write_manifest(Path(out), args, inputs, {"corpus_stats": corpus_stats(fns)})
+        _write_output(args, fns, args.inputs, {"corpus_stats": corpus_stats(fns)}, out)
         print(f"wrote {len(fns)} functions to {out}")
     for key, value in corpus_stats(functions).items():
         print(f"{key} = {value}")
-    return EXIT_PARTIAL_FAILURE if failures else EXIT_OK
+    return failures
 
 
-def _cmd_gen_mini_corpus(args: argparse.Namespace) -> int:
+def _cmd_gen_mini_corpus(args: argparse.Namespace) -> list[str]:
     functions = generate_corpus(args.n, args.seed)
-    write_records(functions, args.output)
-    _write_manifest(
-        Path(args.output), args, [], {"corpus_stats": corpus_stats(functions)}
-    )
+    _write_output(args, functions, [], {"corpus_stats": corpus_stats(functions)})
     print(f"wrote {len(functions)} functions to {args.output}")
-    return EXIT_OK
+    return []
 
 
-def _cmd_autotune(args: argparse.Namespace) -> int:
+def _cmd_autotune(args: argparse.Namespace) -> list[str]:
     corpus = _read_corpus_checked(args.corpus)
     backend = _make_backend(args)
     budget = _resolve_budget(args)
@@ -243,33 +256,25 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
         broadcast=not args.no_broadcast,
         workers=args.workers,
     )
-    write_records(results, args.output)
-    _write_manifest(
-        Path(args.output), args, [Path(args.corpus)], {"stats": asdict(stats)}
-    )
+    _write_output(args, results, [args.corpus], {"stats": asdict(stats)})
     print(f"tuned {stats.functions_tuned} functions -> {args.output}")
     print(f"mean_evaluations_per_function = {stats.mean_evaluations_per_function:.2f}")
     print(f"overall_improvement_percent = {stats.overall_improvement_percent:.4f}")
-    if stats.baseline_failures:
-        for fid in stats.baseline_failures:
-            print(f"error: baseline failed to compile: {fid}", file=sys.stderr)
-        return EXIT_PARTIAL_FAILURE
-    return EXIT_OK
+    return [f"baseline failed to compile: {fid}" for fid in stats.baseline_failures]
 
 
-def _cmd_dataset(args: argparse.Namespace) -> int:
+def _cmd_dataset(args: argparse.Namespace) -> list[str]:
     corpus = _read_corpus_checked(args.corpus)
     tune_results = read_records(TuneResult, args.tune_results)
     backend = _make_backend(args)
     records, errors = build_pass_dataset(
         tune_results, corpus, backend, token_limit=args.token_limit
     )
-    write_records(records, args.output)
     truncated = sum(1 for r in records if r.truncated)
-    _write_manifest(
-        Path(args.output),
+    _write_output(
         args,
-        [Path(args.corpus), Path(args.tune_results)],
+        records,
+        [args.corpus, args.tune_results],
         {
             "corpus_stats": corpus_stats(corpus),
             "records": len(records),
@@ -278,12 +283,10 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
         },
     )
     print(f"wrote {len(records)} records to {args.output} ({truncated} truncated)")
-    for err in errors:
-        print(f"error: {err.function_id}: {err.message}", file=sys.stderr)
-    return EXIT_PARTIAL_FAILURE if errors else EXIT_OK
+    return [f"{err.function_id}: {err.message}" for err in errors]
 
 
-def _cmd_single_pass_dataset(args: argparse.Namespace) -> int:
+def _cmd_single_pass_dataset(args: argparse.Namespace) -> list[str]:
     corpus = _read_corpus_checked(args.corpus)
     backend = _make_backend(args)
     passes = _parse_passes(args.passes) if args.passes else backend.vocabulary.passes
@@ -296,13 +299,12 @@ def _cmd_single_pass_dataset(args: argparse.Namespace) -> int:
         seed=args.seed,
         token_limit=args.token_limit,
     )
-    write_records(records, args.output)
     expected = len(passes) * args.per_pass
     truncated = sum(1 for r in records if r.truncated)
-    _write_manifest(
-        Path(args.output),
+    _write_output(
         args,
-        [Path(args.corpus)],
+        records,
+        [args.corpus],
         {
             "corpus_stats": corpus_stats(corpus),
             "records": len(records),
@@ -312,24 +314,20 @@ def _cmd_single_pass_dataset(args: argparse.Namespace) -> int:
     )
     print(f"wrote {len(records)} records to {args.output} ({truncated} truncated)")
     if len(records) < expected:
-        print(
-            f"error: uniqueness shortfall: {len(records)} of {expected} records",
-            file=sys.stderr,
-        )
-        return EXIT_PARTIAL_FAILURE
-    return EXIT_OK
+        return [f"uniqueness shortfall: {len(records)} of {expected} records"]
+    return []
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
+def _cmd_predict(args: argparse.Namespace) -> list[str]:
     corpus = _read_corpus_checked(args.corpus)
-    inputs = [Path(args.corpus)]
+    inputs = [args.corpus]
     if args.method == "always-oz":
         predict = predict_always_oz
     elif args.method == "top-frequency":
         if not args.tune_results:
             raise ValueError("--method top-frequency requires --tune-results")
         table = build_frequency_table(read_records(TuneResult, args.tune_results))
-        inputs.append(Path(args.tune_results))
+        inputs.append(args.tune_results)
         predict = partial(predict_top_frequency, frequency_table=table)
     elif args.method == "retrieval":
         if not (args.tune_results and args.train_corpus):
@@ -338,14 +336,14 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             )
         train = _read_corpus_checked(args.train_corpus)
         index = RetrievalIndex.build(train, read_records(TuneResult, args.tune_results))
-        inputs.extend([Path(args.train_corpus), Path(args.tune_results)])
+        inputs.extend([args.train_corpus, args.tune_results])
         predict = partial(predict_retrieval, index=index)
     elif args.method == "file":
         if not args.predictions_file:
             raise ValueError("--method file requires --predictions-file")
         vocabulary = _make_backend(args).vocabulary
         predict = FilePredictor(args.predictions_file, vocabulary).predict
-        inputs.append(Path(args.predictions_file))
+        inputs.append(args.predictions_file)
     else:  # command
         if not args.command:
             raise ValueError("--method command requires --command")
@@ -362,64 +360,50 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             failures.append(f"{fn.id}: no prediction in file")
         except ExternalPredictorError as err:
             failures.append(f"{fn.id}: {err}")
-    write_records(predictions, args.output)
-    _write_manifest(Path(args.output), args, inputs)
+    _write_output(args, predictions, inputs)
     print(f"wrote {len(predictions)} predictions to {args.output}")
-    for line in failures:
-        print(f"error: {line}", file=sys.stderr)
-    return EXIT_PARTIAL_FAILURE if failures else EXIT_OK
+    return failures
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
     corpus = _read_corpus_checked(args.corpus)
     backend = _make_backend(args)
-    inputs = [Path(args.corpus), Path(args.predictions)]
     predictions = read_records(Prediction, args.predictions)
     summary, rows = evaluate_predictions(
         predictions, corpus, backend, use_oz_backup=args.oz_backup
     )
-    write_records(rows, args.output)
-    summary_path = (
-        Path(args.summary) if args.summary else _derived_output(args.output, "summary")
-    )
     values = summary.flat()
-    write_summary(values, summary_path)
-    _write_manifest(Path(args.output), args, inputs, {"summary": values})
+    write_summary(values, args.summary or _derived_output(args.output, "summary"))
+    _write_output(args, rows, [args.corpus, args.predictions], {"summary": values})
     for key, value in values.items():
         print(f"{key} = {value}")
     missing = sum(1 for row in rows if row.prediction_missing)
-    if missing:
-        print(f"error: {missing} functions had no prediction", file=sys.stderr)
-        return EXIT_PARTIAL_FAILURE
-    return EXIT_OK
+    return [f"{missing} functions had no prediction"] if missing else []
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> list[str]:
     rows = read_records(EvalRow, args.rows)
     if not rows:
         raise ValueError(f"rows file {args.rows} is empty")
     predictions = read_records(Prediction, args.predictions)
     tune_results = read_records(TuneResult, args.tune_results)
     bundle = reports(rows, predictions, tune_results)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = write_report_csvs(bundle, out_dir)
+    paths = write_report_csvs(bundle, args.output_dir)
     _write_manifest(
-        out_dir,
+        Path(args.output_dir, "manifest.json"),
         args,
-        [Path(args.rows), Path(args.predictions), Path(args.tune_results)],
+        [args.rows, args.predictions, args.tune_results],
         {
             "novel_lists": bundle.novel_list_count,
             "beats_autotuner": bundle.beats_autotuner,
             "files": [p.name for p in paths],
         },
-        manifest_path=out_dir / "manifest.json",
     )
     for path in paths:
         print(f"wrote {path}")
     print(f"novel_lists = {bundle.novel_list_count}")
     print(f"beats_autotuner = {bundle.beats_autotuner}")
-    return EXIT_OK
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--config",
         type=Path,
         default=None,
-        help="JSON file of flag defaults (explicit flags win)",
+        help="JSON file whose keys are flags of this subcommand (explicit flags win)",
     )
     common.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
 
@@ -663,15 +647,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_expand_config(argv))
-        return args.handler(args)
+        failures, code = args.handler(args), EXIT_PARTIAL_FAILURE
     except SystemExit as err:  # argparse --help/--version or usage error
         return EXIT_OK if err.code in (0, None) else EXIT_CONFIG_ERROR
     except BackendUnavailableError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BACKEND_ERROR
+        failures, code = [err], EXIT_BACKEND_ERROR
     except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        failures, code = [*getattr(err, "failures", []), err], EXIT_CONFIG_ERROR
+    for line in failures:
+        print(f"error: {line}", file=sys.stderr)
+    return code if failures else EXIT_OK
 
 
 if __name__ == "__main__":

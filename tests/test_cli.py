@@ -66,6 +66,17 @@ def test_unknown_flag_is_a_usage_error(corpus_file, tmp_path):
                tmp_path / "x.jsonl", "--bogus") == 2
 
 
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("\n## Quick start\n", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("passtune ")]
+    assert len(commands) == 6
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+
+
 # --- ingest -----------------------------------------------------------------
 
 
@@ -111,6 +122,18 @@ def test_ingest_reports_partial_failure(tmp_path, capsys):
     assert run("ingest", good, bad, "--output", out) == 4
     assert len(read_corpus(out)) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_ingest_without_a_good_function_still_names_each_failure(tmp_path, capsys):
+    bad = tmp_path / "bad.ll"
+    bad.write_text("this is not IR\n")
+    out = tmp_path / "corpus.jsonl"
+    assert run("ingest", bad, "--output", out) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":", 1)[0] for line in lines] == ["error", "error"]
+    assert lines[0].startswith(f"error: {bad}:bad: ")
+    assert lines[1] == "error: no functions ingested"
+    assert not out.exists()
 
 
 def test_ingest_split_writes_disjoint_parts(tmp_path):
@@ -260,6 +283,71 @@ def test_manifest_contents(tmp_path, corpus_file, tuned_file):
     assert manifest["inputs"] == {str(corpus_file): file_digest(corpus_file)}
     assert "created" in manifest
     assert "stats" in manifest
+
+
+# case id -> (command line, the inputs its manifest names, in order)
+MANIFEST_INPUTS = {
+    "ingest": ("ingest {raw} --output {out}", ["raw"]),
+    "gen-mini-corpus": ("gen-mini-corpus --n 2 --output {out}", []),
+    "autotune": (
+        "autotune --corpus {corpus} --output {out} --budget-evals 1", ["corpus"]
+    ),
+    "dataset": (
+        "dataset --corpus {corpus} --tune-results {tuned} --output {out}",
+        ["corpus", "tuned"],
+    ),
+    "single-pass-dataset": (
+        "single-pass-dataset --corpus {corpus} --output {out} --passes=-dce"
+        " --per-pass 1",
+        ["corpus"],
+    ),
+    "evaluate": (
+        "evaluate --corpus {corpus} --predictions {preds} --output {out}",
+        ["corpus", "preds"],
+    ),
+    "report": (
+        "report --rows {rows} --predictions {preds} --tune-results {tuned}"
+        " --output-dir {out}",
+        ["rows", "preds", "tuned"],
+    ),
+    "predict-always-oz": (
+        "predict --corpus {corpus} --method always-oz --output {out}", ["corpus"]
+    ),
+    "predict-top-frequency": (
+        "predict --corpus {corpus} --method top-frequency --tune-results {tuned}"
+        " --output {out}",
+        ["corpus", "tuned"],
+    ),
+    "predict-retrieval": (
+        "predict --corpus {corpus} --method retrieval --tune-results {tuned}"
+        " --train-corpus {train} --output {out}",
+        ["corpus", "train", "tuned"],
+    ),
+    "predict-file": (
+        "predict --corpus {corpus} --method file --predictions-file {preds}"
+        " --output {out}",
+        ["corpus", "preds"],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv,kinds", MANIFEST_INPUTS.values(), ids=MANIFEST_INPUTS.keys()
+)
+def test_manifest_inputs_are_the_files_read(tmp_path, input_files, argv, kinds):
+    names = {key: str(path) for key, path in input_files.items()}
+    names["train"] = str(tmp_path / "train.jsonl")  # not the corpus file itself
+    shutil.copy(input_files["train"], names["train"])
+    out = tmp_path / "out"
+    assert run(*(arg.format(out=out, **names) for arg in argv.split())) == 0
+    manifest_path = (
+        out / "manifest.json" if argv.startswith("report")
+        else out.with_name("out.manifest.json")
+    )
+    manifest = json.loads(manifest_path.read_text())
+    assert list(manifest["inputs"].items()) == [
+        (names[kind], file_digest(names[kind])) for kind in kinds
+    ]
 
 
 # --- config files -----------------------------------------------------------
@@ -541,6 +629,47 @@ def test_a_malformed_input_row_is_a_config_error(
     err = capsys.readouterr().err
     assert f"{bad}:2: " in err
     assert "Traceback" not in err
+
+
+@pytest.fixture
+def xor_corpus(tmp_path, corpus_file):
+    """The generated corpus plus one ingested function, ``xor``, whose
+    instruction the mini backend cannot parse."""
+    ll = tmp_path / "xor.ll"
+    ll.write_text("define i32 @xorf(i32 %a) {\n  %x = xor i32 %a, 5\n  ret i32 %x\n}\n")
+    ingested = tmp_path / "xor.jsonl"
+    assert run("ingest", ll, "--output", ingested) == 0
+    path = tmp_path / "xor-corpus.jsonl"
+    path.write_text(corpus_file.read_text() + ingested.read_text())
+    return path
+
+
+@pytest.mark.parametrize("subcommand", ["autotune", "dataset"])
+def test_partial_failures_exit_4_and_still_write(
+    tmp_path, xor_corpus, tuned_file, capsys, subcommand
+):
+    out = tmp_path / "out.jsonl"
+    if subcommand == "autotune":
+        argv = ["--budget-evals", 2, "--max-len", 1]
+        error = "error: baseline failed to compile: xor\n"
+    else:
+        tuned = tmp_path / "xor-tuned.jsonl"
+        row = {
+            "function_id": "xor",
+            "baseline_pass_list": "-Oz",
+            "baseline_count": 2,
+            "best_pass_list": "-Oz",
+            "best_count": 2,
+            "evaluations_used": 1,
+        }
+        tuned.write_text(tuned_file.read_text() + json.dumps(row) + "\n")
+        argv = ["--tune-results", tuned]
+        error = "error: xor: unsupported instruction 'xor'\n"
+    capsys.readouterr()
+    assert run(subcommand, "--corpus", xor_corpus, "--output", out, *argv) == 4
+    assert capsys.readouterr().err == error
+    assert len(list(read_jsonl(out))) == 12  # every function but xor
+    assert out.with_name(out.name + ".manifest.json").exists()
 
 
 def test_unavailable_llvm_backend_maps_to_exit_3(tmp_path, corpus_file):

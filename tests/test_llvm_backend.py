@@ -152,6 +152,15 @@ def test_a_timeout_that_is_not_positive_is_rejected(stub_opt, timeout):
         LlvmBackend(stub_opt, timeout=timeout)
 
 
+def test_start_up_queries_do_not_use_the_compile_timeout(tmp_path):
+    # Starting the stub takes far longer than 1 ms; only compiles get that limit.
+    backend = LlvmBackend(write_stub(tmp_path, omit=("-die",)), timeout=0.001)
+    assert backend.timeout == 0.001
+    listed = set(llvm10_vocabulary().all_flags) - {"-die"}
+    assert set(backend.vocabulary.all_flags) == listed
+    assert "10.0.0" in backend.version()
+
+
 def test_apply_unparseable_output_is_failure(stub_opt, sample_ir):
     backend = LlvmBackend(stub_opt, extra_args=("--stub-garbage",))
     outcome = compile_items(backend, sample_ir, ())
