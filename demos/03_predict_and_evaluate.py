@@ -73,16 +73,18 @@ print()
 # tuned versus predicted lists, list-length profiles, improvement by
 # source dataset and by input size, and lists the tuner never produced.
 
-bundle = reports(rows_by_name["retrieval"], predictions_by_name["retrieval"], results)
+tables, beats = reports(
+    rows_by_name["retrieval"], predictions_by_name["retrieval"], results
+)
 print("top flags by autotuner containment share:")
-for row in bundle.pass_frequency[:5]:
-    print(f"  {row.flag:<14} tuner {row.autotuner_frequency:5.1%}   "
-          f"predictor {row.predictor_frequency:5.1%}")
-print(f"novel predicted lists: {bundle.novel_list_count}")
-print(f"functions where the prediction beat the tuner: {bundle.beats_autotuner}")
+for flag, tuner, predictor in tables["pass_frequency.csv"][1:6]:
+    print(f"  {flag:<14} tuner {float(tuner):5.1%}   "
+          f"predictor {float(predictor):5.1%}")
+print(f"novel predicted lists: {len(tables['novel_lists.csv']) - 1}")
+print(f"functions where the prediction beat the tuner: {beats}")
 
 out_dir = Path(tempfile.mkdtemp(prefix="passtune-report-"))
-for path in write_report_csvs(bundle, out_dir):
+for path in write_report_csvs(tables, out_dir):
     print(f"wrote {path}")
 print()
 print("same flow on files: passtune predict / passtune evaluate / passtune report")

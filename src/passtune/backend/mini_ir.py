@@ -149,6 +149,7 @@ def clone_function(fn: Function) -> Function:
 
 _NAME = r"[\w.$-]+"
 _TY = "|".join(INT_TYPES)
+_BINOP = "|".join(BINOPS)
 _PRED = "|".join(ICMP_PREDS)
 _R_DEFINE = re.compile(rf"^define ({_TY}|void) @({_NAME})\((.*)\) {{$")
 _R_PARAM = re.compile(rf"^({_TY}) %({_NAME})$")
@@ -156,7 +157,7 @@ _R_LABEL = re.compile(rf"^({_NAME}):$")
 _R_ALLOCA = re.compile(rf"^%({_NAME}) = alloca ({_TY})$")
 _R_STORE = re.compile(rf"^store ({_TY}) (\S+), ({_TY})\* %({_NAME})$")
 _R_LOAD = re.compile(rf"^%({_NAME}) = load ({_TY}), ({_TY})\* %({_NAME})$")
-_R_BINOP = re.compile(rf"^%({_NAME}) = (add|sub|mul) ({_TY}) (\S+), (\S+)$")
+_R_BINOP = re.compile(rf"^%({_NAME}) = ({_BINOP}) ({_TY}) (\S+), (\S+)$")
 _R_ICMP = re.compile(rf"^%({_NAME}) = icmp ({_PRED}) ({_TY}) (\S+), (\S+)$")
 _R_BR_COND = re.compile(rf"^br i1 (\S+), label %({_NAME}), label %({_NAME})$")
 _R_BR = re.compile(rf"^br label %({_NAME})$")

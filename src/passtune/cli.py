@@ -24,6 +24,7 @@ import argparse
 import json
 import shlex
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import partial
@@ -136,7 +137,7 @@ def _derived_output(output: str | Path, tag: str) -> Path:
 
 
 class _NothingWritten(ValueError):
-    """No output to write; ``failures`` are the per-item failures behind it."""
+    """No output to write; ``failures`` are the per-item failures found first."""
 
     def __init__(self, message: str, failures: list[str]) -> None:
         super().__init__(message)
@@ -222,6 +223,11 @@ def _cmd_ingest(args: argparse.Namespace) -> list[str]:
         functions = dedup(functions)
     if not functions:
         raise _NothingWritten("no functions ingested", failures)
+    ids = Counter(fn.id for fn in functions)
+    repeated = [fid for fid, n in ids.items() if n > 1]
+    if repeated:
+        message = f"repeated function id(s): {', '.join(repeated)}"
+        raise _NothingWritten(message, failures)
     if args.split:
         parts = split(functions, _parse_fractions(args.split), args.seed)
         outputs = {_derived_output(args.output, name): fns for name, fns in parts.items()}
@@ -377,8 +383,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
     _write_output(args, rows, [args.corpus, args.predictions], {"summary": values})
     for key, value in values.items():
         print(f"{key} = {value}")
+    scored = {row.function_id for row in rows}
+    failures = [
+        f"baseline failed to compile: {fn.id}" for fn in corpus if fn.id not in scored
+    ]
     missing = sum(1 for row in rows if row.prediction_missing)
-    return [f"{missing} functions had no prediction"] if missing else []
+    return failures + ([f"{missing} functions had no prediction"] if missing else [])
 
 
 def _cmd_report(args: argparse.Namespace) -> list[str]:
@@ -387,22 +397,23 @@ def _cmd_report(args: argparse.Namespace) -> list[str]:
         raise ValueError(f"rows file {args.rows} is empty")
     predictions = read_records(Prediction, args.predictions)
     tune_results = read_records(TuneResult, args.tune_results)
-    bundle = reports(rows, predictions, tune_results)
-    paths = write_report_csvs(bundle, args.output_dir)
+    tables, beats = reports(rows, predictions, tune_results)
+    novel = len(tables["novel_lists.csv"]) - 1  # less the header row
+    paths = write_report_csvs(tables, args.output_dir)
     _write_manifest(
         Path(args.output_dir, "manifest.json"),
         args,
         [args.rows, args.predictions, args.tune_results],
         {
-            "novel_lists": bundle.novel_list_count,
-            "beats_autotuner": bundle.beats_autotuner,
+            "novel_lists": novel,
+            "beats_autotuner": beats,
             "files": [p.name for p in paths],
         },
     )
     for path in paths:
         print(f"wrote {path}")
-    print(f"novel_lists = {bundle.novel_list_count}")
-    print(f"beats_autotuner = {bundle.beats_autotuner}")
+    print(f"novel_lists = {novel}")
+    print(f"beats_autotuner = {beats}")
     return []
 
 

@@ -3,9 +3,9 @@
 One loop, :func:`evaluate_predictions`, scores a pass list against -Oz
 (functions improved/regressed, savings, overall improvement) and any
 claims that come with it (compile rate, error histogram, exact match,
-BLEU, count MAPE). The reports add pass frequency, list lengths,
-improvement by source dataset and input size, novel lists, and
-beats-the-autotuner counts.
+BLEU, count MAPE). :func:`reports` turns its rows into the report's
+tables (pass frequency, list lengths, improvement by source dataset and
+by input size, novel lists) and counts the functions that beat the tuner.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from passtune.backend import (
     Backend,
@@ -169,9 +169,10 @@ def evaluate_predictions(
 ) -> tuple[EvalSummary, list[EvalRow]]:
     """Compile each predicted list and score it against -Oz.
 
-    -Oz is compiled once per function, and so is each valid non-Oz list.
-    Functions without a prediction are scored as -Oz and flagged, as are
-    predictions whose list is invalid or fails to compile. With the
+    -Oz is compiled once per function, and so is each valid non-Oz list;
+    a function whose -Oz fails to compile gets no row. Functions without
+    a prediction are scored as -Oz and flagged, as are predictions that
+    failed to parse or whose list is invalid or fails to compile. With the
     backup protocol each compiled list is charged as one additional
     compilation and kept only if strictly smaller than -Oz, so nothing
     regresses. The claims a prediction carries are scored in the same
@@ -194,7 +195,7 @@ def evaluate_predictions(
     for fn in corpus:
         oz = compile_items(backend, fn.ir, OZ_ITEMS)
         if not oz.ok:
-            raise ValueError(f"-Oz failed on function {fn.id!r}")
+            continue
         predicted_count = oz_count = oz.instruction_count
         failed = False
         pred = by_id.get(fn.id)
@@ -216,7 +217,7 @@ def evaluate_predictions(
                         compiled = None
                     elif not use_oz_backup or compiled.instruction_count < oz_count:
                         predicted_count = compiled.instruction_count
-                failed = compiled is None
+            failed = pred.parse_failed or compiled is None
             if pred.predicted_code is not None:
                 code = normalize(pred.predicted_code)
                 check = compile_items(backend, code, ())
@@ -283,72 +284,40 @@ def summarize_rows(rows: Sequence[EvalRow], additional_compilations: int) -> Eva
     )
 
 
-@dataclass(frozen=True)
-class PassFrequencyRow:
-    flag: str
-    autotuner_frequency: float
-    predictor_frequency: float
-
-
-@dataclass(frozen=True)
-class LengthStats:
-    """Pass-list length profile; mean/max exclude the bare [-Oz] lists."""
-
-    share_bare_oz: float
-    mean_length: float
-    max_length: int
-
-
-@dataclass(frozen=True)
-class ReportBundle:
-    """The breakdowns; each group is scored by :func:`summarize_rows`."""
-
-    pass_frequency: tuple[PassFrequencyRow, ...]
-    autotuner_lengths: LengthStats
-    predictor_lengths: LengthStats
-    by_dataset: tuple[tuple[str, EvalSummary], ...]
-    by_size_bucket: tuple[tuple[str, EvalSummary], ...]
-    novel_lists: tuple[str, ...]
-    beats_autotuner: int
-
-    @property
-    def novel_list_count(self) -> int:
-        return len(self.novel_lists)
-
-
 def _contain_frequencies(lists: Sequence[tuple[str, ...]]) -> dict[str, float]:
-    if not lists:
-        return {}
-    counts: Counter[str] = Counter()
-    for items in lists:
-        for flag in set(items):
-            counts[flag] += 1
+    """The share of ``lists`` that contain each flag."""
+    counts = Counter(flag for items in lists for flag in set(items))
     return {flag: c / len(lists) for flag, c in counts.items()}
 
 
-def _length_stats(lists: Sequence[tuple[str, ...]]) -> LengthStats:
-    if not lists:
-        return LengthStats(0.0, 0.0, 0)
-    bare = sum(1 for items in lists if items == OZ_ITEMS)
-    rest = [len(items) for items in lists if items != OZ_ITEMS]
-    return LengthStats(
-        share_bare_oz=bare / len(lists),
-        mean_length=sum(rest) / len(rest) if rest else 0.0,
-        max_length=max(rest) if rest else 0,
-    )
-
-
-def _size_bucket(count: int) -> str:
-    low = 1 << max(count, 1).bit_length() - 1
-    return f"[{low},{low * 2})"
+def _improvement_table(
+    rows: Sequence[EvalRow], key: Callable[[EvalRow], Any], label: Callable[[Any], str]
+) -> list[list[str]]:
+    """One line per group of ``rows`` sharing ``key``, in key order."""
+    groups: dict[Any, list[EvalRow]] = {}
+    for row in rows:
+        groups.setdefault(key(row), []).append(row)
+    table = [["group", "functions", "sum_oz", "sum_predicted", "improvement_percent"]]
+    for value in sorted(groups):
+        s = summarize_rows(groups[value], 0)
+        counts = (s.total_functions, s.sum_oz, s.sum_predicted)
+        table.append([label(value), *map(str, counts), f"{s.overall_improvement:.4f}"])
+    return table
 
 
 def reports(
     rows: Sequence[EvalRow],
     predictions: Sequence[Prediction],
     tune_results: Sequence,
-) -> ReportBundle:
-    """Build the figure-style breakdowns from completed evaluation rows."""
+) -> tuple[dict[str, list[list[str]]], int]:
+    """The report's CSV tables and how often a prediction beat the tuner.
+
+    The tables are keyed by file name; each starts with its header row and
+    holds its cells as they are written. The count is of functions with a
+    row and a tune result whose predicted count is below the tuned best.
+    List lengths leave out the bare [-Oz] lists, and input sizes fall in
+    power-of-two buckets.
+    """
     if not rows:
         raise ValueError("no rows to report on")
     tuned_lists = [tuple(r.best_pass_list.split()) for r in tune_results]
@@ -360,33 +329,27 @@ def reports(
         set(auto_freq) | set(pred_freq),
         key=lambda f: (-auto_freq.get(f, 0.0), f),
     )
-    frequency_rows = tuple(
-        PassFrequencyRow(f, auto_freq.get(f, 0.0), pred_freq.get(f, 0.0))
+    frequency = [["flag", "autotuner_frequency", "predictor_frequency"]]
+    frequency += [
+        [f, f"{auto_freq.get(f, 0.0):.6f}", f"{pred_freq.get(f, 0.0):.6f}"]
         for f in flags
-    )
+    ]
 
-    by_dataset_groups: dict[str, list[EvalRow]] = {}
-    for row in rows:
-        by_dataset_groups.setdefault(row.source_dataset, []).append(row)
-    by_dataset = tuple(
-        (name, summarize_rows(group, 0))
-        for name, group in sorted(by_dataset_groups.items())
-    )
-
-    by_bucket_groups: dict[str, list[EvalRow]] = {}
-    for row in rows:
-        by_bucket_groups.setdefault(_size_bucket(row.unopt_count), []).append(row)
-    by_size = tuple(
-        (name, summarize_rows(group, 0))
-        for name, group in sorted(
-            by_bucket_groups.items(), key=lambda kv: int(kv[0][1:].split(",")[0])
+    lengths = [["source", "share_bare_oz", "mean_length", "max_length"]]
+    for source, lists in (("autotuner", tuned_lists), ("predictor", predicted_lists)):
+        rest = [len(items) for items in lists if items != OZ_ITEMS]
+        bare = len(lists) - len(rest)
+        lengths.append(
+            [
+                source,
+                f"{bare / len(lists) if lists else 0.0:.6f}",
+                f"{sum(rest) / len(rest) if rest else 0.0:.6f}",
+                str(max(rest, default=0)),
+            ]
         )
-    )
 
     tuned_set = set(tuned_lists)
-    novel = tuple(
-        sorted({" ".join(items) for items in predicted_lists if items not in tuned_set})
-    )
+    novel = sorted({" ".join(p) for p in predicted_lists if p not in tuned_set})
     tuned_best = {r.function_id: r.best_count for r in tune_results}
     row_by_id = {r.function_id: r for r in rows}
     beats = sum(
@@ -394,15 +357,20 @@ def reports(
         for fid, best in tuned_best.items()
         if fid in row_by_id and row_by_id[fid].predicted_count < best
     )
-    return ReportBundle(
-        pass_frequency=frequency_rows,
-        autotuner_lengths=_length_stats(tuned_lists),
-        predictor_lengths=_length_stats(predicted_lists),
-        by_dataset=by_dataset,
-        by_size_bucket=by_size,
-        novel_lists=novel,
-        beats_autotuner=beats,
-    )
+    tables = {
+        "pass_frequency.csv": frequency,
+        "list_lengths.csv": lengths,
+        "improvement_by_dataset.csv": _improvement_table(
+            rows, lambda r: r.source_dataset, str
+        ),
+        "improvement_by_size.csv": _improvement_table(
+            rows,
+            lambda r: 1 << max(r.unopt_count, 1).bit_length() - 1,
+            lambda low: f"[{low},{low * 2})",
+        ),
+        "novel_lists.csv": [["pass_list"]] + [[item] for item in novel],
+    }
+    return tables, beats
 
 
 def write_summary(values: Mapping[str, object], path: str | Path) -> None:
@@ -412,65 +380,16 @@ def write_summary(values: Mapping[str, object], path: str | Path) -> None:
             fh.write(f"{key} = {value}\n")
 
 
-def write_report_csvs(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
-    """One CSV per breakdown; returns the paths written."""
+def write_report_csvs(
+    tables: Mapping[str, list[list[str]]], out_dir: str | Path
+) -> list[Path]:
+    """Write each table to ``out_dir/<name>``; returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-
-    def _write(name: str, header: list[str], rows: Iterable[Sequence]) -> None:
+    for name, table in tables.items():
         path = out / name
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            csv.writer(fh).writerows(table)
         written.append(path)
-
-    _write(
-        "pass_frequency.csv",
-        ["flag", "autotuner_frequency", "predictor_frequency"],
-        (
-            (r.flag, f"{r.autotuner_frequency:.6f}", f"{r.predictor_frequency:.6f}")
-            for r in bundle.pass_frequency
-        ),
-    )
-    _write(
-        "list_lengths.csv",
-        ["source", "share_bare_oz", "mean_length", "max_length"],
-        (
-            (
-                name,
-                f"{stats.share_bare_oz:.6f}",
-                f"{stats.mean_length:.6f}",
-                stats.max_length,
-            )
-            for name, stats in (
-                ("autotuner", bundle.autotuner_lengths),
-                ("predictor", bundle.predictor_lengths),
-            )
-        ),
-    )
-    for name, groups in (
-        ("improvement_by_dataset.csv", bundle.by_dataset),
-        ("improvement_by_size.csv", bundle.by_size_bucket),
-    ):
-        _write(
-            name,
-            ["group", "functions", "sum_oz", "sum_predicted", "improvement_percent"],
-            (
-                (
-                    group,
-                    s.total_functions,
-                    s.sum_oz,
-                    s.sum_predicted,
-                    f"{s.overall_improvement:.4f}",
-                )
-                for group, s in groups
-            ),
-        )
-    _write(
-        "novel_lists.csv",
-        ["pass_list"],
-        ((item,) for item in bundle.novel_lists),
-    )
     return written

@@ -215,6 +215,15 @@ def read_corpus(path: str | Path) -> list[IrFunction]:
     """Read and validate a corpus: the one place its text is checked.
 
     Every row's ``normalized_text`` must be a fixed point of
-    :func:`normalize`, so later stages can compile ``fn.ir`` as it is.
+    :func:`normalize`, so later stages can compile ``fn.ir`` as it is,
+    and no two rows may share an ``id``, which later stages key on.
     """
-    return read_records(IrFunction, path, check=IrFunction.validate)
+    seen: set[str] = set()
+
+    def check(fn: IrFunction) -> None:
+        fn.validate()
+        if fn.id in seen:
+            raise ValueError(f"repeated function id {fn.id!r}")
+        seen.add(fn.id)
+
+    return read_records(IrFunction, path, check=check)

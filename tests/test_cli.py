@@ -162,6 +162,45 @@ def test_ingest_dedup_drops_copies(tmp_path):
     assert len(read_corpus(out)) == 1
 
 
+@pytest.fixture
+def same_stem(tmp_path):
+    """Two different functions in ``a/f.ll`` and ``b/f.ll``: both get id ``f``."""
+    paths = []
+    for folder, body in (("a", "ret i32 %a"), ("b", "%x = add i32 %a, 1\nret i32 %x")):
+        (tmp_path / folder).mkdir()
+        path = tmp_path / folder / "f.ll"
+        path.write_text(f"define i32 @f(i32 %a) {{\n{body}\n}}\n")
+        paths.append(path)
+    return paths
+
+
+def test_ingest_rejects_a_repeated_id_and_writes_nothing(tmp_path, same_stem, capsys):
+    out = tmp_path / "corpus.jsonl"
+    capsys.readouterr()
+    assert run("ingest", *same_stem, "--output", out, "--dedup") == 2
+    assert capsys.readouterr().err == "error: repeated function id(s): f\n"
+    assert not out.exists()
+    assert not out.with_name(out.name + ".manifest.json").exists()
+
+
+def test_a_corpus_with_a_repeated_id_is_a_config_error(tmp_path, same_stem, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    for n, path in enumerate(same_stem):
+        part = tmp_path / f"part{n}.jsonl"
+        assert run("ingest", path, "--output", part) == 0
+        with open(corpus, "a") as fh:
+            fh.write(part.read_text())
+    capsys.readouterr()
+    assert run(
+        "autotune", "--corpus", corpus, "--output", tmp_path / "out.jsonl",
+        "--budget-evals", 1,
+    ) == 2
+    assert capsys.readouterr().err == (
+        f"error: {corpus}:2: repeated function id 'f'\n"
+    )
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 # --- pipeline ---------------------------------------------------------------
 
 
@@ -644,13 +683,21 @@ def xor_corpus(tmp_path, corpus_file):
     return path
 
 
-@pytest.mark.parametrize("subcommand", ["autotune", "dataset"])
+@pytest.mark.parametrize("subcommand", ["autotune", "dataset", "evaluate"])
 def test_partial_failures_exit_4_and_still_write(
     tmp_path, xor_corpus, tuned_file, capsys, subcommand
 ):
     out = tmp_path / "out.jsonl"
     if subcommand == "autotune":
         argv = ["--budget-evals", 2, "--max-len", 1]
+        error = "error: baseline failed to compile: xor\n"
+    elif subcommand == "evaluate":
+        preds = tmp_path / "preds.jsonl"
+        assert run(
+            "predict", "--corpus", xor_corpus, "--method", "always-oz",
+            "--output", preds,
+        ) == 0
+        argv = ["--predictions", preds]
         error = "error: baseline failed to compile: xor\n"
     else:
         tuned = tmp_path / "xor-tuned.jsonl"
@@ -670,6 +717,8 @@ def test_partial_failures_exit_4_and_still_write(
     assert capsys.readouterr().err == error
     assert len(list(read_jsonl(out))) == 12  # every function but xor
     assert out.with_name(out.name + ".manifest.json").exists()
+    if subcommand == "evaluate":
+        assert (tmp_path / "out.summary.jsonl").exists()
 
 
 def test_unavailable_llvm_backend_maps_to_exit_3(tmp_path, corpus_file):

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from dataclasses import asdict, replace
@@ -15,8 +16,9 @@ from passtune.evaluator import (
     overall_improvement,
     summarize_rows,
 )
+from passtune.ircore import IrFunction
 from passtune.minigen import generate_function
-from passtune.predictor import Prediction, predict_always_oz
+from passtune.predictor import FilePredictor, Prediction, predict_always_oz
 from test_predictor import PoisonBackend
 
 DATA_TYPE_ERROR = (
@@ -308,6 +310,29 @@ def test_invalid_pass_list_scores_as_oz_and_flags(backend, corpus20):
     assert rows[0].prediction_failed
     assert rows[0].delta == 0
     assert summary.functions_regressed == 0
+
+
+def test_a_prediction_that_failed_to_parse_is_flagged(backend, corpus20, tmp_path):
+    fn = corpus20[0]
+    answers = tmp_path / "answers.jsonl"
+    answers.write_text(json.dumps({"function_id": fn.id, "answer": "-nope"}) + "\n")
+    pred = FilePredictor(answers, backend.vocabulary).predict(fn)
+    assert (pred.pass_list, pred.parse_failed) == ("-Oz", True)
+    summary, rows = evaluate_predictions([pred], [fn], backend)
+    assert rows[0].prediction_failed
+    assert rows[0].delta == 0
+    assert summary.functions_regressed == 0
+
+
+def test_a_function_whose_oz_fails_gets_no_row(backend, corpus20):
+    xor = IrFunction.from_raw(
+        "xor", "ingest", "define i32 @xorf(i32 %a) {\n%x = xor i32 %a, 5\nret i32 %x\n}"
+    )
+    corpus = [corpus20[0], xor, corpus20[1]]
+    predictions = [predict_always_oz(fn) for fn in corpus]
+    summary, rows = evaluate_predictions(predictions, corpus, backend)
+    assert [r.function_id for r in rows] == [corpus20[0].id, corpus20[1].id]
+    assert summary.total_functions == 2
 
 
 def test_unknown_prediction_id_raises(backend, corpus20):

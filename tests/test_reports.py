@@ -47,79 +47,79 @@ def bundle_inputs():
 
 
 def test_pass_frequency_is_containment_share(bundle_inputs):
-    rows, predictions, tune_results = bundle_inputs
-    bundle = reports(rows, predictions, tune_results)
-    freq = {r.flag: r for r in bundle.pass_frequency}
-    assert freq["-Oz"].autotuner_frequency == pytest.approx(0.75)
-    assert freq["-mem2reg"].autotuner_frequency == pytest.approx(0.5)
-    assert freq["-dce"].autotuner_frequency == pytest.approx(0.25)
-    assert freq["-gvn"].autotuner_frequency == pytest.approx(0.25)
-    assert freq["-Oz"].predictor_frequency == pytest.approx(0.75)
-    assert freq["-mem2reg"].predictor_frequency == pytest.approx(0.5)
-    assert freq["-dce"].predictor_frequency == 0.0
+    tables, _ = reports(*bundle_inputs)
+    header, *lines = tables["pass_frequency.csv"]
+    assert header == ["flag", "autotuner_frequency", "predictor_frequency"]
+    freq = {flag: (tuner, predictor) for flag, tuner, predictor in lines}
+    assert freq["-Oz"] == ("0.750000", "0.750000")
+    assert freq["-mem2reg"] == ("0.500000", "0.500000")
+    assert freq["-dce"] == ("0.250000", "0.000000")
+    assert freq["-gvn"][0] == "0.250000"
     # ordered by descending autotuner share, then flag
-    assert [r.flag for r in bundle.pass_frequency][:2] == ["-Oz", "-mem2reg"]
+    assert [flag for flag, _, _ in lines][:2] == ["-Oz", "-mem2reg"]
 
 
 def test_length_stats_exclude_bare_oz(bundle_inputs):
-    rows, predictions, tune_results = bundle_inputs
-    bundle = reports(rows, predictions, tune_results)
-    auto = bundle.autotuner_lengths
-    assert auto.share_bare_oz == pytest.approx(0.5)
-    assert auto.mean_length == pytest.approx(2.5)  # lengths 2 and 3
-    assert auto.max_length == 3
-    pred = bundle.predictor_lengths
-    assert pred.share_bare_oz == pytest.approx(0.5)
-    assert pred.mean_length == pytest.approx(1.5)  # lengths 1 and 2
-    assert pred.max_length == 2
+    tables, _ = reports(*bundle_inputs)
+    assert tables["list_lengths.csv"] == [
+        ["source", "share_bare_oz", "mean_length", "max_length"],
+        ["autotuner", "0.500000", "2.500000", "3"],  # lengths 2 and 3
+        ["predictor", "0.500000", "1.500000", "2"],  # lengths 1 and 2
+    ]
+
+
+def test_length_stats_of_no_lists_are_zero(bundle_inputs):
+    rows, _, _ = bundle_inputs
+    tables, beats = reports(rows, [], [])
+    assert tables["list_lengths.csv"][1:] == [
+        ["autotuner", "0.000000", "0.000000", "0"],
+        ["predictor", "0.000000", "0.000000", "0"],
+    ]
+    assert tables["pass_frequency.csv"] == [
+        ["flag", "autotuner_frequency", "predictor_frequency"]
+    ]
+    assert beats == 0
 
 
 def test_dataset_groups_recombine_to_global(bundle_inputs):
     rows, predictions, tune_results = bundle_inputs
-    bundle = reports(rows, predictions, tune_results)
-    assert [name for name, _ in bundle.by_dataset] == ["suite/x", "suite/y"]
-    groups = [g for _, g in bundle.by_dataset]
-    assert sum(g.total_functions for g in groups) == len(rows)
-    assert sum(g.sum_oz for g in groups) == sum(r.oz_count for r in rows)
-    assert sum(g.sum_predicted for g in groups) == sum(
-        r.predicted_count for r in rows
-    )
-    x = groups[0]
-    assert x.overall_improvement == pytest.approx(
-        overall_improvement(x.sum_oz, x.sum_predicted)
+    tables, _ = reports(rows, predictions, tune_results)
+    header, *groups = tables["improvement_by_dataset.csv"]
+    assert header == [
+        "group", "functions", "sum_oz", "sum_predicted", "improvement_percent"
+    ]
+    assert [g[0] for g in groups] == ["suite/x", "suite/y"]
+    assert sum(int(g[1]) for g in groups) == len(rows)
+    assert sum(int(g[2]) for g in groups) == sum(r.oz_count for r in rows)
+    assert sum(int(g[3]) for g in groups) == sum(r.predicted_count for r in rows)
+    _, _, sum_oz, sum_predicted, improvement = groups[0]
+    assert improvement == (
+        f"{overall_improvement(int(sum_oz), int(sum_predicted)):.4f}"
     )
 
 
 def test_size_buckets_are_powers_of_two(bundle_inputs):
-    rows, predictions, tune_results = bundle_inputs
-    bundle = reports(rows, predictions, tune_results)
-    buckets = dict(bundle.by_size_bucket)
-    # unopt counts 3, 6, 9, 20 land in [2,4), [4,8), [8,16), [16,32)
-    assert set(buckets) == {"[2,4)", "[4,8)", "[8,16)", "[16,32)"}
-    assert [name for name, _ in bundle.by_size_bucket] == [
-        "[2,4)",
-        "[4,8)",
-        "[8,16)",
-        "[16,32)",
-    ]
-    assert buckets["[2,4)"].total_functions == 1
+    tables, _ = reports(*bundle_inputs)
+    groups = tables["improvement_by_size.csv"][1:]
+    # unopt counts 3, 6, 9, 20 land in [2,4), [4,8), [8,16), [16,32),
+    # ordered by lower bound, not as text
+    assert [g[0] for g in groups] == ["[2,4)", "[4,8)", "[8,16)", "[16,32)"]
+    assert groups[0][1] == "1"
 
 
 def test_novel_lists_and_beats_autotuner(bundle_inputs):
-    rows, predictions, tune_results = bundle_inputs
-    bundle = reports(rows, predictions, tune_results)
+    tables, beats = reports(*bundle_inputs)
     # "-mem2reg" was never produced by the tuner; everything else was
-    assert bundle.novel_lists == ("-mem2reg",)
-    assert bundle.novel_list_count == 1
+    assert tables["novel_lists.csv"] == [["pass_list"], ["-mem2reg"]]
     # no predicted count undercuts its tuned best here
-    assert bundle.beats_autotuner == 0
+    assert beats == 0
 
 
 def test_beats_autotuner_counts_strict_wins(bundle_inputs):
     rows, predictions, tune_results = bundle_inputs
     rows = rows[:2] + [make_row("c", "suite/y", 9, 8, 1)] + rows[3:]
-    bundle = reports(rows, predictions, tune_results)
-    assert bundle.beats_autotuner == 1  # 1 < tuned best of 2 on c
+    _, beats = reports(rows, predictions, tune_results)
+    assert beats == 1  # 1 < tuned best of 2 on c
 
 
 def test_reports_require_rows(bundle_inputs):
@@ -129,9 +129,8 @@ def test_reports_require_rows(bundle_inputs):
 
 
 def test_csv_outputs(tmp_path, bundle_inputs):
-    rows, predictions, tune_results = bundle_inputs
-    bundle = reports(rows, predictions, tune_results)
-    written = write_report_csvs(bundle, tmp_path / "out")
+    tables, _ = reports(*bundle_inputs)
+    written = write_report_csvs(tables, tmp_path / "out")
     names = [p.name for p in written]
     assert names == [
         "pass_frequency.csv",
@@ -140,6 +139,9 @@ def test_csv_outputs(tmp_path, bundle_inputs):
         "improvement_by_size.csv",
         "novel_lists.csv",
     ]
+    for path in written:
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == tables[path.name]
     with open(written[0], newline="") as fh:
         table = list(csv.reader(fh))
     assert table[0] == ["flag", "autotuner_frequency", "predictor_frequency"]
