@@ -83,8 +83,8 @@ print()
 results, stats = autotune_corpus(
     backend, corpus, SearchBudget.evaluation_count(50), seed=3, max_len=3
 )
-print(f"autotune_corpus over {stats.functions_tuned} functions:")
-print(f"  mean evaluations per function: {stats.mean_evaluations_per_function:.1f}")
-print(f"  overall improvement over -Oz:  {stats.overall_improvement_percent:.2f}%")
+print(f"autotune_corpus over {stats['functions_tuned']} functions:")
+print(f"  mean evaluations per function: {stats['mean_evaluations_per_function']:.1f}")
+print(f"  overall improvement over -Oz:  {stats['overall_improvement_percent']:.2f}%")
 print()
 print("same flow on files: passtune gen-mini-corpus / passtune autotune")

@@ -8,7 +8,6 @@ Run: python3 demos/03_predict_and_evaluate.py
 """
 
 import tempfile
-from pathlib import Path
 
 from passtune.autotuner import SearchBudget, autotune_corpus
 from passtune.backend.mini import MiniBackend
@@ -32,8 +31,8 @@ train, test = parts["train"], parts["test"]
 results, stats = autotune_corpus(
     backend, train, SearchBudget.evaluation_count(200), seed=4, max_len=3
 )
-print(f"tuned {stats.functions_tuned} training functions "
-      f"({stats.overall_improvement_percent:.2f}% over -Oz)")
+print(f"tuned {stats['functions_tuned']} training functions "
+      f"({stats['overall_improvement_percent']:.2f}% over -Oz)")
 print()
 
 table = build_frequency_table(results)
@@ -62,10 +61,10 @@ for name, predict in predictors.items():
     )
     rows_by_name[name] = rows
     predictions_by_name[name] = predictions
-    print(f"{name:>14} {summary.functions_improved:>9} "
-          f"{summary.functions_regressed:>9} "
-          f"{summary.overall_improvement:>11.2f}% "
-          f"{summary.additional_compilations:>14}")
+    print(f"{name:>14} {summary['functions_improved']:>9} "
+          f"{summary['functions_regressed']:>9} "
+          f"{summary['overall_improvement']:>11.2f}% "
+          f"{summary['additional_compilations']:>14}")
 print()
 
 # ---------------------------------------------------------------------------
@@ -83,8 +82,8 @@ for flag, tuner, predictor in tables["pass_frequency.csv"][1:6]:
 print(f"novel predicted lists: {len(tables['novel_lists.csv']) - 1}")
 print(f"functions where the prediction beat the tuner: {beats}")
 
-out_dir = Path(tempfile.mkdtemp(prefix="passtune-report-"))
-for path in write_report_csvs(tables, out_dir):
-    print(f"wrote {path}")
+with tempfile.TemporaryDirectory(prefix="passtune-report-") as out_dir:
+    for path in write_report_csvs(tables, out_dir):
+        print(f"wrote {path.name} ({path.stat().st_size} bytes)")
 print()
 print("same flow on files: passtune predict / passtune evaluate / passtune report")

@@ -13,7 +13,9 @@ Search, minimization and broadcast keep the best list through one step
 with one rule: a smaller count wins, then a shorter list, then the
 lexicographically smaller one, so results are reproducible for a given
 seed. Failed and timed-out compilations consume budget and are
-otherwise ignored.
+otherwise ignored. :func:`autotune_corpus` returns the results with
+their corpus-level stats as the plain dict that the autotune manifest
+records.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from passtune.backend import Backend, PassVocabulary, compile_items
 from passtune.backend.passlist import DEFAULT_MAX_LEN, OZ_ITEMS, sample_items
@@ -55,7 +57,7 @@ class SearchBudget:
             )
         if self.evaluations is not None and self.evaluations < 0:
             raise ValueError("evaluations must be >= 0")
-        if self.wall_clock_seconds is not None and self.wall_clock_seconds <= 0:
+        if self.wall_clock_seconds is not None and not self.wall_clock_seconds > 0:
             raise ValueError("wall_clock_seconds must be positive")
 
     @classmethod
@@ -233,16 +235,6 @@ def broadcast_best_lists(
     return updated
 
 
-@dataclass(frozen=True)
-class TuningStats:
-    """Corpus-level accounting for one tuning run."""
-
-    functions_tuned: int
-    mean_evaluations_per_function: float
-    overall_improvement_percent: float
-    baseline_failures: tuple[str, ...]  # function ids skipped entirely
-
-
 def _tune_one(
     backend: Backend,
     fn: IrFunction,
@@ -282,7 +274,7 @@ def autotune_corpus(
     minimize: bool = True,
     broadcast: bool = True,
     workers: int = 1,
-) -> tuple[list[TuneResult], TuningStats]:
+) -> tuple[list[TuneResult], dict[str, Any]]:
     """Full tuning pipeline: search, minimize, then one broadcast round.
 
     Per-function seeds derive from the run seed and the function id, so
@@ -290,6 +282,11 @@ def autotune_corpus(
     Functions whose -Oz baseline fails are skipped and listed in the
     returned stats rather than aborting the run. ``workers`` (at least
     1) searches run at once.
+
+    The stats are the values the autotune manifest records, in its
+    order: ``functions_tuned``, ``mean_evaluations_per_function``,
+    ``overall_improvement_percent`` and ``baseline_failures`` (the ids
+    of the functions skipped).
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -312,14 +309,14 @@ def autotune_corpus(
     if broadcast and results:
         results = broadcast_best_lists(backend, survivors, results)
     ordered = [results[fn.id] for fn in survivors]
-    stats = TuningStats(
-        functions_tuned=len(ordered),
-        mean_evaluations_per_function=(
+    stats = {
+        "functions_tuned": len(ordered),
+        "mean_evaluations_per_function": (
             sum(r.evaluations_used for r in ordered) / len(ordered)
             if ordered
             else 0.0
         ),
-        overall_improvement_percent=(
+        "overall_improvement_percent": (
             overall_improvement(
                 sum(r.baseline_count for r in ordered),
                 sum(r.best_count for r in ordered),
@@ -327,6 +324,6 @@ def autotune_corpus(
             if ordered
             else 0.0
         ),
-        baseline_failures=tuple(failures),
-    )
+        "baseline_failures": failures,
+    }
     return ordered, stats

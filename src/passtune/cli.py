@@ -25,7 +25,7 @@ import json
 import shlex
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -262,11 +262,12 @@ def _cmd_autotune(args: argparse.Namespace) -> list[str]:
         broadcast=not args.no_broadcast,
         workers=args.workers,
     )
-    _write_output(args, results, [args.corpus], {"stats": asdict(stats)})
-    print(f"tuned {stats.functions_tuned} functions -> {args.output}")
-    print(f"mean_evaluations_per_function = {stats.mean_evaluations_per_function:.2f}")
-    print(f"overall_improvement_percent = {stats.overall_improvement_percent:.4f}")
-    return [f"baseline failed to compile: {fid}" for fid in stats.baseline_failures]
+    _write_output(args, results, [args.corpus], {"stats": stats})
+    print(f"tuned {stats['functions_tuned']} functions -> {args.output}")
+    mean_evaluations = stats["mean_evaluations_per_function"]
+    print(f"mean_evaluations_per_function = {mean_evaluations:.2f}")
+    print(f"overall_improvement_percent = {stats['overall_improvement_percent']:.4f}")
+    return [f"baseline failed to compile: {fid}" for fid in stats["baseline_failures"]]
 
 
 def _cmd_dataset(args: argparse.Namespace) -> list[str]:
@@ -378,10 +379,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
     summary, rows = evaluate_predictions(
         predictions, corpus, backend, use_oz_backup=args.oz_backup
     )
-    values = summary.flat()
-    write_summary(values, args.summary or _derived_output(args.output, "summary"))
-    _write_output(args, rows, [args.corpus, args.predictions], {"summary": values})
-    for key, value in values.items():
+    write_summary(summary, args.summary or _derived_output(args.output, "summary"))
+    _write_output(args, rows, [args.corpus, args.predictions], {"summary": summary})
+    for key, value in summary.items():
         print(f"{key} = {value}")
     scored = {row.function_id for row in rows}
     failures = [

@@ -186,6 +186,8 @@ def build_single_pass_dataset(
     """
     if per_pass < 1:
         raise ValueError("per_pass must be >= 1")
+    if max_prefix_len < 0:
+        raise ValueError(f"max_prefix_len must be >= 0, got {max_prefix_len}")
     for flag in passes:
         if flag not in backend.vocabulary:
             raise ValueError(f"target pass {flag!r} not in backend vocabulary")
@@ -259,10 +261,10 @@ def split(
     if not fractions:
         raise ValueError("fractions must be non-empty")
     for name, frac in fractions.items():
-        if frac <= 0:
+        if not frac > 0:  # written so that NaN fails too
             raise ValueError(f"fraction {name!r} must be positive")
     total = sum(fractions.values())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"fractions must sum to 1, got {total}")
     shuffled = list(corpus)
     random.Random(seed).shuffle(shuffled)

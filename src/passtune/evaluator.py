@@ -3,7 +3,9 @@
 One loop, :func:`evaluate_predictions`, scores a pass list against -Oz
 (functions improved/regressed, savings, overall improvement) and any
 claims that come with it (compile rate, error histogram, exact match,
-BLEU, count MAPE). :func:`reports` turns its rows into the report's
+BLEU, count MAPE). Its summary is the plain dict that ``evaluate``
+writes, key for key and in the same order, to the summary file, the
+manifest and stdout. :func:`reports` turns its rows into the report's
 tables (pass frequency, list lengths, improvement by source dataset and
 by input size, novel lists) and counts the functions that beat the tuner.
 """
@@ -14,7 +16,7 @@ import csv
 import logging
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -111,62 +113,12 @@ class EvalRow:
             raise ValueError("delta inconsistent with counts")
 
 
-@dataclass(frozen=True)
-class CodeQualityMetrics:
-    """How well ``claims`` predictions' code and counts match the compiler.
-
-    The code is compiled with no passes (compile rate, error histogram)
-    and compared with the compiler's output for the predicted list (exact
-    match, BLEU; a list that failed scores 0). Input counts are measured
-    against the unoptimized count, output counts against the list's count
-    where it compiled (``None`` when no list did).
-    """
-
-    claims: int
-    bleu: float
-    compile_rate: float
-    exact_match_rate: float
-    error_histogram: dict[str, int]
-    input_count_mape: float
-    output_count_mape: Optional[float]
-
-
-@dataclass(frozen=True)
-class EvalSummary:
-    """Aggregates over one evaluation run; ``code_quality`` needs claims."""
-
-    total_functions: int
-    functions_improved: int
-    functions_regressed: int
-    instructions_saved: int
-    instructions_regressed: int
-    additional_compilations: int
-    overall_improvement: float
-    sum_oz: int
-    sum_predicted: int
-    code_quality: Optional[CodeQualityMetrics] = None
-
-    def flat(self) -> dict[str, object]:
-        """Flat key/value pairs for the summary file and the manifest.
-
-        With claims scored, each code-quality field adds ``code_<field>``
-        and each error category ``code_error_<category>``.
-        """
-        values = asdict(self)
-        quality = values.pop("code_quality")
-        if quality is not None:
-            histogram = quality.pop("error_histogram")
-            values.update({f"code_{key}": value for key, value in quality.items()})
-            values.update({f"code_error_{key}": n for key, n in histogram.items()})
-        return values
-
-
 def evaluate_predictions(
     predictions: Sequence[Prediction],
     corpus: Sequence[IrFunction],
     backend: Backend,
     use_oz_backup: bool = False,
-) -> tuple[EvalSummary, list[EvalRow]]:
+) -> tuple[dict[str, Any], list[EvalRow]]:
     """Compile each predicted list and score it against -Oz.
 
     -Oz is compiled once per function, and so is each valid non-Oz list;
@@ -175,9 +127,21 @@ def evaluate_predictions(
     failed to parse or whose list is invalid or fails to compile. With the
     backup protocol each compiled list is charged as one additional
     compilation and kept only if strictly smaller than -Oz, so nothing
-    regresses. The claims a prediction carries are scored in the same
-    block (see :class:`CodeQualityMetrics`); compiling its code is
-    evaluation cost, not counted in ``additional_compilations``.
+    regresses.
+
+    Returns the summary, in the key order it is written, and the rows.
+    The summary starts with :func:`summarize_rows`'s keys. When some
+    prediction carries claims, the claims are scored in the same loop
+    and ``code_*`` keys follow: the claimed code is compiled with no
+    passes (``code_compile_rate``, and ``code_error_<category>`` counts
+    in :class:`ErrorCategory` order) and compared with the compiler's
+    output for the predicted list (``code_exact_match_rate``,
+    ``code_bleu``; a list that failed scores 0). Claimed input counts
+    are measured against the unoptimized count
+    (``code_input_count_mape``), output counts against the list's count
+    where it compiled (``code_output_count_mape``, ``None`` when no list
+    did). Compiling the claimed code is evaluation cost, not counted in
+    ``additional_compilations``.
     """
     by_id: dict[str, Prediction] = {}
     corpus_ids = {fn.id for fn in corpus}
@@ -249,39 +213,39 @@ def evaluate_predictions(
     summary = summarize_rows(rows, additional)
     if text_scores:
         n = len(text_scores)
-        summary = replace(
-            summary,
-            code_quality=CodeQualityMetrics(
-                claims=n,
-                bleu=sum(score for _, score in text_scores) / n,
-                compile_rate=(n - sum(histogram.values())) / n,
-                exact_match_rate=sum(exact for exact, _ in text_scores) / n,
-                error_histogram=histogram,
-                input_count_mape=mape(*zip(*input_counts)),
-                output_count_mape=(
-                    mape(*zip(*output_counts)) if output_counts else None
-                ),
+        summary.update(
+            code_claims=n,
+            code_bleu=sum(score for _, score in text_scores) / n,
+            code_compile_rate=(n - sum(histogram.values())) / n,
+            code_exact_match_rate=sum(exact for exact, _ in text_scores) / n,
+            code_input_count_mape=mape(*zip(*input_counts)),
+            code_output_count_mape=(
+                mape(*zip(*output_counts)) if output_counts else None
             ),
         )
+        summary.update({f"code_error_{key}": c for key, c in histogram.items()})
     return summary, rows
 
 
-def summarize_rows(rows: Sequence[EvalRow], additional_compilations: int) -> EvalSummary:
+def summarize_rows(
+    rows: Sequence[EvalRow], additional_compilations: int
+) -> dict[str, Any]:
+    """The summary's counts and totals over ``rows``, in written order."""
     sum_oz = sum(r.oz_count for r in rows)
     sum_predicted = sum(r.predicted_count for r in rows)
-    return EvalSummary(
-        total_functions=len(rows),
-        functions_improved=sum(1 for r in rows if r.delta > 0),
-        functions_regressed=sum(1 for r in rows if r.delta < 0),
-        instructions_saved=sum(r.delta for r in rows if r.delta > 0),
-        instructions_regressed=sum(-r.delta for r in rows if r.delta < 0),
-        additional_compilations=additional_compilations,
-        overall_improvement=(
+    return {
+        "total_functions": len(rows),
+        "functions_improved": sum(1 for r in rows if r.delta > 0),
+        "functions_regressed": sum(1 for r in rows if r.delta < 0),
+        "instructions_saved": sum(r.delta for r in rows if r.delta > 0),
+        "instructions_regressed": sum(-r.delta for r in rows if r.delta < 0),
+        "additional_compilations": additional_compilations,
+        "overall_improvement": (
             overall_improvement(sum_oz, sum_predicted) if sum_predicted else 0.0
         ),
-        sum_oz=sum_oz,
-        sum_predicted=sum_predicted,
-    )
+        "sum_oz": sum_oz,
+        "sum_predicted": sum_predicted,
+    }
 
 
 def _contain_frequencies(lists: Sequence[tuple[str, ...]]) -> dict[str, float]:
@@ -300,8 +264,9 @@ def _improvement_table(
     table = [["group", "functions", "sum_oz", "sum_predicted", "improvement_percent"]]
     for value in sorted(groups):
         s = summarize_rows(groups[value], 0)
-        counts = (s.total_functions, s.sum_oz, s.sum_predicted)
-        table.append([label(value), *map(str, counts), f"{s.overall_improvement:.4f}"])
+        counts = (s["total_functions"], s["sum_oz"], s["sum_predicted"])
+        improvement = f"{s['overall_improvement']:.4f}"
+        table.append([label(value), *map(str, counts), improvement])
     return table
 
 

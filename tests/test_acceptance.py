@@ -100,9 +100,9 @@ def test_criterion_02_backup_accounting(backend, corpus100):
             summary, _ = evaluate_predictions(
                 predictions, sub, backend, use_oz_backup=True
             )
-            assert summary.additional_compilations == k
-            assert summary.functions_regressed == 0
-            assert summary.instructions_regressed == 0
+            assert summary["additional_compilations"] == k
+            assert summary["functions_regressed"] == 0
+            assert summary["instructions_regressed"] == 0
 
 
 def test_criterion_03_search_matches_enumeration(backend, corpus100):

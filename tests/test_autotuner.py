@@ -92,6 +92,8 @@ def test_budget_requires_exactly_one_mode():
         SearchBudget.evaluation_count(-1)
     with pytest.raises(ValueError):
         SearchBudget.wall_clock(0.0)
+    with pytest.raises(ValueError, match="wall_clock_seconds must be positive"):
+        SearchBudget.wall_clock(float("nan"))
     assert SearchBudget.evaluation_count(0).evaluations == 0
     assert SearchBudget.wall_clock().wall_clock_seconds == 780.0
 
@@ -281,10 +283,16 @@ def test_autotune_corpus_stats_and_determinism(backend, corpus20):
     again, again_stats = autotune_corpus(backend, corpus20, budget, seed=3, max_len=3)
     assert results == again
     assert stats == again_stats
-    assert stats.functions_tuned == len(corpus20)
-    assert stats.baseline_failures == ()
-    assert stats.mean_evaluations_per_function > 1.0
-    assert stats.overall_improvement_percent >= 0.0
+    assert list(stats) == [
+        "functions_tuned",
+        "mean_evaluations_per_function",
+        "overall_improvement_percent",
+        "baseline_failures",
+    ]
+    assert stats["functions_tuned"] == len(corpus20)
+    assert stats["baseline_failures"] == []
+    assert stats["mean_evaluations_per_function"] > 1.0
+    assert stats["overall_improvement_percent"] >= 0.0
     for result in results:
         assert result.best_count <= result.baseline_count
 
@@ -310,8 +318,8 @@ def test_autotune_corpus_skips_baseline_failures(backend, corpus20):
     )
     budget = SearchBudget.evaluation_count(4)
     results, stats = autotune_corpus(rigged, corpus20[:6], budget, seed=2)
-    assert stats.baseline_failures == (doomed.id,)
-    assert stats.functions_tuned == 5
+    assert stats["baseline_failures"] == [doomed.id]
+    assert stats["functions_tuned"] == 5
     assert doomed.id not in {r.function_id for r in results}
 
 

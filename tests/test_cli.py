@@ -16,6 +16,7 @@ from passtune.ircore import read_corpus
 from passtune.predictor import Prediction
 from passtune.util import file_digest, read_jsonl, read_records, write_jsonl
 
+from test_evaluator import CODE_KEYS, SUMMARY_KEYS
 from test_llvm_backend import write_stub
 
 DATA = Path(__file__).parent / "data"
@@ -308,6 +309,11 @@ def test_evaluate_always_oz_scores_zero(tmp_path, corpus_file, capsys):
     assert "functions_regressed = 0" in printed
     summary_text = (tmp_path / "rows.summary.jsonl").read_text()
     assert "overall_improvement = 0.0" in summary_text
+    # Without claims: the row keys only, in one order on all three outputs.
+    assert [line.split(" = ")[0] for line in printed.splitlines()] == SUMMARY_KEYS
+    assert list(_summary_values(tmp_path / "rows.summary.jsonl")) == SUMMARY_KEYS
+    manifest = json.loads(rows.with_name(rows.name + ".manifest.json").read_text())
+    assert list(manifest["summary"]) == SUMMARY_KEYS
 
 
 def test_manifest_contents(tmp_path, corpus_file, tuned_file):
@@ -321,7 +327,15 @@ def test_manifest_contents(tmp_path, corpus_file, tuned_file):
     assert manifest["config"]["max_len"] == 2
     assert manifest["inputs"] == {str(corpus_file): file_digest(corpus_file)}
     assert "created" in manifest
-    assert "stats" in manifest
+    stats = manifest["stats"]
+    assert list(stats) == [
+        "functions_tuned",
+        "mean_evaluations_per_function",
+        "overall_improvement_percent",
+        "baseline_failures",
+    ]
+    assert stats["functions_tuned"] == 12
+    assert stats["baseline_failures"] == []
 
 
 # case id -> (command line, the inputs its manifest names, in order)
@@ -980,6 +994,7 @@ def test_replayed_dataset_answers_score_perfect_claims(
             "--output", out,
         ) == 0
         values = _summary_values(tmp_path / f"{name}.rows.summary.jsonl")
+        assert list(values) == SUMMARY_KEYS + CODE_KEYS, name
         assert values["code_claims"] == str(n), name
         for key, perfect in PERFECT_CLAIMS.items():
             if key in lowered:

@@ -236,6 +236,10 @@ def test_single_pass_validation(backend, corpus20):
         build_single_pass_dataset(
             backend, [], ("-dce",), per_pass=1, max_prefix_len=1, seed=0
         )
+    with pytest.raises(ValueError, match="max_prefix_len must be >= 0, got -1"):
+        build_single_pass_dataset(
+            backend, corpus20, ("-dce",), per_pass=1, max_prefix_len=-1, seed=0
+        )
 
 
 # --- corpus management ------------------------------------------------------
@@ -265,6 +269,11 @@ def test_split_validates_fractions(corpus20):
         split(corpus20, {"train": 0.5, "test": 0.1}, seed=0)
     with pytest.raises(ValueError):
         split(corpus20, {"train": 1.5, "test": -0.5}, seed=0)
+    nan = float("nan")
+    with pytest.raises(ValueError, match="fraction 'test' must be positive"):
+        split(corpus20, {"train": 0.5, "test": nan}, seed=0)
+    with pytest.raises(ValueError, match="fraction 'train' must be positive"):
+        split(corpus20, {"train": nan}, seed=0)
 
 
 def test_corpus_stats_sums(corpus20):

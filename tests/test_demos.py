@@ -1,4 +1,5 @@
-"""Each demo runs to completion against the current library API."""
+"""Each demo runs to completion against the current library API and leaves
+no temporary files behind."""
 
 import os
 import subprocess
@@ -17,7 +18,9 @@ def test_every_demo_is_collected():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
 def test_demo_exits_cleanly(demo, tmp_path):
-    env = dict(os.environ)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env = dict(os.environ, TMPDIR=str(scratch))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
@@ -30,3 +33,4 @@ def test_demo_exits_cleanly(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert list(scratch.iterdir()) == [], "the demo left temporary files behind"

@@ -1,13 +1,13 @@
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passtune.backend import compile_items
+from passtune.backend import ErrorCategory, compile_items
 from passtune.evaluator import (
     EvalRow,
     bleu,
@@ -20,6 +20,26 @@ from passtune.ircore import IrFunction
 from passtune.minigen import generate_function
 from passtune.predictor import FilePredictor, Prediction, predict_always_oz
 from test_predictor import PoisonBackend
+
+SUMMARY_KEYS = [
+    "total_functions",
+    "functions_improved",
+    "functions_regressed",
+    "instructions_saved",
+    "instructions_regressed",
+    "additional_compilations",
+    "overall_improvement",
+    "sum_oz",
+    "sum_predicted",
+]
+CODE_KEYS = [
+    "code_claims",
+    "code_bleu",
+    "code_compile_rate",
+    "code_exact_match_rate",
+    "code_input_count_mape",
+    "code_output_count_mape",
+] + [f"code_error_{category.value}" for category in ErrorCategory]
 
 DATA_TYPE_ERROR = (
     "define i32 @bad(i32 %a) {\n%x = add i1 %a, true\nret i32 0\n}"
@@ -120,13 +140,13 @@ def test_bleu_exact_match_always_scores_one(tokens):
 def test_all_oz_predictions_score_zero(backend, corpus20):
     predictions = [predict_always_oz(fn) for fn in corpus20]
     summary, rows = evaluate_predictions(predictions, corpus20, backend)
-    assert summary.total_functions == len(corpus20)
-    assert summary.functions_improved == 0
-    assert summary.functions_regressed == 0
-    assert summary.instructions_saved == 0
-    assert summary.instructions_regressed == 0
-    assert summary.overall_improvement == 0.0
-    assert summary.sum_oz == summary.sum_predicted
+    assert summary["total_functions"] == len(corpus20)
+    assert summary["functions_improved"] == 0
+    assert summary["functions_regressed"] == 0
+    assert summary["instructions_saved"] == 0
+    assert summary["instructions_regressed"] == 0
+    assert summary["overall_improvement"] == 0.0
+    assert summary["sum_oz"] == summary["sum_predicted"]
     assert all(r.delta == 0 for r in rows)
 
 
@@ -151,12 +171,12 @@ def test_mixed_predictions_partition_correctly(backend, trio):
 
     assert by_id[neutral.id].delta == 0
 
-    assert summary.functions_improved == 1
-    assert summary.functions_regressed == 1
-    assert summary.instructions_saved == better.delta
-    assert summary.instructions_regressed == -worse.delta
-    assert summary.sum_oz == sum(r.oz_count for r in rows)
-    assert summary.sum_predicted == sum(r.predicted_count for r in rows)
+    assert summary["functions_improved"] == 1
+    assert summary["functions_regressed"] == 1
+    assert summary["instructions_saved"] == better.delta
+    assert summary["instructions_regressed"] == -worse.delta
+    assert summary["sum_oz"] == sum(r.oz_count for r in rows)
+    assert summary["sum_predicted"] == sum(r.predicted_count for r in rows)
 
 
 def test_backup_mode_blocks_regressions(backend, trio):
@@ -170,11 +190,11 @@ def test_backup_mode_blocks_regressions(backend, trio):
     summary, rows = evaluate_predictions(
         predictions, corpus, backend, use_oz_backup=True
     )
-    assert summary.functions_regressed == 0
-    assert summary.instructions_regressed == 0
+    assert summary["functions_regressed"] == 0
+    assert summary["instructions_regressed"] == 0
     assert all(r.delta >= 0 for r in rows)
     # two non-Oz predictions, one extra compile each
-    assert summary.additional_compilations == 2
+    assert summary["additional_compilations"] == 2
 
 
 def evaluate_one(backend, fn, pass_list):
@@ -183,7 +203,7 @@ def evaluate_one(backend, fn, pass_list):
     summary, rows = evaluate_predictions(
         [Prediction(fn.id, pass_list)], [fn], backend, use_oz_backup=True
     )
-    return rows[0], summary.additional_compilations
+    return rows[0], summary["additional_compilations"]
 
 
 def test_backup_oz_prediction_is_free(backend, corpus20):
@@ -220,8 +240,8 @@ def test_backup_breaks_ties_toward_oz(backend, corpus20):
         [Prediction(fn.id, "-Oz -dce")], [fn], backend, use_oz_backup=True
     )
     assert rows[0].predicted_count == oz
-    assert summary.functions_improved == summary.functions_regressed == 0
-    assert summary.additional_compilations == 1
+    assert summary["functions_improved"] == summary["functions_regressed"] == 0
+    assert summary["additional_compilations"] == 1
 
 
 def test_backup_handles_failing_prediction(backend, corpus20):
@@ -249,7 +269,7 @@ def test_backup_never_regresses(backend, corpus20):
             predictions, corpus20, backend, use_oz_backup=True
         )
         assert all(r.predicted_count <= r.oz_count for r in rows)
-        assert summary.additional_compilations == len(corpus20)
+        assert summary["additional_compilations"] == len(corpus20)
 
 
 class CountingBackend:
@@ -289,14 +309,14 @@ def test_oz_and_each_valid_list_are_compiled_once(backend, corpus20, use_oz_back
     expected[fns[1].normalized_text, ("-dce",)] += 1
     expected[claim.predicted_code, ()] += 1
     assert counting.compiled == expected
-    assert summary.additional_compilations == (2 if use_oz_backup else 0)
+    assert summary["additional_compilations"] == (2 if use_oz_backup else 0)
 
 
 def test_missing_prediction_scores_as_oz(backend, corpus20, caplog):
     sub = corpus20[:3]
     predictions = [predict_always_oz(fn) for fn in sub[:2]]
     summary, rows = evaluate_predictions(predictions, sub, backend)
-    assert summary.total_functions == 3
+    assert summary["total_functions"] == 3
     missing = [r for r in rows if r.prediction_missing]
     assert len(missing) == 1
     assert missing[0].function_id == sub[2].id
@@ -309,7 +329,7 @@ def test_invalid_pass_list_scores_as_oz_and_flags(backend, corpus20):
     summary, rows = evaluate_predictions(predictions, [fn], backend)
     assert rows[0].prediction_failed
     assert rows[0].delta == 0
-    assert summary.functions_regressed == 0
+    assert summary["functions_regressed"] == 0
 
 
 def test_a_prediction_that_failed_to_parse_is_flagged(backend, corpus20, tmp_path):
@@ -321,7 +341,7 @@ def test_a_prediction_that_failed_to_parse_is_flagged(backend, corpus20, tmp_pat
     summary, rows = evaluate_predictions([pred], [fn], backend)
     assert rows[0].prediction_failed
     assert rows[0].delta == 0
-    assert summary.functions_regressed == 0
+    assert summary["functions_regressed"] == 0
 
 
 def test_a_function_whose_oz_fails_gets_no_row(backend, corpus20):
@@ -332,7 +352,7 @@ def test_a_function_whose_oz_fails_gets_no_row(backend, corpus20):
     predictions = [predict_always_oz(fn) for fn in corpus]
     summary, rows = evaluate_predictions(predictions, corpus, backend)
     assert [r.function_id for r in rows] == [corpus20[0].id, corpus20[1].id]
-    assert summary.total_functions == 2
+    assert summary["total_functions"] == 2
 
 
 def test_unknown_prediction_id_raises(backend, corpus20):
@@ -346,7 +366,7 @@ def test_extra_compilations_are_charged(backend, corpus20):
     fn = corpus20[0]
     predictions = [Prediction(fn.id, "-Oz", extra_compilations=5)]
     summary, _ = evaluate_predictions(predictions, [fn], backend)
-    assert summary.additional_compilations == 5
+    assert summary["additional_compilations"] == 5
 
 
 def test_summarize_rows_partitions():
@@ -356,15 +376,16 @@ def test_summarize_rows_partitions():
         EvalRow("c", "d", 10, 7, 7, 0),
     ]
     summary = summarize_rows(rows, additional_compilations=4)
-    assert summary.total_functions == 3
-    assert summary.functions_improved == 1
-    assert summary.functions_regressed == 1
-    assert summary.instructions_saved == 3
-    assert summary.instructions_regressed == 2
-    assert summary.additional_compilations == 4
-    assert summary.sum_oz == 21
-    assert summary.sum_predicted == 20
-    assert summary.overall_improvement == pytest.approx(5.0)
+    assert list(summary) == SUMMARY_KEYS
+    assert summary["total_functions"] == 3
+    assert summary["functions_improved"] == 1
+    assert summary["functions_regressed"] == 1
+    assert summary["instructions_saved"] == 3
+    assert summary["instructions_regressed"] == 2
+    assert summary["additional_compilations"] == 4
+    assert summary["sum_oz"] == 21
+    assert summary["sum_predicted"] == 20
+    assert summary["overall_improvement"] == pytest.approx(5.0)
 
 
 def test_eval_row_checks_delta():
@@ -395,15 +416,15 @@ def test_code_quality_perfect_copy(backend, corpus20):
     fns = corpus20[: len(lists)]
     predictions = [claiming(backend, fn, lst) for fn, lst in zip(fns, lists)]
     summary, _ = evaluate_predictions(predictions, fns, backend)
-    metrics = summary.code_quality
-    assert metrics.claims == len(fns)
-    assert metrics.bleu == 1.0
-    assert metrics.compile_rate == 1.0
-    assert metrics.exact_match_rate == 1.0
-    assert all(v == 0 for v in metrics.error_histogram.values())
-    assert metrics.input_count_mape == 0.0
-    assert metrics.output_count_mape == 0.0
-    assert summary.additional_compilations == 0  # the code check is not charged
+    assert list(summary) == SUMMARY_KEYS + CODE_KEYS
+    assert summary["code_claims"] == len(fns)
+    assert summary["code_bleu"] == 1.0
+    assert summary["code_compile_rate"] == 1.0
+    assert summary["code_exact_match_rate"] == 1.0
+    assert all(summary[f"code_error_{c.value}"] == 0 for c in ErrorCategory)
+    assert summary["code_input_count_mape"] == 0.0
+    assert summary["code_output_count_mape"] == 0.0
+    assert summary["additional_compilations"] == 0  # the code check is not charged
 
 
 def test_code_quality_classifies_broken_output(backend, corpus20):
@@ -414,15 +435,14 @@ def test_code_quality_classifies_broken_output(backend, corpus20):
     summary, _ = evaluate_predictions(
         predictions, [fn], PoisonBackend(backend, "-gvn")
     )
-    metrics = summary.code_quality
-    assert metrics.claims == 1
-    assert metrics.compile_rate == 0.0
-    assert metrics.exact_match_rate == 0.0
-    assert metrics.error_histogram["type_error"] == 1
-    assert sum(metrics.error_histogram.values()) == 1
-    assert metrics.bleu == 0.0
-    assert metrics.input_count_mape == 0.0
-    assert metrics.output_count_mape is None
+    assert summary["code_claims"] == 1
+    assert summary["code_compile_rate"] == 0.0
+    assert summary["code_exact_match_rate"] == 0.0
+    assert summary["code_error_type_error"] == 1
+    assert sum(summary[f"code_error_{c.value}"] for c in ErrorCategory) == 1
+    assert summary["code_bleu"] == 0.0
+    assert summary["code_input_count_mape"] == 0.0
+    assert summary["code_output_count_mape"] is None
 
 
 def test_code_quality_mape_wiring(backend, corpus20):
@@ -435,20 +455,18 @@ def test_code_quality_mape_wiring(backend, corpus20):
             honest, predicted_input_count=claimed_in, predicted_output_count=claimed_out
         )
     ]
-    metrics = evaluate_predictions(predictions, [fn], backend)[0].code_quality
+    summary, _ = evaluate_predictions(predictions, [fn], backend)
     actual_out = honest.predicted_output_count
-    assert metrics.input_count_mape == pytest.approx(
+    assert summary["code_input_count_mape"] == pytest.approx(
         abs(claimed_in - fn.instruction_count) / fn.instruction_count * 100.0
     )
-    assert metrics.output_count_mape == pytest.approx(100.0 / actual_out)
-    assert metrics.exact_match_rate == 1.0  # the counts do not touch the code scores
+    assert summary["code_output_count_mape"] == pytest.approx(100.0 / actual_out)
+    # The counts do not touch the code scores.
+    assert summary["code_exact_match_rate"] == 1.0
 
 
 def test_predictions_without_claims_score_no_code(backend, corpus20):
     summary, _ = evaluate_predictions(
         [predict_always_oz(fn) for fn in corpus20[:3]], corpus20[:3], backend
     )
-    assert summary.code_quality is None
-    assert summary.flat() == {
-        k: v for k, v in asdict(summary).items() if k != "code_quality"
-    }
+    assert list(summary) == SUMMARY_KEYS

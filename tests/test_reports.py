@@ -163,7 +163,7 @@ def test_rows_round_trip_and_summary_file(tmp_path, bundle_inputs):
     summary = summarize_rows(rows, additional_compilations=1)
     out = tmp_path / "summary.txt"
     write_summary(
-        {"total_functions": summary.total_functions, "overall": 1.25}, out
+        {"total_functions": summary["total_functions"], "overall": 1.25}, out
     )
     text = out.read_text()
     assert "total_functions = 4\n" in text
