@@ -56,9 +56,13 @@ class SearchBudget:
                 "set exactly one of evaluations or wall_clock_seconds"
             )
         if self.evaluations is not None and self.evaluations < 0:
-            raise ValueError("evaluations must be >= 0")
+            raise ValueError(
+                f"budget evaluations must be >= 0, got {self.evaluations}"
+            )
         if self.wall_clock_seconds is not None and not self.wall_clock_seconds > 0:
-            raise ValueError("wall_clock_seconds must be positive")
+            raise ValueError(
+                f"budget seconds must be positive, got {self.wall_clock_seconds}"
+            )
 
     @classmethod
     def evaluation_count(cls, evaluations: int) -> "SearchBudget":

@@ -13,7 +13,7 @@ arguments. Semantics are fully deterministic:
 
 from __future__ import annotations
 
-from passtune.backend.mini_ir import TYPE_BITS, Function, Lit, Operand
+from passtune.backend.mini_ir import TYPE_BITS, Function, Operand
 from passtune.backend.mini_passes import wrap
 
 
@@ -38,9 +38,7 @@ def run_function(fn: Function, args: list[int], max_steps: int = 100_000):
     cells: list[int] = []
 
     def value_of(op: Operand) -> int:
-        if isinstance(op, Lit):
-            return op.value
-        return env[op.name]
+        return env[op] if isinstance(op, str) else op
 
     bmap = fn.block_map()
     block = fn.entry
@@ -56,10 +54,10 @@ def run_function(fn: Function, args: list[int], max_steps: int = 100_000):
                 env[instr.result] = len(cells) - 1
             elif op == "store":
                 value, ptr = instr.operands
-                cells[env[ptr.name]] = wrap(value_of(value), TYPE_BITS[instr.ty])
+                cells[env[ptr]] = wrap(value_of(value), TYPE_BITS[instr.ty])
             elif op == "load":
                 ptr = instr.operands[0]
-                env[instr.result] = wrap(cells[env[ptr.name]], TYPE_BITS[instr.ty])
+                env[instr.result] = wrap(cells[env[ptr]], TYPE_BITS[instr.ty])
             elif op in ("add", "sub", "mul"):
                 a, b = (value_of(o) for o in instr.operands)
                 bits = TYPE_BITS[instr.ty]

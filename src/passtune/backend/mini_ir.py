@@ -11,13 +11,19 @@ real IR toolchain so the shared failure classifier sees realistic text:
 ``use of undefined value '%x'``, ``'%c' defined with type 'i32' but
 expected 'i1'``, ``multiple definition of local value named '%t'``, and
 so on.
+
+An operand is a register's name without its ``%`` (a ``str``) or an
+integer literal (an ``int``), so a register never equals a literal, even
+one named ``%1``. ``instruction_sites`` gives each instruction its site,
+``(block label, index in block)``, and ``dominates`` is the one rule for
+whether a site comes before another on every path from the entry.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 INT_TYPES = ("i1", "i32", "i64")
 TYPE_BITS = {"i1": 1, "i32": 32, "i64": 64}
@@ -50,23 +56,12 @@ class MiniVerifyError(MiniIrError):
     pass
 
 
-@dataclass(frozen=True)
-class Reg:
-    name: str
-
-    def render(self) -> str:
-        return f"%{self.name}"
+Operand = Union[str, int]  # register name without the '%', or a literal
+Site = tuple[str, int]  # (block label, index in block)
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: int
-
-    def render(self) -> str:
-        return str(self.value)
-
-
-Operand = Union[Reg, Lit]
+def render_operand(op: Operand) -> str:
+    return f"%{op}" if isinstance(op, str) else str(op)
 
 
 @dataclass
@@ -171,18 +166,18 @@ def _parse_operand(token: str, ty: str) -> Operand:
         name = token[1:]
         if not name or not re.fullmatch(_NAME, name):
             raise MiniParseError(f"expected value token, got '{token}'")
-        return Reg(name)
+        return name
     if token == "true" and ty == "i1":
-        return Lit(1)
+        return 1
     if token == "false" and ty == "i1":
-        return Lit(0)
+        return 0
     if _R_INT.match(token):
         value = int(token)
         bits = TYPE_BITS[ty]
         # accept the signed range plus unsigned spellings, like llvm-as
         if not (-(1 << (bits - 1)) <= value < (1 << bits)):
             raise MiniParseError(f"integer constant too large for type '{ty}'")
-        return Lit(value)
+        return value
     if _R_FLOATISH.match(token):
         raise MiniParseError(f"floating point constant invalid for type '{ty}'")
     raise MiniParseError(f"expected value token, got '{token}'")
@@ -216,7 +211,7 @@ def _parse_instr(line: str) -> Instr:
                 f"'%{ptr}' defined with type '{ptr_ty}*' but expected '{val_ty}*'"
             )
         return Instr(
-            "store", ty=val_ty, operands=(_parse_operand(val, val_ty), Reg(ptr))
+            "store", ty=val_ty, operands=(_parse_operand(val, val_ty), ptr)
         )
     m = _R_LOAD.match(line)
     if m:
@@ -225,7 +220,7 @@ def _parse_instr(line: str) -> Instr:
             raise MiniParseError(
                 f"'%{ptr}' defined with type '{ptr_ty}*' but expected '{ty}*'"
             )
-        return Instr("load", result=result, ty=ty, operands=(Reg(ptr),))
+        return Instr("load", result=result, ty=ty, operands=(ptr,))
     m = _R_BINOP.match(line)
     if m:
         result, op, ty, a, b = m.groups()
@@ -354,7 +349,11 @@ def reachable_labels(fn: Function) -> set[str]:
 
 
 def dominators(fn: Function) -> dict[str, set[str]]:
-    """Dominator sets over reachable blocks (iterative dataflow)."""
+    """Dominator sets over reachable blocks (iterative dataflow).
+
+    The keys are exactly the reachable blocks, so ``label in dom`` is the
+    reachability test.
+    """
     reach = reachable_labels(fn)
     order = [b.label for b in fn.blocks if b.label in reach]
     preds = predecessors(fn)
@@ -376,16 +375,34 @@ def dominators(fn: Function) -> dict[str, set[str]]:
     return dom
 
 
+def instruction_sites(fn: Function) -> Iterator[tuple[Site, Instr]]:
+    """Every instruction with its site, in block and instruction order."""
+    for block in fn.blocks:
+        for idx, instr in enumerate(block.instrs):
+            yield (block.label, idx), instr
+
+
+def dominates(dom: dict[str, set[str]], a: Site, b: Site) -> bool:
+    """Whether site ``a`` comes before site ``b`` on every path from entry.
+
+    ``dom`` is ``dominators(fn)``; ``b`` must be in a reachable block
+    (``b[0] in dom``).
+    """
+    if a[0] == b[0]:
+        return a[1] < b[1]
+    return a[0] in dom[b[0]]
+
+
 def _check_operand_type(
     op: Operand, expected: str, types: dict[str, str]
 ) -> None:
-    if isinstance(op, Reg):
-        actual = types.get(op.name)
+    if isinstance(op, str):
+        actual = types.get(op)
         if actual is None:
-            raise MiniVerifyError(f"use of undefined value '%{op.name}'")
+            raise MiniVerifyError(f"use of undefined value '%{op}'")
         if actual != expected:
             raise MiniVerifyError(
-                f"'%{op.name}' defined with type '{actual}' but expected '{expected}'"
+                f"'%{op}' defined with type '{actual}' but expected '{expected}'"
             )
 
 
@@ -466,63 +483,46 @@ def verify_function(fn: Function) -> None:
 
 
 def _check_dominance(fn: Function) -> None:
-    reach = reachable_labels(fn)
     dom = dominators(fn)
     param_names = {name for _, name in fn.params}
-    # definition site per register: (block label, instruction index)
-    def_site: dict[str, tuple[str, int]] = {}
-    for block in fn.blocks:
-        for idx, instr in enumerate(block.instrs):
-            if instr.result is not None:
-                def_site[instr.result] = (block.label, idx)
-    for block in fn.blocks:
-        if block.label not in reach:
+    def_site = {
+        instr.result: site
+        for site, instr in instruction_sites(fn)
+        if instr.result is not None
+    }
+    for site, instr in instruction_sites(fn):
+        if site[0] not in dom:
             continue  # dominance is vacuous in unreachable code
-        for idx, instr in enumerate(block.instrs):
-            for op in instr.operands:
-                if not isinstance(op, Reg) or op.name in param_names:
-                    continue
-                dblock, didx = def_site[op.name]
-                if dblock == block.label:
-                    ok = didx < idx
-                else:
-                    ok = dblock in dom[block.label]
-                if not ok:
-                    raise MiniVerifyError(
-                        f"instruction '%{op.name}' does not dominate all uses"
-                    )
+        for op in instr.operands:
+            if (
+                isinstance(op, str)
+                and op not in param_names
+                and not dominates(dom, def_site[op], site)
+            ):
+                raise MiniVerifyError(
+                    f"instruction '%{op}' does not dominate all uses"
+                )
 
 
 def render_instr(instr: Instr) -> str:
-    op = instr.opcode
+    op, ty, result = instr.opcode, instr.ty, instr.result
+    ops = [render_operand(o) for o in instr.operands]
     if op == "alloca":
-        return f"%{instr.result} = alloca {instr.ty}"
+        return f"%{result} = alloca {ty}"
     if op == "store":
-        val, ptr = instr.operands
-        return f"store {instr.ty} {val.render()}, {instr.ty}* {ptr.render()}"
+        return f"store {ty} {ops[0]}, {ty}* {ops[1]}"
     if op == "load":
-        return (
-            f"%{instr.result} = load {instr.ty}, "
-            f"{instr.ty}* {instr.operands[0].render()}"
-        )
+        return f"%{result} = load {ty}, {ty}* {ops[0]}"
     if op in BINOPS:
-        a, b = instr.operands
-        return f"%{instr.result} = {op} {instr.ty} {a.render()}, {b.render()}"
+        return f"%{result} = {op} {ty} {ops[0]}, {ops[1]}"
     if op == "icmp":
-        a, b = instr.operands
-        return (
-            f"%{instr.result} = icmp {instr.pred} {instr.ty} "
-            f"{a.render()}, {b.render()}"
-        )
+        return f"%{result} = icmp {instr.pred} {ty} {ops[0]}, {ops[1]}"
     if op == "br":
-        if instr.operands:
-            cond = instr.operands[0].render()
-            return f"br i1 {cond}, label %{instr.labels[0]}, label %{instr.labels[1]}"
+        if ops:
+            return f"br i1 {ops[0]}, label %{instr.labels[0]}, label %{instr.labels[1]}"
         return f"br label %{instr.labels[0]}"
     if op == "ret":
-        if instr.ty == "void":
-            return "ret void"
-        return f"ret {instr.ty} {instr.operands[0].render()}"
+        return "ret void" if ty == "void" else f"ret {ty} {ops[0]}"
     raise ValueError(f"cannot render opcode {op!r}")
 
 

@@ -3,10 +3,15 @@
 Six deterministic passes, each a function Function -> None mutating in
 place. The ``-Oz`` meta-flag expands to the fixed size pipeline
 [mem2reg, constfold, instcombine, gvn, dce, simplifycfg] applied twice.
+
+Passes compare operands directly (a register name is a ``str``, a literal
+an ``int``), fold through one ``_fold``, and order a definition against a
+use with ``mini_ir.dominates``.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 from passtune.backend.mini_ir import (
@@ -14,11 +19,12 @@ from passtune.backend.mini_ir import (
     TYPE_BITS,
     Function,
     Instr,
-    Lit,
     Operand,
-    Reg,
+    Site,
     clone_function,
+    dominates,
     dominators,
+    instruction_sites,
     predecessors,
     reachable_labels,
 )
@@ -35,43 +41,22 @@ def wrap(value: int, bits: int) -> int:
 
 def _replace_uses(fn: Function, old: str, new: Operand) -> None:
     for instr in fn.instructions():
-        if any(isinstance(op, Reg) and op.name == old for op in instr.operands):
+        if old in instr.operands:
             instr.operands = tuple(
-                new if isinstance(op, Reg) and op.name == old else op
-                for op in instr.operands
+                new if op == old else op for op in instr.operands
             )
 
 
-def _count_uses(fn: Function, name: str) -> int:
-    return sum(
-        1
-        for instr in fn.instructions()
-        for op in instr.operands
-        if isinstance(op, Reg) and op.name == name
-    )
+_BINOP_FOLDS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_ICMP_FOLDS = {"eq": operator.eq, "ne": operator.ne, "slt": operator.lt}
 
 
-def _fold_binop(opcode: str, ty: str, a: int, b: int) -> int:
-    bits = TYPE_BITS[ty]
-    if opcode == "add":
-        return wrap(a + b, bits)
-    if opcode == "sub":
-        return wrap(a - b, bits)
-    if opcode == "mul":
-        return wrap(a * b, bits)
-    raise ValueError(opcode)
-
-
-def _fold_icmp(pred: str, ty: str, a: int, b: int) -> int:
-    bits = TYPE_BITS[ty]
-    a, b = wrap(a, bits), wrap(b, bits)
-    if pred == "eq":
-        return int(a == b)
-    if pred == "ne":
-        return int(a != b)
-    if pred == "slt":
-        return int(a < b)
-    raise ValueError(pred)
+def _fold(instr: Instr, a: int, b: int) -> int:
+    """The literal a binop or icmp of literals ``a`` and ``b`` yields."""
+    bits = TYPE_BITS[instr.ty]
+    if instr.opcode == "icmp":
+        return int(_ICMP_FOLDS[instr.pred](wrap(a, bits), wrap(b, bits)))
+    return wrap(_BINOP_FOLDS[instr.opcode](a, b), bits)
 
 
 def constfold(fn: Function) -> None:
@@ -88,29 +73,15 @@ def constfold(fn: Function) -> None:
             for instr in block.instrs:
                 ops = instr.operands
                 if (
-                    instr.opcode in BINOPS
-                    and isinstance(ops[0], Lit)
-                    and isinstance(ops[1], Lit)
+                    (instr.opcode in BINOPS or instr.opcode == "icmp")
+                    and isinstance(ops[0], int)
+                    and isinstance(ops[1], int)
                 ):
-                    folded = _fold_binop(instr.opcode, instr.ty, ops[0].value, ops[1].value)
-                    _replace_uses(fn, instr.result, Lit(folded))
+                    _replace_uses(fn, instr.result, _fold(instr, *ops))
                     changed = True
                     continue
-                if (
-                    instr.opcode == "icmp"
-                    and isinstance(ops[0], Lit)
-                    and isinstance(ops[1], Lit)
-                ):
-                    folded = _fold_icmp(instr.pred, instr.ty, ops[0].value, ops[1].value)
-                    _replace_uses(fn, instr.result, Lit(folded))
-                    changed = True
-                    continue
-                if (
-                    instr.opcode == "br"
-                    and instr.operands
-                    and isinstance(instr.operands[0], Lit)
-                ):
-                    taken = instr.labels[0] if instr.operands[0].value else instr.labels[1]
+                if instr.opcode == "br" and ops and isinstance(ops[0], int):
+                    taken = instr.labels[0] if ops[0] else instr.labels[1]
                     kept.append(Instr("br", labels=(taken,)))
                     changed = True
                     continue
@@ -127,12 +98,7 @@ def dce(fn: Function) -> None:
     changed = True
     while changed:
         changed = False
-        used = {
-            op.name
-            for instr in fn.instructions()
-            for op in instr.operands
-            if isinstance(op, Reg)
-        }
+        used = {op for instr in fn.instructions() for op in instr.operands}
         for block in fn.blocks:
             kept = [
                 i
@@ -152,61 +118,40 @@ def mem2reg(fn: Function) -> None:
     dominate, are left alone.
     """
     dom = dominators(fn)
-    reach = reachable_labels(fn)
     allocas = [i for i in fn.instructions() if i.opcode == "alloca"]
     for alloca in allocas:
         ptr = alloca.result
-        stores: list[Instr] = []
-        loads: list[Instr] = []
+        stores: list[tuple[Site, Instr]] = []
+        loads: list[tuple[Site, Instr]] = []
         promotable = True
-        for instr in fn.instructions():
-            uses_ptr = any(
-                isinstance(op, Reg) and op.name == ptr for op in instr.operands
-            )
-            if not uses_ptr:
+        for site, instr in instruction_sites(fn):
+            if ptr not in instr.operands:
                 continue
-            if instr.opcode == "store" and instr.operands[1] == Reg(ptr):
-                if isinstance(instr.operands[0], Reg) and instr.operands[0].name == ptr:
+            if instr.opcode == "store" and instr.operands[1] == ptr:
+                if instr.operands[0] == ptr:
                     promotable = False  # cell address stored as a value
                     break
-                stores.append(instr)
+                stores.append((site, instr))
             elif instr.opcode == "load":
-                loads.append(instr)
+                loads.append((site, instr))
             else:
                 promotable = False
                 break
         if not promotable or len(stores) != 1:
             continue
-        store = stores[0]
-        sblock, sidx = _find_instr(fn, store)
-        for load in loads:
-            lblock, lidx = _find_instr(fn, load)
-            if lblock not in reach:
-                promotable = False  # cannot order against unreachable code
-                break
-            if lblock == sblock:
-                if not sidx < lidx:
-                    promotable = False
-                    break
-            elif sblock not in dom.get(lblock, set()):
-                promotable = False
-                break
-        if not promotable:
+        [(store_site, store)] = stores
+        # a load in unreachable code cannot be ordered against the store
+        if not all(
+            site[0] in dom and dominates(dom, store_site, site)
+            for site, _ in loads
+        ):
             continue
         value = store.operands[0]
-        for load in loads:
+        for _, load in loads:
             _replace_uses(fn, load.result, value)
-        dead = {id(store), id(alloca)} | {id(l) for l in loads}
+        dead = {id(store), id(alloca)} | {id(load) for _, load in loads}
         for block in fn.blocks:
             block.instrs = [i for i in block.instrs if id(i) not in dead]
-
-
-def _find_instr(fn: Function, target: Instr) -> tuple[str, int]:
-    for block in fn.blocks:
-        for idx, instr in enumerate(block.instrs):
-            if instr is target:
-                return block.label, idx
-    raise ValueError("instruction not in function")
 
 
 def instcombine(fn: Function) -> None:
@@ -230,49 +175,46 @@ def instcombine(fn: Function) -> None:
                 _replace_uses(fn, instr.result, simplified)
                 block.instrs.remove(instr)
                 changed = True
+                inner = defs.get(instr.operands[1])
                 if (
                     instr.opcode == "sub"
-                    and isinstance(instr.operands[1], Reg)
+                    and inner is not None
+                    and inner.opcode == "sub"
+                    and all(
+                        inner.result not in i.operands for i in fn.instructions()
+                    )
                 ):
-                    inner_name = instr.operands[1].name
-                    inner = defs.get(inner_name)
-                    if (
-                        inner is not None
-                        and inner.opcode == "sub"
-                        and _count_uses(fn, inner_name) == 0
-                    ):
-                        for b in fn.blocks:
-                            if inner in b.instrs:
-                                b.instrs.remove(inner)
-                                break
+                    for b in fn.blocks:
+                        if inner in b.instrs:
+                            b.instrs.remove(inner)
+                            break
 
 
 def _simplify(instr: Instr, defs: dict[str, Instr]) -> Operand | None:
     if instr.opcode not in BINOPS:
         return None
     a, b = instr.operands
+    # a register name is a str, so it never equals a literal
     if instr.opcode == "add":
-        if isinstance(b, Lit) and b.value == 0:
+        if b == 0:
             return a
-        if isinstance(a, Lit) and a.value == 0:
+        if a == 0:
             return b
     elif instr.opcode == "sub":
-        if isinstance(b, Lit) and b.value == 0:
+        if b == 0:
             return a
-        if isinstance(a, Lit) and a.value == 0 and isinstance(b, Reg):
-            inner = defs.get(b.name)
-            if (
-                inner is not None
-                and inner.opcode == "sub"
-                and inner.ty == instr.ty
-                and isinstance(inner.operands[0], Lit)
-                and inner.operands[0].value == 0
-            ):
-                return inner.operands[1]
+        inner = defs.get(b) if a == 0 else None
+        if (
+            inner is not None
+            and inner.opcode == "sub"
+            and inner.ty == instr.ty
+            and inner.operands[0] == 0
+        ):
+            return inner.operands[1]
     elif instr.opcode == "mul":
-        if isinstance(b, Lit) and b.value == 1:
+        if b == 1:
             return a
-        if isinstance(a, Lit) and a.value == 1:
+        if a == 1:
             return b
     return None
 
@@ -295,27 +237,21 @@ def gvn(fn: Function) -> None:
                 key = _value_key(instr)
                 prior = table.get(key)
                 if prior is not None:
-                    _replace_uses(fn, instr.result, Reg(prior))
+                    _replace_uses(fn, instr.result, prior)
                     continue
                 table[key] = instr.result
             kept.append(instr)
         block.instrs = kept
 
 
-def _operand_key(op: Operand) -> tuple:
-    if isinstance(op, Reg):
-        return ("r", op.name)
-    return ("l", op.value)
-
-
 def _value_key(instr: Instr) -> tuple:
-    ops = [_operand_key(op) for op in instr.operands]
+    ops = instr.operands
     commutative = instr.opcode in ("add", "mul") or (
         instr.opcode == "icmp" and instr.pred in _COMMUTATIVE_PREDS
     )
     if commutative:
-        ops.sort()
-    return (instr.opcode, instr.pred, instr.ty, tuple(ops))
+        ops = tuple(sorted(ops, key=lambda op: (isinstance(op, str), op)))
+    return (instr.opcode, instr.pred, instr.ty, ops)
 
 
 def simplifycfg(fn: Function) -> None:

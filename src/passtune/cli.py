@@ -28,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -75,7 +76,7 @@ from passtune.predictor import (
     predict_retrieval,
     predict_top_frequency,
 )
-from passtune.util import file_digest, read_records, write_records
+from passtune.util import file_digest, read_records, unique_ids, write_records
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
@@ -191,6 +192,11 @@ def _read_corpus_checked(path: str | Path) -> list[IrFunction]:
     return corpus
 
 
+def _read_per_function(cls: type, path: str | Path) -> list:
+    """Records of ``cls``, one per ``function_id``; a repeat is an error."""
+    return read_records(cls, path, check=unique_ids(attrgetter("function_id")))
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -272,7 +278,7 @@ def _cmd_autotune(args: argparse.Namespace) -> list[str]:
 
 def _cmd_dataset(args: argparse.Namespace) -> list[str]:
     corpus = _read_corpus_checked(args.corpus)
-    tune_results = read_records(TuneResult, args.tune_results)
+    tune_results = _read_per_function(TuneResult, args.tune_results)
     backend = _make_backend(args)
     records, errors = build_pass_dataset(
         tune_results, corpus, backend, token_limit=args.token_limit
@@ -333,7 +339,7 @@ def _cmd_predict(args: argparse.Namespace) -> list[str]:
     elif args.method == "top-frequency":
         if not args.tune_results:
             raise ValueError("--method top-frequency requires --tune-results")
-        table = build_frequency_table(read_records(TuneResult, args.tune_results))
+        table = build_frequency_table(_read_per_function(TuneResult, args.tune_results))
         inputs.append(args.tune_results)
         predict = partial(predict_top_frequency, frequency_table=table)
     elif args.method == "retrieval":
@@ -342,7 +348,9 @@ def _cmd_predict(args: argparse.Namespace) -> list[str]:
                 "--method retrieval requires --tune-results and --train-corpus"
             )
         train = _read_corpus_checked(args.train_corpus)
-        index = RetrievalIndex.build(train, read_records(TuneResult, args.tune_results))
+        index = RetrievalIndex.build(
+            train, _read_per_function(TuneResult, args.tune_results)
+        )
         inputs.extend([args.train_corpus, args.tune_results])
         predict = partial(predict_retrieval, index=index)
     elif args.method == "file":
@@ -375,7 +383,7 @@ def _cmd_predict(args: argparse.Namespace) -> list[str]:
 def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
     corpus = _read_corpus_checked(args.corpus)
     backend = _make_backend(args)
-    predictions = read_records(Prediction, args.predictions)
+    predictions = _read_per_function(Prediction, args.predictions)
     summary, rows = evaluate_predictions(
         predictions, corpus, backend, use_oz_backup=args.oz_backup
     )
@@ -392,11 +400,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_report(args: argparse.Namespace) -> list[str]:
-    rows = read_records(EvalRow, args.rows)
+    rows = _read_per_function(EvalRow, args.rows)
     if not rows:
         raise ValueError(f"rows file {args.rows} is empty")
-    predictions = read_records(Prediction, args.predictions)
-    tune_results = read_records(TuneResult, args.tune_results)
+    predictions = _read_per_function(Prediction, args.predictions)
+    tune_results = _read_per_function(TuneResult, args.tune_results)
     tables, beats = reports(rows, predictions, tune_results)
     novel = len(tables["novel_lists.csv"]) - 1  # less the header row
     paths = write_report_csvs(tables, args.output_dir)

@@ -185,7 +185,7 @@ def build_single_pass_dataset(
     included) costs its attempt and nothing more.
     """
     if per_pass < 1:
-        raise ValueError("per_pass must be >= 1")
+        raise ValueError(f"per_pass must be >= 1, got {per_pass}")
     if max_prefix_len < 0:
         raise ValueError(f"max_prefix_len must be >= 0, got {max_prefix_len}")
     for flag in passes:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from passtune.util import read_records
+from passtune.util import read_records, unique_ids
 
 # The reference tokenizer averages 2.02 characters per token on IR text.
 # Kept as an exact rational (101/50) so the ceiling never drifts with
@@ -218,12 +218,10 @@ def read_corpus(path: str | Path) -> list[IrFunction]:
     :func:`normalize`, so later stages can compile ``fn.ir`` as it is,
     and no two rows may share an ``id``, which later stages key on.
     """
-    seen: set[str] = set()
+    unique = unique_ids(lambda fn: fn.id)
 
     def check(fn: IrFunction) -> None:
         fn.validate()
-        if fn.id in seen:
-            raise ValueError(f"repeated function id {fn.id!r}")
-        seen.add(fn.id)
+        unique(fn)
 
     return read_records(IrFunction, path, check=check)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import subprocess
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -19,7 +20,7 @@ from passtune.backend import InvalidPassListError, PassList, PassVocabulary
 from passtune.backend.passlist import OZ_ITEMS
 from passtune.dataset import AnswerParseError, parse_answer
 from passtune.ircore import IrFunction
-from passtune.util import read_jsonl
+from passtune.util import read_jsonl, unique_ids
 
 OZ_LIST = " ".join(OZ_ITEMS)
 
@@ -184,16 +185,21 @@ class FilePredictor:
     Rows carry a string ``function_id`` plus either ``answer`` or
     ``pass_list`` (a string or an array of flags); both are model output
     for :func:`_parse_prediction`, and ``answer`` wins when a row has
-    both. A row without a string ``function_id`` is a ValueError naming
-    its ``path:line``.
+    both. A row without a string ``function_id``, or with one an earlier
+    row has, is a ValueError naming its ``path:line``.
     """
 
     def __init__(self, path: str | Path, vocabulary: PassVocabulary) -> None:
         self.vocabulary = vocabulary
         self.rows: dict[str, dict] = {}
+        unique = unique_ids(itemgetter("function_id"))
         for where, row in read_jsonl(path):
             if not isinstance(row.get("function_id"), str):
                 raise ValueError(f"{where}: expected a string function_id")
+            try:
+                unique(row)
+            except ValueError as err:
+                raise ValueError(f"{where}: {err}") from None
             self.rows[row["function_id"]] = row
 
     def predict(self, fn: IrFunction) -> Prediction:

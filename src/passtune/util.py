@@ -107,6 +107,23 @@ def read_records(
     return out
 
 
+def unique_ids(key: Callable[[_T], str]) -> Callable[[_T], None]:
+    """A ``check`` for :func:`read_records` that rejects a repeated id.
+
+    ``key`` gives a record's function id; every stage keys on it, so a
+    second record with the same id is a ValueError.
+    """
+    seen: set[str] = set()
+
+    def check(record: _T) -> None:
+        fid = key(record)
+        if fid in seen:
+            raise ValueError(f"repeated function id {fid!r}")
+        seen.add(fid)
+
+    return check
+
+
 def file_digest(path: str | Path) -> str:
     hasher = hashlib.sha256()
     with open(path, "rb") as fh:

@@ -92,7 +92,7 @@ def test_budget_requires_exactly_one_mode():
         SearchBudget.evaluation_count(-1)
     with pytest.raises(ValueError):
         SearchBudget.wall_clock(0.0)
-    with pytest.raises(ValueError, match="wall_clock_seconds must be positive"):
+    with pytest.raises(ValueError, match="budget seconds must be positive, got nan"):
         SearchBudget.wall_clock(float("nan"))
     assert SearchBudget.evaluation_count(0).evaluations == 0
     assert SearchBudget.wall_clock().wall_clock_seconds == 780.0

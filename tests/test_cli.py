@@ -540,6 +540,25 @@ def test_conflicting_budgets_are_rejected(tmp_path, corpus_file):
     ) == 2
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--budget-seconds", 0, "budget seconds must be positive, got 0.0"),
+        ("--budget-evals", -1, "budget evaluations must be >= 0, got -1"),
+    ],
+)
+def test_a_bad_budget_names_the_flag_and_the_value(
+    tmp_path, corpus_file, capsys, flag, value, message
+):
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    assert run(
+        "autotune", "--corpus", corpus_file, "--output", out, flag, value
+    ) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_fewer_than_one_worker_is_a_config_error(tmp_path, corpus_file, capsys):
     assert run(
         "autotune",
@@ -682,6 +701,61 @@ def test_a_malformed_input_row_is_a_config_error(
     err = capsys.readouterr().err
     assert f"{bad}:2: " in err
     assert "Traceback" not in err
+
+
+# case id -> (input whose first row is repeated, command line)
+REPEATED_IDS = {
+    "dataset-tune-results": (
+        "tuned", "dataset --corpus {corpus} --tune-results {tuned} --output {out}"
+    ),
+    "predict-tune-results": (
+        "tuned",
+        "predict --corpus {corpus} --method top-frequency --tune-results {tuned}"
+        " --output {out}",
+    ),
+    "evaluate-predictions": (
+        "preds", "evaluate --corpus {corpus} --predictions {preds} --output {out}"
+    ),
+    "predict-predictions-file": (
+        "preds",
+        "predict --corpus {corpus} --method file --predictions-file {preds}"
+        " --output {out}",
+    ),
+    "report-rows": (
+        "rows",
+        "report --rows {rows} --predictions {preds} --tune-results {tuned}"
+        " --output-dir {out}",
+    ),
+    "report-predictions": (
+        "preds",
+        "report --rows {rows} --predictions {preds} --tune-results {tuned}"
+        " --output-dir {out}",
+    ),
+    "report-tune-results": (
+        "tuned",
+        "report --rows {rows} --predictions {preds} --tune-results {tuned}"
+        " --output-dir {out}",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind,argv", REPEATED_IDS.values(), ids=REPEATED_IDS.keys())
+def test_a_repeated_function_id_is_a_config_error(
+    tmp_path, input_files, capsys, kind, argv
+):
+    first = input_files[kind].read_text().splitlines()[0]
+    bad = tmp_path / f"bad-{kind}.jsonl"
+    bad.write_text(first + "\n" + first + "\n")
+    out = tmp_path / "out"
+    names = {key: str(path) for key, path in input_files.items()}
+    names.update({kind: str(bad), "out": str(out)})
+    capsys.readouterr()
+    assert run(*(arg.format(**names) for arg in argv.split())) == 2
+    fid = json.loads(first)["function_id"]
+    assert capsys.readouterr().err == (
+        f"error: {bad}:2: repeated function id '{fid}'\n"
+    )
+    assert not out.exists()
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from passtune.backend.mini_passes import (
     simplifycfg,
     wrap,
 )
+from passtune.ircore import count_instructions
 from passtune.minigen import generate_function
 
 
@@ -184,6 +185,59 @@ def test_gvn_is_per_block():
     )
     out = _apply(text, "-gvn")
     assert "%d2 = add i32 %a, %a" in render_function(out)
+
+
+_NUMERIC_NAMES = (
+    "define i32 @f(i32 %0, i32 %1) {\n%3 = mul i32 %1, 5\n%4 = add i32 1, 2\n"
+    "%5 = add i32 %1, 2\n%6 = sub i32 %0, 0\n%7 = icmp slt i32 %3, %5\n"
+    "br i1 %7, label %8, label %10\n8:\n%9 = add i32 %4, %6\nret i32 %9\n"
+    "10:\n%11 = mul i32 %5, %6\nret i32 %11\n}"
+)
+
+
+def test_numeric_register_names_are_never_literals():
+    # %0 is not the literal 0 and %1 is not 1: only %6 is an identity
+    # (x - 0) and only %4 folds
+    rest = [
+        "%7 = icmp slt i32 %3, %5",
+        "br i1 %7, label %8, label %10",
+        "8:",
+    ]
+    assert _body(_apply(_NUMERIC_NAMES, "-instcombine")) == [
+        "%3 = mul i32 %1, 5",
+        "%4 = add i32 1, 2",
+        "%5 = add i32 %1, 2",
+        *rest,
+        "%9 = add i32 %4, %0",
+        "ret i32 %9",
+        "10:",
+        "%11 = mul i32 %5, %0",
+        "ret i32 %11",
+    ]
+    assert render_function(_apply(_NUMERIC_NAMES, "-gvn")) == _NUMERIC_NAMES
+    assert _body(_apply(_NUMERIC_NAMES, "-constfold")) == [
+        "%3 = mul i32 %1, 5",
+        "%5 = add i32 %1, 2",
+        "%6 = sub i32 %0, 0",
+        *rest,
+        "%9 = add i32 3, %6",
+        "ret i32 %9",
+        "10:",
+        "%11 = mul i32 %5, %6",
+        "ret i32 %11",
+    ]
+    oz = _apply(_NUMERIC_NAMES, "-Oz")
+    assert _body(oz) == [
+        "%3 = mul i32 %1, 5",
+        "%5 = add i32 %1, 2",
+        *rest,
+        "%9 = add i32 3, %0",
+        "ret i32 %9",
+        "10:",
+        "%11 = mul i32 %5, %0",
+        "ret i32 %11",
+    ]
+    assert count_instructions(render_function(oz)) == 8
 
 
 def test_simplifycfg_merges_linear_chain():
