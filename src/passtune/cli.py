@@ -210,7 +210,11 @@ def _cmd_ingest(args: argparse.Namespace) -> list[str]:
             rows = read_records(_IngestRow, path)
             label = args.source_dataset or path.stem
         else:  # one .ll file is one function
-            rows = [_IngestRow(path.stem, path.read_text(encoding="utf-8"))]
+            try:
+                rows = [_IngestRow(path.stem, path.read_text(encoding="utf-8"))]
+            except UnicodeDecodeError:
+                failures.append(f"{path}: not UTF-8 text")
+                continue
             label = args.source_dataset or path.parent.name or "ingest"
         for row in rows:
             try:
@@ -280,7 +284,7 @@ def _cmd_dataset(args: argparse.Namespace) -> list[str]:
     corpus = _read_corpus_checked(args.corpus)
     tune_results = _read_per_function(TuneResult, args.tune_results)
     backend = _make_backend(args)
-    records, errors = build_pass_dataset(
+    records, failures = build_pass_dataset(
         tune_results, corpus, backend, token_limit=args.token_limit
     )
     truncated = sum(1 for r in records if r.truncated)
@@ -292,11 +296,11 @@ def _cmd_dataset(args: argparse.Namespace) -> list[str]:
             "corpus_stats": corpus_stats(corpus),
             "records": len(records),
             "truncated": truncated,
-            "record_errors": len(errors),
+            "record_errors": len(failures),
         },
     )
     print(f"wrote {len(records)} records to {args.output} ({truncated} truncated)")
-    return [f"{err.function_id}: {err.message}" for err in errors]
+    return failures
 
 
 def _cmd_single_pass_dataset(args: argparse.Namespace) -> list[str]:
@@ -326,9 +330,12 @@ def _cmd_single_pass_dataset(args: argparse.Namespace) -> list[str]:
         },
     )
     print(f"wrote {len(records)} records to {args.output} ({truncated} truncated)")
-    if len(records) < expected:
-        return [f"uniqueness shortfall: {len(records)} of {expected} records"]
-    return []
+    found = Counter(r.target_pass for r in records)
+    return [
+        f"{flag}: only {found[flag]} of {args.per_pass} unique records"
+        for flag in passes
+        if found[flag] < args.per_pass
+    ]
 
 
 def _cmd_predict(args: argparse.Namespace) -> list[str]:
@@ -470,7 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=DEFAULT_TIMEOUT_SECONDS,
-        help="per-compilation timeout in seconds",
+        help=(
+            "per-compilation timeout in seconds; under predict --method command, "
+            "also the time limit of each predictor process"
+        ),
     )
 
     # Full flag names only, so a config key "max" is not read as --max-len.

@@ -14,7 +14,6 @@ Both use bit-exact templates so answers round-trip through parsing.
 
 from __future__ import annotations
 
-import logging
 import random
 import re
 from dataclasses import dataclass
@@ -24,8 +23,6 @@ from passtune.backend import Backend, compile_items
 from passtune.backend.passlist import sample_items
 from passtune.ircore import DEFAULT_TOKEN_LIMIT, IrFunction, estimate_tokens
 from passtune.util import stable_seed
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -51,15 +48,6 @@ class SinglePassRecord:
     prompt: str
     answer: str
     truncated: bool
-
-
-@dataclass(frozen=True)
-class RecordError:
-    """A record that could not be built, with the backend's reason."""
-
-    function_id: str
-    pass_list: str
-    message: str
 
 
 class AnswerParseError(ValueError):
@@ -125,18 +113,18 @@ def build_pass_dataset(
     corpus: Sequence[IrFunction],
     backend: Backend,
     token_limit: int = DEFAULT_TOKEN_LIMIT,
-) -> tuple[list[PassOrderingRecord], list[RecordError]]:
-    """Render one record per tune result.
+) -> tuple[list[PassOrderingRecord], list[str]]:
+    """Render one record per tune result; return the records and the failures.
 
     The best pass list is recompiled to obtain the optimized code for
-    the answer; a failure (a timeout included) becomes a RecordError
-    instead of a record.
+    the answer; a failure (a timeout included) becomes the message
+    ``"<function id>: <diagnostic>"`` instead of a record.
     Records whose prompt+answer exceed the token limit are flagged
     ``truncated``, never dropped.
     """
     by_id = {fn.id: fn for fn in corpus}
     records: list[PassOrderingRecord] = []
-    errors: list[RecordError] = []
+    failures: list[str] = []
     for result in tune_results:
         fn = by_id.get(result.function_id)
         if fn is None:
@@ -144,9 +132,7 @@ def build_pass_dataset(
         items = tuple(result.best_pass_list.split())
         outcome = compile_items(backend, fn.ir, items)
         if not outcome.ok:
-            errors.append(
-                RecordError(fn.id, result.best_pass_list, outcome.diagnostic.message)
-            )
+            failures.append(f"{fn.id}: {outcome.diagnostic.message}")
             continue
         prompt = fn.normalized_text
         answer = render_answer(
@@ -163,7 +149,7 @@ def build_pass_dataset(
                 truncated=_is_truncated(prompt, answer, token_limit),
             )
         )
-    return records, errors
+    return records, failures
 
 
 def build_single_pass_dataset(
@@ -180,17 +166,20 @@ def build_single_pass_dataset(
     For each record a function and a random pass prefix (length uniform
     in [0, max_prefix_len]) are drawn; the prefix output becomes the
     prompt IR and the target pass's output the answer. Records are
-    unique per (target_pass, prompt); if uniqueness cannot be satisfied
-    the pass stops early with a warning. A failed compilation (a timeout
-    included) costs its attempt and nothing more.
+    unique per (target_pass, prompt). A pass that runs out of attempts
+    (``per_pass * 50``) before finding ``per_pass`` unique prompts gives
+    fewer records; the caller counts them. A failed compilation (a
+    timeout included) costs its attempt and nothing more.
     """
     if per_pass < 1:
         raise ValueError(f"per_pass must be >= 1, got {per_pass}")
     if max_prefix_len < 0:
         raise ValueError(f"max_prefix_len must be >= 0, got {max_prefix_len}")
-    for flag in passes:
+    for i, flag in enumerate(passes):
         if flag not in backend.vocabulary:
             raise ValueError(f"target pass {flag!r} not in backend vocabulary")
+        if flag in passes[:i]:
+            raise ValueError(f"target pass {flag!r} given twice")
     if not corpus:
         raise ValueError("corpus is empty")
 
@@ -198,11 +187,9 @@ def build_single_pass_dataset(
     for target in passes:
         rng = random.Random(stable_seed(seed, target))
         seen_prompts: set[str] = set()
-        found = 0
-        attempts = 0
-        max_attempts = per_pass * 50
-        while found < per_pass and attempts < max_attempts:
-            attempts += 1
+        for _attempt in range(per_pass * 50):
+            if len(seen_prompts) == per_pass:
+                break
             fn = rng.choice(corpus)
             prefix = sample_items(
                 rng, backend.vocabulary, rng.randint(0, max_prefix_len)
@@ -218,7 +205,6 @@ def build_single_pass_dataset(
             if not out.ok:
                 continue
             seen_prompts.add(prompt)
-            found += 1
             records.append(
                 SinglePassRecord(
                     function_id=fn.id,
@@ -228,14 +214,6 @@ def build_single_pass_dataset(
                     answer=out.output.text,
                     truncated=_is_truncated(prompt, out.output.text, token_limit),
                 )
-            )
-        if found < per_pass:
-            logger.warning(
-                "only %d/%d unique records for %s after %d attempts",
-                found,
-                per_pass,
-                target,
-                attempts,
             )
     return records
 

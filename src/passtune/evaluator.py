@@ -13,7 +13,6 @@ by input size, novel lists) and counts the functions that beat the tuner.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -30,8 +29,6 @@ from passtune.backend import (
 from passtune.backend.passlist import OZ_ITEMS
 from passtune.ircore import IrFunction, normalize
 from passtune.predictor import Prediction
-
-logger = logging.getLogger(__name__)
 
 BLEU_MAX_ORDER = 4
 BLEU_SMOOTHING = 1e-9
@@ -123,8 +120,10 @@ def evaluate_predictions(
 
     -Oz is compiled once per function, and so is each valid non-Oz list;
     a function whose -Oz fails to compile gets no row. Functions without
-    a prediction are scored as -Oz and flagged, as are predictions that
-    failed to parse or whose list is invalid or fails to compile. With the
+    a prediction are scored as -Oz and flagged ``prediction_missing``;
+    nothing is logged, the caller counts the flags. Predictions that
+    failed to parse or whose list is invalid or fails to compile are
+    scored as -Oz and flagged ``prediction_failed``. With the
     backup protocol each compiled list is charged as one additional
     compilation and kept only if strictly smaller than -Oz, so nothing
     regresses.
@@ -163,9 +162,7 @@ def evaluate_predictions(
         predicted_count = oz_count = oz.instruction_count
         failed = False
         pred = by_id.get(fn.id)
-        if pred is None:
-            logger.warning("no prediction for %s; scoring as -Oz", fn.id)
-        else:
+        if pred is not None:
             additional += pred.extra_compilations
             items = pred.items()
             # The compiler's output for the predicted list; None if it has none.

@@ -214,9 +214,9 @@ class ProcessPredictor:
     """Runs one external process per prediction.
 
     Protocol: prompt on standard input, the answer template or a bare
-    flag list on standard output; a nonzero exit or a timeout is an
-    error, while output that does not parse degrades to a flagged -Oz
-    prediction.
+    flag list on standard output, both UTF-8; a nonzero exit, a timeout
+    or output that is not UTF-8 is an error, while output that does not
+    parse degrades to a flagged -Oz prediction.
     """
 
     def __init__(
@@ -239,12 +239,16 @@ class ProcessPredictor:
                 self.command,
                 input=fn.normalized_text,
                 capture_output=True,
-                text=True,
+                encoding="utf-8",
                 timeout=self.timeout,
             )
         except subprocess.TimeoutExpired as err:
             raise ExternalPredictorError(
                 f"predictor timed out after {self.timeout:g}s"
+            ) from err
+        except UnicodeDecodeError as err:
+            raise ExternalPredictorError(
+                f"predictor output is not UTF-8: {err}"
             ) from err
         except OSError as err:
             raise ExternalPredictorError(f"cannot run predictor: {err}") from err

@@ -35,14 +35,18 @@ def write_jsonl(rows: Iterable[dict[str, Any]], path: str | Path) -> int:
 def read_jsonl(path: str | Path) -> Iterator[tuple[str, dict[str, Any]]]:
     """Yield ``("path:line", object)`` for every non-blank line.
 
-    A line that is not a JSON object is a ValueError naming its place.
+    A line that is not UTF-8 text or not a JSON object is a ValueError
+    naming its place.
     """
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
+            where = f"{path}:{number}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise ValueError(f"{where}: not UTF-8 text") from None
             if not line:
                 continue
-            where = f"{path}:{number}"
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as err:

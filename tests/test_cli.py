@@ -26,6 +26,16 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def assert_errors(capsys, caplog, *messages):
+    """The whole of stderr is one ``error: <message>`` line per message, in
+    order. Nothing may be logged either: pytest captures log records, which a
+    plain run would print to stderr as bare lines."""
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if not line.startswith("error: ")] == []
+    assert lines == [f"error: {message}" for message in messages]
+    assert [record.getMessage() for record in caplog.records] == []
+
+
 @pytest.fixture
 def corpus_file(tmp_path):
     path = tmp_path / "corpus.jsonl"
@@ -114,7 +124,7 @@ def test_ingest_jsonl_rows(tmp_path):
     assert corpus[0].source_dataset == "suite/z"
 
 
-def test_ingest_reports_partial_failure(tmp_path, capsys):
+def test_ingest_reports_partial_failure(tmp_path, capsys, caplog):
     good = tmp_path / "good.ll"
     shutil.copy(DATA / "sample.ll", good)
     bad = tmp_path / "bad.ll"
@@ -122,7 +132,21 @@ def test_ingest_reports_partial_failure(tmp_path, capsys):
     out = tmp_path / "corpus.jsonl"
     assert run("ingest", good, bad, "--output", out) == 4
     assert len(read_corpus(out)) == 1
-    assert "error:" in capsys.readouterr().err
+    assert_errors(
+        capsys, caplog,
+        f"{bad}:bad: function 'bad' must contain exactly one definition",
+    )
+
+
+def test_ingest_skips_a_file_that_is_not_utf8(tmp_path, capsys, caplog):
+    good = tmp_path / "good.ll"
+    shutil.copy(DATA / "sample.ll", good)
+    bad = tmp_path / "bad.ll"
+    bad.write_bytes(b"; caf\xe9\ndefine i32 @bad() {\nret i32 1\n}\n")
+    out = tmp_path / "corpus.jsonl"
+    assert run("ingest", good, bad, "--output", out) == 4
+    assert [fn.id for fn in read_corpus(out)] == ["good"]
+    assert_errors(capsys, caplog, f"{bad}: not UTF-8 text")
 
 
 def test_ingest_without_a_good_function_still_names_each_failure(tmp_path, capsys):
@@ -703,6 +727,18 @@ def test_a_malformed_input_row_is_a_config_error(
     assert "Traceback" not in err
 
 
+def test_an_input_line_that_is_not_utf8_names_its_place(tmp_path, corpus_file, capsys):
+    first, *rest = corpus_file.read_bytes().splitlines(keepends=True)
+    bad = tmp_path / "bad-corpus.jsonl"
+    second = rest[0].replace(b'"mini', b'"\xffmini', 1)
+    bad.write_bytes(first + second + b"".join(rest[1:]))
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    assert run("predict", "--corpus", bad, "--output", out) == 2
+    assert capsys.readouterr().err == f"error: {bad}:2: not UTF-8 text\n"
+    assert not out.exists()
+
+
 # case id -> (input whose first row is repeated, command line)
 REPEATED_IDS = {
     "dataset-tune-results": (
@@ -773,12 +809,12 @@ def xor_corpus(tmp_path, corpus_file):
 
 @pytest.mark.parametrize("subcommand", ["autotune", "dataset", "evaluate"])
 def test_partial_failures_exit_4_and_still_write(
-    tmp_path, xor_corpus, tuned_file, capsys, subcommand
+    tmp_path, xor_corpus, tuned_file, capsys, caplog, subcommand
 ):
     out = tmp_path / "out.jsonl"
     if subcommand == "autotune":
         argv = ["--budget-evals", 2, "--max-len", 1]
-        error = "error: baseline failed to compile: xor\n"
+        error = "baseline failed to compile: xor"
     elif subcommand == "evaluate":
         preds = tmp_path / "preds.jsonl"
         assert run(
@@ -786,7 +822,7 @@ def test_partial_failures_exit_4_and_still_write(
             "--output", preds,
         ) == 0
         argv = ["--predictions", preds]
-        error = "error: baseline failed to compile: xor\n"
+        error = "baseline failed to compile: xor"
     else:
         tuned = tmp_path / "xor-tuned.jsonl"
         row = {
@@ -799,12 +835,14 @@ def test_partial_failures_exit_4_and_still_write(
         }
         tuned.write_text(tuned_file.read_text() + json.dumps(row) + "\n")
         argv = ["--tune-results", tuned]
-        error = "error: xor: unsupported instruction 'xor'\n"
+        error = "xor: unsupported instruction 'xor'"
     capsys.readouterr()
     assert run(subcommand, "--corpus", xor_corpus, "--output", out, *argv) == 4
-    assert capsys.readouterr().err == error
+    assert_errors(capsys, caplog, error)
     assert len(list(read_jsonl(out))) == 12  # every function but xor
-    assert out.with_name(out.name + ".manifest.json").exists()
+    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+    if subcommand == "dataset":
+        assert (manifest["records"], manifest["record_errors"]) == (12, 1)
     if subcommand == "evaluate":
         assert (tmp_path / "out.summary.jsonl").exists()
 
@@ -883,7 +921,9 @@ def test_retrieval_without_inputs_is_a_config_error(tmp_path, corpus_file):
     ) == 2
 
 
-def test_file_predictions_missing_function_is_partial(tmp_path, corpus_file, capsys):
+def test_file_predictions_missing_function_is_partial(
+    tmp_path, corpus_file, capsys, caplog
+):
     corpus = read_corpus(corpus_file)
     partial = tmp_path / "partial.jsonl"
     partial.write_text(
@@ -898,24 +938,74 @@ def test_file_predictions_missing_function_is_partial(tmp_path, corpus_file, cap
         "--predictions-file", partial,
     ) == 4
     assert len(read_records(Prediction, preds)) == 1
-    assert "no prediction in file" in capsys.readouterr().err
+    assert_errors(
+        capsys, caplog,
+        *(f"{fn.id}: no prediction in file" for fn in corpus[1:]),
+    )
 
 
-def test_single_pass_shortfall_is_partial(tmp_path, capsys):
+@pytest.fixture
+def lone_corpus(tmp_path):
+    """A corpus of one function: with no prefix, one unique prompt per pass."""
     lone = tmp_path / "lone.ll"
     shutil.copy(DATA / "sample.ll", lone)
-    corpus = tmp_path / "corpus.jsonl"
+    corpus = tmp_path / "lone.jsonl"
     assert run("ingest", lone, "--output", corpus) == 0
+    return corpus
+
+
+def test_single_pass_shortfall_is_partial(tmp_path, lone_corpus, capsys, caplog):
     out = tmp_path / "single.jsonl"
+    capsys.readouterr()
     assert run(
         "single-pass-dataset",
-        "--corpus", corpus,
+        "--corpus", lone_corpus,
         "--output", out,
         "--passes=-dce",
         "--per-pass", 3,
         "--max-prefix-len", 0,
     ) == 4
-    assert "shortfall" in capsys.readouterr().err
+    assert_errors(capsys, caplog, "-dce: only 1 of 3 unique records")
+
+
+@pytest.mark.parametrize(
+    "per_pass,errors",
+    [
+        (1, []),
+        (2, [f"{flag}: only 1 of 2 unique records" for flag in ("-gvn", "-dce")]),
+    ],
+    ids=["full", "short"],
+)
+def test_single_pass_reports_each_short_pass_once_in_order(
+    tmp_path, lone_corpus, capsys, caplog, per_pass, errors
+):
+    out = tmp_path / "single.jsonl"
+    capsys.readouterr()
+    assert run(
+        "single-pass-dataset",
+        "--corpus", lone_corpus,
+        "--output", out,
+        "--passes=-gvn,-dce",
+        "--per-pass", per_pass,
+        "--max-prefix-len", 0,
+    ) == (4 if errors else 0)
+    assert_errors(capsys, caplog, *errors)
+    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+    assert (manifest["records"], manifest["expected_records"]) == (2, 2 * per_pass)
+
+
+def test_single_pass_repeated_target_is_a_config_error(tmp_path, corpus_file, capsys):
+    out = tmp_path / "single.jsonl"
+    capsys.readouterr()
+    assert run(
+        "single-pass-dataset",
+        "--corpus", corpus_file,
+        "--output", out,
+        "--passes=-dce,-dce",
+        "--per-pass", 2,
+    ) == 2
+    assert capsys.readouterr().err == "error: target pass '-dce' given twice\n"
+    assert not out.exists()
 
 
 def test_single_pass_unknown_target_is_a_config_error(tmp_path, corpus_file, capsys):
@@ -930,7 +1020,9 @@ def test_single_pass_unknown_target_is_a_config_error(tmp_path, corpus_file, cap
     assert not out.exists()
 
 
-def test_command_predictor_failures_are_partial(tmp_path, corpus_file, capsys):
+def test_command_predictor_failures_are_partial(
+    tmp_path, corpus_file, capsys, caplog
+):
     # Fails on the first function only; the rest print a bare flag list.
     script = tmp_path / "model.py"
     first = read_corpus(corpus_file)[0]
@@ -948,13 +1040,47 @@ def test_command_predictor_failures_are_partial(tmp_path, corpus_file, capsys):
         "--method", "command",
         "--command", shlex.join([sys.executable, str(script)]),
     ) == 4
-    assert f"{first.id}: predictor exited with 3: boom" in capsys.readouterr().err
+    assert_errors(capsys, caplog, f"{first.id}: predictor exited with 3: boom")
     predictions = read_records(Prediction, preds)
     assert len(predictions) == len(read_corpus(corpus_file)) - 1
     assert {p.pass_list for p in predictions} == {"-mem2reg -dce"}
 
 
-def test_evaluate_missing_predictions_is_partial(tmp_path, corpus_file, capsys):
+def test_command_predictor_output_that_is_not_utf8_costs_one_function(
+    tmp_path, corpus_file, capsys, caplog
+):
+    script = tmp_path / "model.py"
+    first = read_corpus(corpus_file)[0]
+    script.write_text(
+        "import sys\n"
+        f"if sys.stdin.read() == {first.normalized_text!r}:\n"
+        "    sys.stdout.buffer.write(b'-dce \\xff\\n'); sys.exit()\n"
+        "print('-mem2reg -dce')\n"
+    )
+    preds = tmp_path / "preds.jsonl"
+    capsys.readouterr()
+    assert run(
+        "predict",
+        "--corpus", corpus_file,
+        "--output", preds,
+        "--method", "command",
+        "--command", shlex.join([sys.executable, str(script)]),
+    ) == 4
+    assert_errors(
+        capsys, caplog,
+        f"{first.id}: predictor output is not UTF-8: 'utf-8' codec can't decode "
+        "byte 0xff in position 5: invalid start byte",
+    )
+    predictions = read_records(Prediction, preds)
+    assert [p.function_id for p in predictions] == [
+        fn.id for fn in read_corpus(corpus_file)[1:]
+    ]
+    assert {p.pass_list for p in predictions} == {"-mem2reg -dce"}
+
+
+def test_evaluate_missing_predictions_is_partial(
+    tmp_path, corpus_file, capsys, caplog
+):
     corpus = read_corpus(corpus_file)
     preds = tmp_path / "preds.jsonl"
     preds.write_text(
@@ -967,7 +1093,9 @@ def test_evaluate_missing_predictions_is_partial(tmp_path, corpus_file, capsys):
         "--predictions", preds,
         "--output", rows,
     ) == 4
-    assert "had no prediction" in capsys.readouterr().err
+    assert_errors(
+        capsys, caplog, f"{len(corpus) - 1} functions had no prediction"
+    )
     assert len(read_records(EvalRow, rows)) == len(corpus)
 
 

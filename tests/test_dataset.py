@@ -1,5 +1,4 @@
 import dataclasses
-import logging
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +7,10 @@ from hypothesis import strategies as st
 from passtune.autotuner import SearchBudget, TuneResult, autotune_corpus
 from passtune.backend import compile_items
 from passtune.backend.passlist import llvm10_vocabulary
+from passtune.cli import main
 from passtune.dataset import (
     AnswerParseError,
     PassOrderingRecord,
-    RecordError,
     SinglePassRecord,
     build_pass_dataset,
     build_single_pass_dataset,
@@ -144,10 +143,13 @@ def test_build_pass_dataset_collects_errors(backend, corpus20):
     result = TuneResult(fn.id, "-Oz", fn.instruction_count, "-gvn", 1, 5)
     records, errors = build_pass_dataset([result], corpus20, rigged)
     assert records == []
-    assert len(errors) == 1
-    assert errors[0].function_id == fn.id
-    assert errors[0].pass_list == "-gvn"
-    assert "poisoned" in errors[0].message
+    assert errors == [f"{fn.id}: poisoned"]
+    # the failure is the tuned list's own: poisoning another flag builds it
+    records, errors = build_pass_dataset(
+        [result], corpus20, PoisonBackend(backend, "-dce")
+    )
+    assert [r.pass_list for r in records] == ["-gvn"]
+    assert errors == []
 
 
 def test_build_pass_dataset_turns_a_timeout_into_a_record_error(backend, corpus20):
@@ -156,7 +158,7 @@ def test_build_pass_dataset_turns_a_timeout_into_a_record_error(backend, corpus2
     result = TuneResult(fn.id, "-Oz", fn.instruction_count, "-gvn", 1, 5)
     records, errors = build_pass_dataset([result], corpus20, rigged)
     assert records == []
-    assert errors == [RecordError(fn.id, "-gvn", "induced")]
+    assert errors == [f"{fn.id}: induced"]
 
 
 # --- single-pass dataset ----------------------------------------------------
@@ -213,14 +215,27 @@ def test_zero_prefix_prompts_use_the_raw_function(backend, corpus20):
         assert ir_text in texts
 
 
-def test_single_pass_shortfall_warns_and_keeps_unique(backend, corpus20, caplog):
+def test_single_pass_shortfall_warns_and_keeps_unique(
+    backend, corpus20, tmp_path, capsys, caplog
+):
+    # One function and no prefix give one unique prompt: the pass stops
+    # short with the one record it found, and only the CLI reports it.
     lone = [corpus20[0]]
-    with caplog.at_level(logging.WARNING, logger="passtune.dataset"):
-        records = build_single_pass_dataset(
-            backend, lone, ("-dce",), per_pass=3, max_prefix_len=0, seed=0
-        )
-    assert len(records) == 1
-    assert "only 1/3" in caplog.text
+    records = build_single_pass_dataset(
+        backend, lone, ("-dce",), per_pass=3, max_prefix_len=0, seed=0
+    )
+    assert [(r.function_id, r.target_pass, r.prefix_passes) for r in records] == [
+        (lone[0].id, "-dce", "")
+    ]
+    assert (capsys.readouterr().err, caplog.records) == ("", [])
+    corpus = tmp_path / "lone.jsonl"
+    write_records(lone, corpus)
+    argv = ["single-pass-dataset", "--corpus", str(corpus), "--passes=-dce",
+            "--per-pass", "3", "--max-prefix-len", "0",
+            "--output", str(tmp_path / "out.jsonl")]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "error: -dce: only 1 of 3 unique records\n"
+    assert read_records(SinglePassRecord, tmp_path / "out.jsonl") == records
 
 
 def test_single_pass_validation(backend, corpus20):
@@ -239,6 +254,11 @@ def test_single_pass_validation(backend, corpus20):
     with pytest.raises(ValueError, match="max_prefix_len must be >= 0, got -1"):
         build_single_pass_dataset(
             backend, corpus20, ("-dce",), per_pass=1, max_prefix_len=-1, seed=0
+        )
+    with pytest.raises(ValueError, match="target pass '-dce' given twice"):
+        build_single_pass_dataset(
+            backend, corpus20, ("-dce", "-gvn", "-dce"), per_pass=1,
+            max_prefix_len=1, seed=0,
         )
 
 

@@ -211,6 +211,15 @@ def test_process_predictor_nonzero_exit(tmp_path, vocab, corpus20):
         ProcessPredictor(command, vocab).predict(corpus20[0])
 
 
+def test_process_predictor_output_that_is_not_utf8(tmp_path, vocab, corpus20):
+    command = write_script(
+        tmp_path,
+        "import sys; sys.stdin.read(); sys.stdout.buffer.write(b'-dce \\xff')",
+    )
+    with pytest.raises(ExternalPredictorError, match="predictor output is not UTF-8"):
+        ProcessPredictor(command, vocab).predict(corpus20[0])
+
+
 def test_process_predictor_timeout(tmp_path, vocab, corpus20):
     command = write_script(tmp_path, "import time; time.sleep(30)")
     with pytest.raises(ExternalPredictorError, match="timed out after 0.3s"):
