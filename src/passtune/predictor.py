@@ -10,7 +10,7 @@ one parser. All predictors are deterministic given their inputs.
 from __future__ import annotations
 
 import subprocess
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -108,12 +108,30 @@ class RetrievalEntry:
 
 
 class RetrievalIndex:
-    """Nearest-neighbor index over tuned functions."""
+    """Nearest-neighbor index over tuned functions, kept as an inverted index.
+
+    Built once from the entries: ``postings`` maps each token to the
+    positions of the entries holding it and their counts of it, as two
+    parallel lists (under half the memory of a tuple per pair); ``totals``
+    holds each entry's token total, and ``order`` the entry positions
+    sorted by ``function_id``. The entries' counters are not kept.
+    """
 
     def __init__(self, entries: Sequence[RetrievalEntry]) -> None:
         if not entries:
             raise ValueError("retrieval index is empty")
-        self.entries = list(entries)
+        self.pass_lists = [entry.pass_list for entry in entries]
+        self.totals: list[int] = []
+        self.postings: dict[str, tuple[list[int], list[int]]] = defaultdict(
+            lambda: ([], [])
+        )
+        for position, entry in enumerate(entries):
+            self.totals.append(sum(entry.tokens.values()))
+            for token, count in entry.tokens.items():
+                positions, counts = self.postings[token]
+                positions.append(position)
+                counts.append(count)
+        self.order = sorted(range(len(entries)), key=lambda i: entries[i].function_id)
 
     @classmethod
     def build(
@@ -136,13 +154,30 @@ class RetrievalIndex:
 
 
 def predict_retrieval(fn: IrFunction, index: RetrievalIndex) -> Prediction:
-    """Copy the tuned list of the most token-similar indexed function."""
+    """Copy the tuned list of the most token-similar indexed function.
+
+    Picks what brute force over :func:`jaccard_similarity` picks: the
+    shared occurrences come from the postings of the query's own tokens,
+    the union is |query| + |entry| - shared, and the same two integers
+    are divided. The highest score wins and ties go to the smallest
+    ``function_id``; an entry sharing no token scores 0.0 and still
+    takes part.
+    """
     query = _token_counts(fn.normalized_text)
-    best = min(
-        index.entries,
-        key=lambda e: (-jaccard_similarity(query, e.tokens), e.function_id),
-    )
-    return Prediction(function_id=fn.id, pass_list=best.pass_list)
+    query_total = sum(query.values())
+    shared = [0] * len(index.totals)
+    for token, query_count in query.items():
+        positions, counts = index.postings.get(token, ((), ()))
+        for position, count in zip(positions, counts):
+            # min(query_count, count), without a call per posting
+            shared[position] += count if count < query_count else query_count
+    best, best_score = index.order[0], -1.0
+    for position in index.order:
+        union = query_total + index.totals[position] - shared[position]
+        score = shared[position] / union if union else 0.0
+        if score > best_score:
+            best, best_score = position, score
+    return Prediction(function_id=fn.id, pass_list=index.pass_lists[best])
 
 
 def _parse_prediction(
@@ -216,7 +251,9 @@ class ProcessPredictor:
     Protocol: prompt on standard input, the answer template or a bare
     flag list on standard output, both UTF-8; a nonzero exit, a timeout
     or output that is not UTF-8 is an error, while output that does not
-    parse degrades to a flagged -Oz prediction.
+    parse degrades to a flagged -Oz prediction. The exit code is checked
+    before standard output is decoded, so a failed process is reported
+    with its code and standard error, whatever bytes it wrote.
     """
 
     def __init__(
@@ -237,23 +274,27 @@ class ProcessPredictor:
         try:
             proc = subprocess.run(
                 self.command,
-                input=fn.normalized_text,
+                input=fn.normalized_text.encode("utf-8"),
                 capture_output=True,
-                encoding="utf-8",
                 timeout=self.timeout,
             )
         except subprocess.TimeoutExpired as err:
             raise ExternalPredictorError(
                 f"predictor timed out after {self.timeout:g}s"
             ) from err
+        except OSError as err:
+            raise ExternalPredictorError(f"cannot run predictor: {err}") from err
+        if proc.returncode != 0:
+            stderr = proc.stderr.decode("utf-8", errors="replace").strip()
+            raise ExternalPredictorError(
+                f"predictor exited with {proc.returncode}: {stderr}"
+            )
+        try:
+            stdout = proc.stdout.decode("utf-8")
         except UnicodeDecodeError as err:
             raise ExternalPredictorError(
                 f"predictor output is not UTF-8: {err}"
             ) from err
-        except OSError as err:
-            raise ExternalPredictorError(f"cannot run predictor: {err}") from err
-        if proc.returncode != 0:
-            raise ExternalPredictorError(
-                f"predictor exited with {proc.returncode}: {proc.stderr.strip()}"
-            )
-        return _parse_prediction(fn, proc.stdout.rstrip("\n"), self.vocabulary)
+        # universal newlines, as text-mode capture gives them
+        stdout = stdout.replace("\r\n", "\n").replace("\r", "\n")
+        return _parse_prediction(fn, stdout.rstrip("\n"), self.vocabulary)

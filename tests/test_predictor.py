@@ -1,8 +1,11 @@
 import dataclasses
+import itertools
 import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passtune.autotuner import SearchBudget, TuneResult, autotune_corpus
 from passtune.backend.classify import diagnostic_from_message
@@ -88,6 +91,45 @@ def test_retrieval_tie_breaks_on_function_id(corpus20):
         ]
     )
     assert predict_retrieval(corpus20[0], index).pass_list == "-dce"
+
+
+def test_retrieval_without_shared_tokens_picks_the_smallest_function_id(corpus20):
+    entries = [
+        RetrievalEntry("m", Counter("p q".split()), "-gvn"),
+        RetrievalEntry("b", Counter("r".split()), "-dce"),
+        RetrievalEntry("x", Counter("p p".split()), "-instcombine"),
+    ]
+    query = dataclasses.replace(corpus20[0], normalized_text="s t t")
+    for order in itertools.permutations(entries):
+        assert predict_retrieval(query, RetrievalIndex(order)).pass_list == "-dce"
+
+
+# Small alphabets, so that exact score ties, entries sharing no token with
+# the query, repeated tokens, repeated function ids and empty texts all occur.
+TOKEN_LISTS = st.lists(st.sampled_from("wxyz"), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(st.sampled_from(["a", "b", "c", "d", "e"]), TOKEN_LISTS),
+        min_size=1,
+        max_size=8,
+    ),
+    query_tokens=TOKEN_LISTS,
+)
+def test_retrieval_picks_what_brute_force_jaccard_picks(corpus20, entries, query_tokens):
+    # each entry gets its own list, so the list names the entry picked
+    indexed = [
+        RetrievalEntry(function_id, Counter(tokens), f"-list{i}")
+        for i, (function_id, tokens) in enumerate(entries)
+    ]
+    query = Counter(query_tokens)
+    expected = min(
+        indexed, key=lambda e: (-jaccard_similarity(query, e.tokens), e.function_id)
+    )
+    fn = dataclasses.replace(corpus20[0], normalized_text=" ".join(query_tokens))
+    assert predict_retrieval(fn, RetrievalIndex(indexed)).pass_list == expected.pass_list
 
 
 def test_retrieval_index_validates(corpus20, tuned):
@@ -209,6 +251,18 @@ def test_process_predictor_nonzero_exit(tmp_path, vocab, corpus20):
     )
     with pytest.raises(ExternalPredictorError, match="boom"):
         ProcessPredictor(command, vocab).predict(corpus20[0])
+
+
+def test_process_predictor_nonzero_exit_keeps_stderr_that_is_not_utf8(
+    tmp_path, vocab, corpus20
+):
+    command = write_script(
+        tmp_path,
+        "import sys; sys.stdin.read(); sys.stderr.buffer.write(b'bad \\xff'); sys.exit(3)",
+    )
+    with pytest.raises(ExternalPredictorError) as err:
+        ProcessPredictor(command, vocab).predict(corpus20[0])
+    assert str(err.value) == "predictor exited with 3: bad \ufffd"
 
 
 def test_process_predictor_output_that_is_not_utf8(tmp_path, vocab, corpus20):
