@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shlex
 import sys
 from collections import Counter
@@ -128,6 +129,21 @@ def _parse_fractions(text: str) -> dict[str, float]:
     return out
 
 
+def _timeout_seconds(text: str) -> float:
+    """``--timeout``'s type, so that every backend checks it: a positive,
+    finite number of seconds (the manifest is JSON, which has no NaN or
+    infinity)."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError(f"timeout must be positive, got {seconds}")
+    if seconds == math.inf:
+        raise argparse.ArgumentTypeError(f"timeout must be finite, got {seconds}")
+    return seconds
+
+
 def _parse_passes(text: str) -> tuple[str, ...]:
     return tuple(text.replace(",", " ").split())
 
@@ -183,13 +199,6 @@ def _write_output(
     out = Path(args.output if path is None else path)
     write_records(records, out)
     _write_manifest(out.with_name(out.name + ".manifest.json"), args, inputs, extra)
-
-
-def _read_corpus_checked(path: str | Path) -> list[IrFunction]:
-    corpus = read_corpus(path)
-    if not corpus:
-        raise ValueError(f"corpus {path} is empty")
-    return corpus
 
 
 def _read_per_function(cls: type, path: str | Path) -> list:
@@ -259,7 +268,7 @@ def _cmd_gen_mini_corpus(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_autotune(args: argparse.Namespace) -> list[str]:
-    corpus = _read_corpus_checked(args.corpus)
+    corpus = read_corpus(args.corpus)
     backend = _make_backend(args)
     budget = _resolve_budget(args)
     results, stats = autotune_corpus(
@@ -281,7 +290,7 @@ def _cmd_autotune(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_dataset(args: argparse.Namespace) -> list[str]:
-    corpus = _read_corpus_checked(args.corpus)
+    corpus = read_corpus(args.corpus)
     tune_results = _read_per_function(TuneResult, args.tune_results)
     backend = _make_backend(args)
     records, failures = build_pass_dataset(
@@ -304,9 +313,11 @@ def _cmd_dataset(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_single_pass_dataset(args: argparse.Namespace) -> list[str]:
-    corpus = _read_corpus_checked(args.corpus)
+    corpus = read_corpus(args.corpus)
     backend = _make_backend(args)
-    passes = _parse_passes(args.passes) if args.passes else backend.vocabulary.passes
+    passes = (
+        backend.vocabulary.passes if args.passes is None else _parse_passes(args.passes)
+    )
     records = build_single_pass_dataset(
         backend,
         corpus,
@@ -339,7 +350,7 @@ def _cmd_single_pass_dataset(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_predict(args: argparse.Namespace) -> list[str]:
-    corpus = _read_corpus_checked(args.corpus)
+    corpus = read_corpus(args.corpus)
     inputs = [args.corpus]
     if args.method == "always-oz":
         predict = predict_always_oz
@@ -354,7 +365,7 @@ def _cmd_predict(args: argparse.Namespace) -> list[str]:
             raise ValueError(
                 "--method retrieval requires --tune-results and --train-corpus"
             )
-        train = _read_corpus_checked(args.train_corpus)
+        train = read_corpus(args.train_corpus)
         index = RetrievalIndex.build(
             train, _read_per_function(TuneResult, args.tune_results)
         )
@@ -388,7 +399,7 @@ def _cmd_predict(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
-    corpus = _read_corpus_checked(args.corpus)
+    corpus = read_corpus(args.corpus)
     backend = _make_backend(args)
     predictions = _read_per_function(Prediction, args.predictions)
     summary, rows = evaluate_predictions(
@@ -475,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     backend_flags.add_argument(
         "--timeout",
-        type=float,
+        type=_timeout_seconds,
         default=DEFAULT_TIMEOUT_SECONDS,
         help=(
             "per-compilation timeout in seconds; under predict --method command, "

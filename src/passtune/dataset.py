@@ -108,6 +108,11 @@ def _is_truncated(prompt: str, answer: str, token_limit: int) -> bool:
     return estimate_tokens(prompt) + estimate_tokens(answer) > token_limit
 
 
+def _check_token_limit(token_limit: int) -> None:
+    if token_limit < 0:
+        raise ValueError(f"token_limit must be >= 0, got {token_limit}")
+
+
 def build_pass_dataset(
     tune_results: Iterable,
     corpus: Sequence[IrFunction],
@@ -122,6 +127,7 @@ def build_pass_dataset(
     Records whose prompt+answer exceed the token limit are flagged
     ``truncated``, never dropped.
     """
+    _check_token_limit(token_limit)
     by_id = {fn.id: fn for fn in corpus}
     records: list[PassOrderingRecord] = []
     failures: list[str] = []
@@ -175,6 +181,9 @@ def build_single_pass_dataset(
         raise ValueError(f"per_pass must be >= 1, got {per_pass}")
     if max_prefix_len < 0:
         raise ValueError(f"max_prefix_len must be >= 0, got {max_prefix_len}")
+    _check_token_limit(token_limit)
+    if not passes:
+        raise ValueError("no target passes given")
     for i, flag in enumerate(passes):
         if flag not in backend.vocabulary:
             raise ValueError(f"target pass {flag!r} not in backend vocabulary")
@@ -235,7 +244,10 @@ def split(
     fractions: Mapping[str, float],
     seed: int,
 ) -> dict[str, list[IrFunction]]:
-    """Deterministic disjoint partition by named fractions summing to 1."""
+    """Deterministic disjoint partition by named fractions summing to 1.
+
+    Every part must get at least one function.
+    """
     if not fractions:
         raise ValueError("fractions must be non-empty")
     for name, frac in fractions.items():
@@ -254,6 +266,8 @@ def split(
     for i, name in enumerate(names):
         cumulative += fractions[name]
         end = n if i == len(names) - 1 else round(cumulative * n)
+        if end == start:
+            raise ValueError(f"split part {name!r} gets none of the {n} functions")
         out[name] = shuffled[start:end]
         start = end
     return out

@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 from passtune.util import read_records, unique_ids
 
@@ -37,52 +36,19 @@ class NormalizedIr:
 # Trailing metadata attachments such as ", !dbg !7" or ", !tbaa !4".
 _TRAILING_METADATA = re.compile(r"(?:,\s*![\w.$-]+\s+!\d+)+\s*$")
 _ATTR_REF = re.compile(r"\s#\d+\b")
+_SPACES = re.compile(r"[ \t]+")
+# A quoted string: double quotes toggle string state (LLVM escapes a quote
+# inside a string as \22, so quotes never nest), and a string left open
+# runs to the end of the line.
+_STRING_PATTERN = r'"[^"]*"?'
+_STRING = re.compile(f"({_STRING_PATTERN})")
+# A line up to its first `;` outside a string, where its comment starts.
+_CODE = re.compile(rf'(?:[^";]+|{_STRING_PATTERN})*')
 _LABEL_LINE = re.compile(r"^[\w.$%-]+:$")
 # Continuation lines as `opt` prints them: a landingpad's clauses (these,
 # or a bare `cleanup`) and an invoke's destinations. No instruction opens
 # with these words.
 _CONTINUATION = ("catch ", "filter ", "to ")
-
-
-def _split_string_segments(line: str) -> Iterator[tuple[bool, str]]:
-    """Yield (inside_string, segment) pairs for a line.
-
-    Double quotes toggle string state. LLVM escapes quotes as \\22 inside
-    strings, so raw quotes never nest; toggling is sufficient and, being
-    deterministic, keeps normalization idempotent.
-    """
-    inside = False
-    start = 0
-    for i, ch in enumerate(line):
-        if ch == '"':
-            yield inside, line[start : i + 1]
-            inside = not inside
-            start = i + 1
-    if start <= len(line) - 1 or start == 0:
-        yield inside, line[start:]
-
-
-def _strip_comment(line: str) -> str:
-    out: list[str] = []
-    for inside, seg in _split_string_segments(line):
-        if not inside and ";" in seg:
-            out.append(seg[: seg.index(";")])
-            break
-        out.append(seg)
-    return "".join(out)
-
-
-def _clean_outside_strings(line: str) -> str:
-    """Apply metadata/attribute/whitespace rules outside quoted strings."""
-    pieces: list[str] = []
-    for inside, seg in _split_string_segments(line):
-        if inside:
-            pieces.append(seg)
-        else:
-            seg = _ATTR_REF.sub("", seg)
-            seg = re.sub(r"[ \t]+", " ", seg)
-            pieces.append(seg)
-    return "".join(pieces)
 
 
 def normalize(raw: str) -> NormalizedIr:
@@ -97,16 +63,14 @@ def normalize(raw: str) -> NormalizedIr:
     """
     out_lines: list[str] = []
     for line in raw.splitlines():
-        line = _strip_comment(line.rstrip("\r"))
+        line = _CODE.match(line).group()
         stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("!"):
-            continue  # standalone metadata definition
-        if stripped.startswith("attributes #"):
-            continue  # attribute group
-        line = _TRAILING_METADATA.sub("", line)
-        line = _clean_outside_strings(line).strip()
+        if not stripped or stripped.startswith(("!", "attributes #")):
+            continue  # blank, a metadata definition or an attribute group
+        # Outside parts at even positions, strings at odd ones.
+        parts = _STRING.split(_TRAILING_METADATA.sub("", line))
+        parts[::2] = [_SPACES.sub(" ", _ATTR_REF.sub("", p)) for p in parts[::2]]
+        line = "".join(parts).strip()
         if line:
             out_lines.append(line)
     return NormalizedIr("\n".join(out_lines))
@@ -159,14 +123,6 @@ def estimate_tokens(text: str) -> int:
     return -(-n * _CHARS_PER_TOKEN_DEN // _CHARS_PER_TOKEN_NUM)
 
 
-def _count_definitions(text: str) -> int:
-    return sum(
-        1
-        for line in text.splitlines()
-        if line.startswith("define") and line.rstrip().endswith("{")
-    )
-
-
 @dataclass(frozen=True)
 class IrFunction:
     """One normalized IR function with its origin label and size measures."""
@@ -186,7 +142,8 @@ class IrFunction:
     @classmethod
     def from_raw(cls, id: str, source_dataset: str, raw_text: str) -> "IrFunction":
         norm = normalize(raw_text).text
-        if _count_definitions(norm) != 1:
+        lines = norm.splitlines()  # each already stripped
+        if sum(line.startswith("define") and line.endswith("{") for line in lines) != 1:
             raise MalformedIrError(
                 f"function {id!r} must contain exactly one definition"
             )
@@ -200,15 +157,14 @@ class IrFunction:
         )
 
     def validate(self) -> None:
-        """Check the record's internal consistency."""
-        if normalize(self.normalized_text).text != self.normalized_text:
+        """Check that the row is what :meth:`from_raw` makes of its own text."""
+        derived = IrFunction.from_raw(self.id, self.source_dataset, self.normalized_text)
+        if derived.normalized_text != self.normalized_text:
             raise ValueError(f"{self.id}: normalized_text is not a fixed point")
-        if count_instructions(self.normalized_text) != self.instruction_count:
+        if derived.instruction_count != self.instruction_count:
             raise ValueError(f"{self.id}: instruction_count mismatch")
-        if estimate_tokens(self.normalized_text) != self.token_estimate:
+        if derived.token_estimate != self.token_estimate:
             raise ValueError(f"{self.id}: token_estimate mismatch")
-        if _count_definitions(self.normalized_text) != 1:
-            raise ValueError(f"{self.id}: expected exactly one definition")
 
 
 def read_corpus(path: str | Path) -> list[IrFunction]:
@@ -216,7 +172,8 @@ def read_corpus(path: str | Path) -> list[IrFunction]:
 
     Every row's ``normalized_text`` must be a fixed point of
     :func:`normalize`, so later stages can compile ``fn.ir`` as it is,
-    and no two rows may share an ``id``, which later stages key on.
+    and no two rows may share an ``id``, which later stages key on. A
+    corpus with no rows is a ValueError too.
     """
     unique = unique_ids(lambda fn: fn.id)
 
@@ -224,4 +181,7 @@ def read_corpus(path: str | Path) -> list[IrFunction]:
         fn.validate()
         unique(fn)
 
-    return read_records(IrFunction, path, check=check)
+    corpus = read_records(IrFunction, path, check=check)
+    if not corpus:
+        raise ValueError(f"corpus {path} is empty")
+    return corpus

@@ -92,14 +92,6 @@ def _token_counts(text: str) -> Counter[str]:
     return Counter(text.split())
 
 
-def jaccard_similarity(a: Counter[str], b: Counter[str]) -> float:
-    """Multiset Jaccard: shared token occurrences over combined ones."""
-    union = sum((a | b).values())
-    if union == 0:
-        return 0.0
-    return sum((a & b).values()) / union
-
-
 @dataclass(frozen=True)
 class RetrievalEntry:
     function_id: str
@@ -156,12 +148,12 @@ class RetrievalIndex:
 def predict_retrieval(fn: IrFunction, index: RetrievalIndex) -> Prediction:
     """Copy the tuned list of the most token-similar indexed function.
 
-    Picks what brute force over :func:`jaccard_similarity` picks: the
-    shared occurrences come from the postings of the query's own tokens,
-    the union is |query| + |entry| - shared, and the same two integers
-    are divided. The highest score wins and ties go to the smallest
-    ``function_id``; an entry sharing no token scores 0.0 and still
-    takes part.
+    The score is multiset Jaccard: shared token occurrences over combined
+    ones. The shared occurrences come from the postings of the query's own
+    tokens and the combined ones are |query| + |entry| - shared. The
+    highest score wins and ties go to the smallest ``function_id``; an
+    entry sharing no token (or a query and an entry both empty) scores
+    0.0 and still takes part.
     """
     query = _token_counts(fn.normalized_text)
     query_total = sum(query.values())

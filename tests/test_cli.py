@@ -177,6 +177,24 @@ def test_ingest_split_writes_disjoint_parts(tmp_path):
     assert not out.exists()  # only the split parts are written
 
 
+def test_ingest_split_with_an_empty_part_writes_nothing(
+    tmp_path, corpus_file, capsys, caplog
+):
+    raw = tmp_path / "raw.jsonl"
+    write_jsonl(
+        [{"id": fn.id, "raw_text": fn.raw_text} for fn in read_corpus(corpus_file)],
+        raw,
+    )
+    out = tmp_path / "parts" / "corpus.jsonl"
+    out.parent.mkdir()
+    capsys.readouterr()
+    assert run(
+        "ingest", raw, "--output", out, "--split", "train=0.99,test=0.01"
+    ) == 2
+    assert_errors(capsys, caplog, "split part 'test' gets none of the 12 functions")
+    assert list(out.parent.iterdir()) == []
+
+
 def test_ingest_dedup_drops_copies(tmp_path):
     first = tmp_path / "first.ll"
     copy = tmp_path / "copy.ll"
@@ -612,6 +630,34 @@ def test_a_timeout_that_is_not_positive_is_a_config_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("backend", ["mini", "llvm"])
+@pytest.mark.parametrize(
+    "subcommand", ["autotune", "dataset", "single-pass-dataset", "predict", "evaluate"]
+)
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        ("nan", "timeout must be positive, got nan"),
+        ("-1", "timeout must be positive, got -1.0"),
+        ("inf", "timeout must be finite, got inf"),
+    ],
+)
+def test_a_bad_timeout_is_a_usage_error_on_every_backend(
+    tmp_path, corpus_file, capsys, backend, subcommand, value, message
+):
+    out = tmp_path / "out.jsonl"
+    assert run(
+        subcommand,
+        "--corpus", corpus_file,
+        "--output", out,
+        "--backend", backend,
+        "--timeout", value,
+    ) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"passtune {subcommand}: error: argument --timeout: {message}"
+    assert not out.exists()
+
+
 def test_a_max_len_below_one_is_a_config_error(tmp_path, corpus_file, capsys):
     assert run(
         "autotune",
@@ -725,6 +771,33 @@ def test_a_malformed_input_row_is_a_config_error(
     err = capsys.readouterr().err
     assert f"{bad}:2: " in err
     assert "Traceback" not in err
+
+
+# (case in MANIFEST_INPUTS, the corpus input that is empty)
+EMPTY_CORPORA = [
+    (case, kind)
+    for case, (_, kinds) in MANIFEST_INPUTS.items()
+    for kind in kinds
+    if kind in ("corpus", "train")
+]
+
+
+@pytest.mark.parametrize(
+    "case,kind", EMPTY_CORPORA, ids=[f"{case}-{kind}" for case, kind in EMPTY_CORPORA]
+)
+def test_an_empty_corpus_is_a_config_error(
+    tmp_path, input_files, capsys, caplog, case, kind
+):
+    names = {key: str(path) for key, path in input_files.items()}
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    names[kind] = str(empty)
+    out = tmp_path / "out"
+    argv = MANIFEST_INPUTS[case][0]
+    capsys.readouterr()
+    assert run(*(arg.format(out=out, **names) for arg in argv.split())) == 2
+    assert_errors(capsys, caplog, f"corpus {empty} is empty")
+    assert not out.exists()
 
 
 def test_an_input_line_that_is_not_utf8_names_its_place(tmp_path, corpus_file, capsys):
@@ -1017,6 +1090,38 @@ def test_single_pass_unknown_target_is_a_config_error(tmp_path, corpus_file, cap
         "--passes=-dce,-nope",
     ) == 2
     assert "'-nope'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("passes", ["--passes=", "--passes=,"])
+def test_single_pass_empty_target_list_is_a_config_error(
+    tmp_path, corpus_file, capsys, caplog, passes
+):
+    out = tmp_path / "single.jsonl"
+    capsys.readouterr()
+    assert run(
+        "single-pass-dataset", "--corpus", corpus_file, "--output", out, passes
+    ) == 2
+    assert_errors(capsys, caplog, "no target passes given")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "dataset --corpus {corpus} --tune-results {tuned} --output {out}",
+        "single-pass-dataset --corpus {corpus} --output {out} --passes=-dce",
+    ],
+    ids=["dataset", "single-pass-dataset"],
+)
+def test_a_negative_token_limit_is_a_config_error(
+    tmp_path, corpus_file, tuned_file, capsys, caplog, argv
+):
+    out = tmp_path / "records.jsonl"
+    names = {"corpus": corpus_file, "tuned": tuned_file, "out": out}
+    capsys.readouterr()
+    assert run(*(a.format(**names) for a in argv.split()), "--token-limit", -5) == 2
+    assert_errors(capsys, caplog, "token_limit must be >= 0, got -5")
     assert not out.exists()
 
 

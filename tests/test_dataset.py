@@ -131,6 +131,16 @@ def test_tiny_token_limit_flags_but_keeps_records(backend, corpus20, tuned):
     assert all(r.truncated for r in records)
 
 
+def test_negative_token_limit_raises(backend, corpus20, tuned):
+    with pytest.raises(ValueError, match="token_limit must be >= 0, got -5"):
+        build_pass_dataset(tuned, corpus20, backend, token_limit=-5)
+    with pytest.raises(ValueError, match="token_limit must be >= 0, got -5"):
+        build_single_pass_dataset(
+            backend, corpus20, ("-dce",), per_pass=1, max_prefix_len=1, seed=0,
+            token_limit=-5,
+        )
+
+
 def test_build_pass_dataset_unknown_function_raises(backend, corpus20, tuned):
     stray = dataclasses.replace(tuned[0], function_id="nope")
     with pytest.raises(ValueError):
@@ -260,6 +270,10 @@ def test_single_pass_validation(backend, corpus20):
             backend, corpus20, ("-dce", "-gvn", "-dce"), per_pass=1,
             max_prefix_len=1, seed=0,
         )
+    with pytest.raises(ValueError, match="no target passes given"):
+        build_single_pass_dataset(
+            backend, corpus20, (), per_pass=1, max_prefix_len=1, seed=0
+        )
 
 
 # --- corpus management ------------------------------------------------------
@@ -294,6 +308,17 @@ def test_split_validates_fractions(corpus20):
         split(corpus20, {"train": 0.5, "test": nan}, seed=0)
     with pytest.raises(ValueError, match="fraction 'train' must be positive"):
         split(corpus20, {"train": nan}, seed=0)
+
+
+def test_split_refuses_a_part_without_functions(corpus20):
+    with pytest.raises(ValueError, match="split part 'test' gets none of the 20"):
+        split(corpus20, {"train": 0.99, "test": 0.01}, seed=0)
+    with pytest.raises(ValueError, match="split part 'a' gets none of the 20"):
+        split(corpus20, {"a": 0.01, "b": 0.99}, seed=0)
+    with pytest.raises(ValueError, match="split part 'only' gets none of the 0"):
+        split([], {"only": 1.0}, seed=0)
+    parts = split(corpus20, {"a": 0.05, "b": 0.9, "c": 0.05}, seed=0)
+    assert [len(parts[k]) for k in "abc"] == [1, 18, 1]
 
 
 def test_corpus_stats_sums(corpus20):

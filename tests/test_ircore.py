@@ -1,9 +1,11 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from passtune import ircore
 from passtune.ircore import (
     IrFunction,
     MalformedIrError,
@@ -13,7 +15,11 @@ from passtune.ircore import (
     normalize,
     read_corpus,
 )
-from passtune.util import write_records
+from passtune.util import read_jsonl, write_records
+
+from oracles import reference_normalize
+
+ROOT = Path(__file__).parent.parent
 
 MESSY = """\
 ; ModuleID = 'x.c'
@@ -60,6 +66,31 @@ def test_normalize_drops_blank_lines_and_is_idempotent():
 def test_normalize_idempotent_on_arbitrary_text(raw):
     once = normalize(raw).text
     assert normalize(once).text == once
+
+
+# What normalize treats specially, as whole pieces, plus plain text.
+IR_PIECES = [
+    '"', ";", "#0", "!", ", !dbg !7", "attributes #0",
+    " ", "\t", "\r", "\n", "\x0b", "a", "b", "x",
+]
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.sampled_from(IR_PIECES), max_size=40).map("".join))
+def test_normalize_matches_the_reference(raw):
+    assert normalize(raw) == reference_normalize(raw)
+
+
+def test_normalize_matches_the_reference_on_the_data_files():
+    texts = [
+        row["raw_text"]
+        for path in sorted(ROOT.glob("perfbench/data/*.jsonl"))
+        for _, row in read_jsonl(path)
+    ]
+    texts += [p.read_text() for p in sorted(ROOT.glob("tests/data/*.ll"))]
+    assert len(texts) == 1180 + 3
+    for raw in texts:
+        assert normalize(raw) == reference_normalize(raw)
 
 
 def test_count_instructions_excludes_labels_and_header():
@@ -182,6 +213,31 @@ def test_validate_rejects_tampered_fields():
         broken.validate()
 
 
+@pytest.mark.parametrize(
+    "field,change,message",
+    [
+        (
+            "normalized_text",
+            lambda t: "  " + t,
+            "f1: normalized_text is not a fixed point",
+        ),
+        ("instruction_count", lambda n: n + 1, "f1: instruction_count mismatch"),
+        ("token_estimate", lambda n: n - 1, "f1: token_estimate mismatch"),
+        (
+            "normalized_text",
+            lambda t: t + "\n" + t,
+            "function 'f1' must contain exactly one definition",
+        ),
+    ],
+)
+def test_validate_names_the_rule_a_row_breaks(field, change, message):
+    fn = IrFunction.from_raw(id="f1", source_dataset="unit", raw_text=MESSY)
+    broken = replace(fn, **{field: change(getattr(fn, field))})
+    with pytest.raises(ValueError) as err:
+        broken.validate()
+    assert str(err.value) == message
+
+
 def test_read_corpus_rejects_text_that_is_not_normalized(tmp_path, corpus20):
     row = asdict(corpus20[0])
     row["normalized_text"] = row["normalized_text"].replace("\n", "\n  ", 1)
@@ -189,6 +245,28 @@ def test_read_corpus_rejects_text_that_is_not_normalized(tmp_path, corpus20):
     path.write_text(json.dumps(row) + "\n")
     with pytest.raises(ValueError, match="not a fixed point"):
         read_corpus(path)
+
+
+def test_read_corpus_rejects_an_empty_corpus(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n")
+    with pytest.raises(ValueError) as err:
+        read_corpus(path)
+    assert str(err.value) == f"corpus {path} is empty"
+
+
+def test_read_corpus_normalizes_each_row_once(tmp_path, corpus20, monkeypatch):
+    path = tmp_path / "corpus.jsonl"
+    write_records(corpus20, path)
+    calls = []
+
+    def counting(raw):
+        calls.append(raw)
+        return normalize(raw)
+
+    monkeypatch.setattr(ircore, "normalize", counting)
+    assert read_corpus(path) == corpus20
+    assert calls == [fn.normalized_text for fn in corpus20]
 
 
 def test_corpus_round_trip(tmp_path, corpus20):

@@ -20,12 +20,13 @@ from passtune.predictor import (
     RetrievalEntry,
     RetrievalIndex,
     build_frequency_table,
-    jaccard_similarity,
     predict_always_oz,
     predict_retrieval,
     predict_top_frequency,
 )
 from passtune.util import read_records, write_jsonl, write_records
+
+from oracles import jaccard_similarity
 
 
 @pytest.fixture(scope="module")
