@@ -32,7 +32,7 @@ from passtune.backend import Backend, PassVocabulary, compile_items
 from passtune.backend.passlist import DEFAULT_MAX_LEN, OZ_ITEMS, sample_items
 from passtune.evaluator import overall_improvement
 from passtune.ircore import IrFunction, NormalizedIr
-from passtune.util import stable_seed
+from passtune.util import positive_seconds, stable_seed
 
 DEFAULT_WALL_CLOCK_SECONDS = 780.0
 
@@ -59,10 +59,8 @@ class SearchBudget:
             raise ValueError(
                 f"budget evaluations must be >= 0, got {self.evaluations}"
             )
-        if self.wall_clock_seconds is not None and not self.wall_clock_seconds > 0:
-            raise ValueError(
-                f"budget seconds must be positive, got {self.wall_clock_seconds}"
-            )
+        if self.wall_clock_seconds is not None:
+            positive_seconds(self.wall_clock_seconds, "budget seconds")
 
     @classmethod
     def evaluation_count(cls, evaluations: int) -> "SearchBudget":

@@ -30,11 +30,11 @@ from passtune.backend.classify import diagnostic_from_message
 from passtune.backend.passlist import PassList, PassVocabulary, llvm10_vocabulary
 from passtune.backend.types import BackendUnavailableError, CompileOutcome
 from passtune.ircore import MalformedIrError, NormalizedIr, count_instructions, normalize
+from passtune.util import DEFAULT_TIMEOUT_SECONDS, positive_seconds
 
 logger = logging.getLogger(__name__)
 
 OPT_ENV_VAR = "PASSTUNE_OPT"
-DEFAULT_TIMEOUT_SECONDS = 60.0
 
 # An option line of the help listing: "  --dce   - Dead Code Elimination".
 _LISTED_OPTION = re.compile(r"^\s*--?([\w.-]+)", re.MULTILINE)
@@ -61,10 +61,8 @@ class LlvmBackend:
         timeout: float = DEFAULT_TIMEOUT_SECONDS,
         extra_args: Sequence[str] = (),
     ) -> None:
-        if not timeout > 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
+        self.timeout = positive_seconds(timeout, "timeout")
         self.opt_path = resolve_opt_path(opt_path)
-        self.timeout = timeout
         self.extra_args = tuple(extra_args)
         self._vocabulary = self._listed_only(llvm10_vocabulary())
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import shlex
 import sys
 from collections import Counter
@@ -41,7 +40,7 @@ from passtune.autotuner import (
     autotune_corpus,
 )
 from passtune.backend import BackendUnavailableError
-from passtune.backend.llvm import DEFAULT_TIMEOUT_SECONDS, LlvmBackend
+from passtune.backend.llvm import LlvmBackend
 from passtune.backend.mini import MiniBackend
 from passtune.backend.passlist import DEFAULT_MAX_LEN
 from passtune.dataset import (
@@ -77,6 +76,7 @@ from passtune.predictor import (
     predict_retrieval,
     predict_top_frequency,
 )
+from passtune.util import DEFAULT_TIMEOUT_SECONDS, positive_seconds
 from passtune.util import file_digest, read_records, unique_ids, write_records
 
 EXIT_OK = 0
@@ -130,18 +130,15 @@ def _parse_fractions(text: str) -> dict[str, float]:
 
 
 def _timeout_seconds(text: str) -> float:
-    """``--timeout``'s type, so that every backend checks it: a positive,
-    finite number of seconds (the manifest is JSON, which has no NaN or
-    infinity)."""
+    """``--timeout``'s type, so that every backend checks it at parse time."""
     try:
         seconds = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not seconds > 0:
-        raise argparse.ArgumentTypeError(f"timeout must be positive, got {seconds}")
-    if seconds == math.inf:
-        raise argparse.ArgumentTypeError(f"timeout must be finite, got {seconds}")
-    return seconds
+    try:
+        return positive_seconds(seconds, "timeout")
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _parse_passes(text: str) -> tuple[str, ...]:
@@ -183,9 +180,7 @@ def _write_manifest(
     }
     if extra:
         manifest.update(extra)
-    path.write_text(
-        json.dumps(manifest, indent=2, default=str) + "\n", encoding="utf-8"
-    )
+    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
 def _write_output(

@@ -20,7 +20,7 @@ from passtune.backend import InvalidPassListError, PassList, PassVocabulary
 from passtune.backend.passlist import OZ_ITEMS
 from passtune.dataset import AnswerParseError, parse_answer
 from passtune.ircore import IrFunction
-from passtune.util import read_jsonl, unique_ids
+from passtune.util import DEFAULT_TIMEOUT_SECONDS, positive_seconds, read_jsonl, unique_ids
 
 OZ_LIST = " ".join(OZ_ITEMS)
 
@@ -252,15 +252,13 @@ class ProcessPredictor:
         self,
         command: Sequence[str],
         vocabulary: PassVocabulary,
-        timeout: float = 60.0,
+        timeout: float = DEFAULT_TIMEOUT_SECONDS,
     ) -> None:
         if not command:
             raise ValueError("empty command")
-        if not timeout > 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
         self.command = list(command)
         self.vocabulary = vocabulary
-        self.timeout = timeout
+        self.timeout = positive_seconds(timeout, "timeout")
 
     def predict(self, fn: IrFunction) -> Prediction:
         try:

@@ -1,16 +1,18 @@
-"""Small shared helpers: seeding, JSON Lines IO, file digests."""
+"""Small shared helpers: seeding, time limits, JSON Lines IO, file digests."""
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
+import math
 import types
 import typing
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
 
 _T = TypeVar("_T")
+DEFAULT_TIMEOUT_SECONDS = 60.0
 
 
 def stable_seed(seed: int, tag: str) -> int:
@@ -21,6 +23,15 @@ def stable_seed(seed: int, tag: str) -> int:
     """
     digest = hashlib.sha256(f"{seed}\x1f{tag}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def positive_seconds(seconds: float, what: str) -> float:
+    """``seconds`` if it is positive and finite (NaN is not), else a ValueError."""
+    if not seconds > 0:
+        raise ValueError(f"{what} must be positive, got {seconds}")
+    if seconds == math.inf:
+        raise ValueError(f"{what} must be finite, got {seconds}")
+    return seconds
 
 
 def write_jsonl(rows: Iterable[dict[str, Any]], path: str | Path) -> int:

@@ -94,6 +94,8 @@ def test_budget_requires_exactly_one_mode():
         SearchBudget.wall_clock(0.0)
     with pytest.raises(ValueError, match="budget seconds must be positive, got nan"):
         SearchBudget.wall_clock(float("nan"))
+    with pytest.raises(ValueError, match="budget seconds must be finite, got inf"):
+        SearchBudget.wall_clock(float("inf"))
     assert SearchBudget.evaluation_count(0).evaluations == 0
     assert SearchBudget.wall_clock().wall_clock_seconds == 780.0
 

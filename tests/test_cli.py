@@ -456,6 +456,11 @@ def test_config_file_matches_flags(tmp_path, corpus_file):
         "autotune", "--config", config,
         "--corpus", corpus_file, "--output", via_config,
     ) == 0
+    via_config_equals = tmp_path / "via-config-equals.jsonl"
+    assert run(
+        "autotune", f"--config={config}",
+        "--corpus", corpus_file, "--output", via_config_equals,
+    ) == 0
     via_flags = tmp_path / "via-flags.jsonl"
     assert run(
         "autotune",
@@ -466,6 +471,7 @@ def test_config_file_matches_flags(tmp_path, corpus_file):
         "--seed", 9,
     ) == 0
     assert file_digest(via_config) == file_digest(via_flags)
+    assert file_digest(via_config_equals) == file_digest(via_flags)
 
 
 def test_explicit_flags_beat_config(tmp_path, corpus_file):
@@ -586,6 +592,7 @@ def test_conflicting_budgets_are_rejected(tmp_path, corpus_file):
     "flag,value,message",
     [
         ("--budget-seconds", 0, "budget seconds must be positive, got 0.0"),
+        ("--budget-seconds", "inf", "budget seconds must be finite, got inf"),
         ("--budget-evals", -1, "budget evaluations must be >= 0, got -1"),
     ],
 )
@@ -599,6 +606,7 @@ def test_a_bad_budget_names_the_flag_and_the_value(
     ) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+    assert not out.with_name(out.name + ".manifest.json").exists()
 
 
 def test_fewer_than_one_worker_is_a_config_error(tmp_path, corpus_file, capsys):
@@ -798,6 +806,59 @@ def test_an_empty_corpus_is_a_config_error(
     assert run(*(arg.format(out=out, **names) for arg in argv.split())) == 2
     assert_errors(capsys, caplog, f"corpus {empty} is empty")
     assert not out.exists()
+
+
+# case id -> (command line, its error message); {blank} is a file holding
+# one blank line, which is neither JSON nor a rows file with a row
+CONFIG_ERRORS = {
+    "split-part-without-fraction": (
+        "ingest {raw} --output {out} --split train",
+        "bad split part 'train'; use name=fraction,...",
+    ),
+    "split-fraction-not-a-number": (
+        "ingest {raw} --output {out} --split train=x",
+        "bad fraction in 'train=x'",
+    ),
+    "top-frequency-without-tune-results": (
+        "predict --corpus {corpus} --method top-frequency --output {out}",
+        "--method top-frequency requires --tune-results",
+    ),
+    "file-without-predictions-file": (
+        "predict --corpus {corpus} --method file --output {out}",
+        "--method file requires --predictions-file",
+    ),
+    "command-without-command": (
+        "predict --corpus {corpus} --method command --output {out}",
+        "--method command requires --command",
+    ),
+    "config-not-json": (
+        "autotune --config {blank} --corpus {corpus} --output {out} --budget-evals 1",
+        "config {blank}: Expecting value: line 2 column 1 (char 1)",
+    ),
+    "report-empty-rows": (
+        "report --rows {blank} --predictions {preds} --tune-results {tuned}"
+        " --output-dir {out}",
+        "rows file {blank} is empty",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv,message", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys()
+)
+def test_a_bad_configuration_is_a_config_error_and_writes_nothing(
+    tmp_path, input_files, capsys, caplog, argv, message
+):
+    names = {key: str(path) for key, path in input_files.items()}
+    blank = tmp_path / "blank.jsonl"
+    blank.write_text("\n")
+    names["blank"] = str(blank)
+    names["out"] = str(tmp_path / "out")
+    before = set(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run(*(arg.format(**names) for arg in argv.split())) == 2
+    assert_errors(capsys, caplog, message.format(**names))
+    assert set(tmp_path.rglob("*")) == before
 
 
 def test_an_input_line_that_is_not_utf8_names_its_place(tmp_path, corpus_file, capsys):

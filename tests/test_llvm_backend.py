@@ -146,9 +146,17 @@ def test_apply_timeout_is_a_failed_outcome(stub_opt, sample_ir):
     )
 
 
-@pytest.mark.parametrize("timeout", [0, -0.5])
-def test_a_timeout_that_is_not_positive_is_rejected(stub_opt, timeout):
-    with pytest.raises(ValueError, match="timeout must be positive"):
+@pytest.mark.parametrize(
+    "timeout,message",
+    [
+        (0, "timeout must be positive"),
+        (-0.5, "timeout must be positive"),
+        (float("nan"), "timeout must be positive"),
+        (float("inf"), "timeout must be finite, got inf"),
+    ],
+)
+def test_a_timeout_that_is_not_positive_is_rejected(stub_opt, timeout, message):
+    with pytest.raises(ValueError, match=message):
         LlvmBackend(stub_opt, timeout=timeout)
 
 

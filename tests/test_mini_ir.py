@@ -115,6 +115,36 @@ def test_operand_literals_accept_signed_and_unsigned_range():
             ErrorCategory.INVALID_REDEFINITION,
             "redefinition of label",
         ),
+        (
+            "define i32 @f() {\nret i32 0\n",
+            ErrorCategory.SYNTAX_ERROR,
+            "expected '}' to close function body",
+        ),
+        (
+            "i32 @f() {\nret i32 0\n}",
+            ErrorCategory.SYNTAX_ERROR,
+            "expected 'define' at start of function",
+        ),
+        (
+            "define i32 @f() {\n}",
+            ErrorCategory.SYNTAX_ERROR,
+            "expected at least one basic block",
+        ),
+        (
+            "define i32 @f() {\nret i32 0\n}\nret i32 1",
+            ErrorCategory.SYNTAX_ERROR,
+            "expected end of input, got 'ret i32 1'",
+        ),
+        (
+            "define i32 @f() {\nret i32 %\n}",
+            ErrorCategory.SYNTAX_ERROR,
+            "expected value token, got '%'",
+        ),
+        (
+            "define i32 @f() {\n%x = frob i32 1, 2\nret i32 %x\n}",
+            ErrorCategory.SYNTAX_ERROR,
+            "expected instruction opcode, got 'frob'",
+        ),
     ],
 )
 def test_parse_errors_classify(text, category, needle):
@@ -151,6 +181,21 @@ def test_parse_errors_classify(text, category, needle):
             "define i1 @f(i32 %a) {\nret i32 %a\n}",
             ErrorCategory.TYPE_ERROR,
             "but expected",
+        ),
+        (
+            "define i32 @f() {\n%p = alloca i64\nstore i32 1, i32* %p\nret i32 0\n}",
+            ErrorCategory.TYPE_ERROR,
+            "'%p' defined with type 'i64*' but expected 'i32*'",
+        ),
+        (
+            "define i32 @f() {\n%p = alloca i64\n%x = load i32, i32* %p\nret i32 %x\n}",
+            ErrorCategory.TYPE_ERROR,
+            "'%p' defined with type 'i64*' but expected 'i32*'",
+        ),
+        (
+            "define i32 @f(i32 %a, i32 %a) {\nret i32 %a\n}",
+            ErrorCategory.INVALID_REDEFINITION,
+            "multiple definition of local value named '%a'",
         ),
     ],
 )

@@ -314,9 +314,19 @@ def test_process_predictor_rejects_empty_command(vocab):
         ProcessPredictor([], vocab)
 
 
-@pytest.mark.parametrize("timeout", [0, -1.5])
-def test_process_predictor_rejects_a_timeout_that_is_not_positive(vocab, timeout):
-    with pytest.raises(ValueError, match="timeout must be positive"):
+@pytest.mark.parametrize(
+    "timeout,message",
+    [
+        (0, "timeout must be positive"),
+        (-1.5, "timeout must be positive"),
+        (float("nan"), "timeout must be positive"),
+        (float("inf"), "timeout must be finite, got inf"),
+    ],
+)
+def test_process_predictor_rejects_a_timeout_that_is_not_positive(
+    vocab, timeout, message
+):
+    with pytest.raises(ValueError, match=message):
         ProcessPredictor(["true"], vocab, timeout=timeout)
 
 
