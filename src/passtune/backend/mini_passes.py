@@ -21,7 +21,6 @@ from passtune.backend.mini_ir import (
     Instr,
     Operand,
     Site,
-    clone_function,
     dominates,
     dominators,
     instruction_sites,
@@ -309,11 +308,3 @@ def expand_flags(flags: list[str] | tuple[str, ...]) -> list[str]:
     for flag in flags:
         out.extend(META_PIPELINES.get(flag, (flag,)))
     return out
-
-
-def run_pipeline(fn: Function, flags: list[str] | tuple[str, ...]) -> Function:
-    """Apply flags (meta-flags expanded) to a copy of ``fn``."""
-    result = clone_function(fn)
-    for flag in expand_flags(flags):
-        PASSES[flag](result)
-    return result

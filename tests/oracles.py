@@ -5,7 +5,10 @@ implementation: the space is enumerated with itertools and the winner
 picked by the same (count, length, items) order the tuner documents.
 :func:`reference_normalize` is the character-walking normalizer that
 ``ircore.normalize`` replaced, kept as it was; :func:`jaccard_similarity`
-is the score retrieval must reproduce.
+is the score retrieval must reproduce. :func:`run_pipeline` and
+:func:`reference_apply` compile on the mini IR with no memo: one live
+function from parse to render, as the mini backend did before it walked
+(state, pass) steps.
 """
 
 import re
@@ -14,7 +17,15 @@ from itertools import product
 from typing import Iterator
 
 from passtune.backend import compile_items
-from passtune.ircore import NormalizedIr
+from passtune.backend.mini_ir import (
+    Function,
+    clone_function,
+    parse_function,
+    render_function,
+    verify_function,
+)
+from passtune.backend.mini_passes import PASSES, expand_flags
+from passtune.ircore import NormalizedIr, count_instructions
 
 
 def all_valid_lists(vocabulary, max_len):
@@ -46,6 +57,24 @@ def best_by_enumeration(backend, fn, max_len):
         raise AssertionError(f"no valid pass list compiles {fn.id}")
     count, _, items = best
     return items, count
+
+
+def run_pipeline(fn: Function, flags: list[str] | tuple[str, ...]) -> Function:
+    """Apply flags (meta-flags expanded) to a copy of ``fn``."""
+    result = clone_function(fn)
+    for flag in expand_flags(flags):
+        PASSES[flag](result)
+    return result
+
+
+def reference_apply(ir: NormalizedIr, items: tuple[str, ...]) -> tuple[str, int]:
+    """(output text, instruction count) of ``items`` on ``ir``, memo-free."""
+    fn = parse_function(ir.text)
+    verify_function(fn)
+    optimized = run_pipeline(fn, items)
+    verify_function(optimized)
+    text = render_function(optimized)
+    return text, count_instructions(text)
 
 
 def jaccard_similarity(a: Counter, b: Counter) -> float:

@@ -26,7 +26,7 @@ from passtune.backend.classify import ErrorCategory
 from passtune.backend.llvm import LlvmBackend, resolve_opt_path
 from passtune.backend.mini_interp import run_function
 from passtune.backend.mini_ir import parse_function
-from passtune.backend.mini_passes import PASSES, run_pipeline
+from passtune.backend.mini_passes import PASSES
 from passtune.backend.passlist import llvm10_vocabulary, sample_items
 from passtune.backend.types import BackendUnavailableError, compile_items
 from passtune.cli import main as cli_main
@@ -37,7 +37,7 @@ from passtune.minigen import generate_corpus
 from passtune.predictor import Prediction
 from passtune.util import file_digest, stable_seed
 
-from oracles import best_by_enumeration
+from oracles import best_by_enumeration, run_pipeline
 
 DATA = Path(__file__).parent / "data"
 

@@ -10,6 +10,7 @@ from passtune.autotuner import (
     minimize_pass_list,
     random_search,
 )
+from passtune.backend import mini
 from passtune.backend.classify import diagnostic_from_message
 from passtune.backend.passlist import PassVocabulary
 from passtune.backend.types import CompileOutcome, compile_items
@@ -299,10 +300,16 @@ def test_autotune_corpus_stats_and_determinism(backend, corpus20):
         assert result.best_count <= result.baseline_count
 
 
-def test_autotune_corpus_threaded_matches_serial(backend, corpus20):
+def test_autotune_corpus_threaded_matches_serial(corpus20, monkeypatch):
+    # each run starts cold with a small memo, so both threads miss and clear
+    monkeypatch.setattr(mini, "MEMO_ENTRIES", 7)
     budget = SearchBudget.evaluation_count(6)
-    serial, _ = autotune_corpus(backend, corpus20[:8], budget, seed=5, workers=1)
-    threaded, _ = autotune_corpus(backend, corpus20[:8], budget, seed=5, workers=2)
+    serial, _ = autotune_corpus(
+        mini.MiniBackend(), corpus20[:8], budget, seed=5, workers=1
+    )
+    threaded, _ = autotune_corpus(
+        mini.MiniBackend(), corpus20[:8], budget, seed=5, workers=2
+    )
     assert serial == threaded
 
 

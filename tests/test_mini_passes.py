@@ -14,12 +14,13 @@ from passtune.backend.mini_passes import (
     gvn,
     instcombine,
     mem2reg,
-    run_pipeline,
     simplifycfg,
     wrap,
 )
 from passtune.ircore import count_instructions
 from passtune.minigen import generate_function
+
+from oracles import run_pipeline
 
 
 def _apply(text, *passes):
