@@ -6,9 +6,9 @@ picked by the same (count, length, items) order the tuner documents.
 :func:`reference_normalize` is the character-walking normalizer that
 ``ircore.normalize`` replaced, kept as it was; :func:`jaccard_similarity`
 is the score retrieval must reproduce. :func:`run_pipeline` and
-:func:`reference_apply` compile on the mini IR with no memo: one live
-function from parse to render, as the mini backend did before it walked
-(state, pass) steps.
+:func:`reference_apply` compile on the mini IR with no memo, one live
+function from parse to render: the outputs the mini backend's memo must
+reproduce.
 """
 
 import re
