@@ -2,14 +2,15 @@
 
 Applies a pass list in-process as a walk over (state, pass) steps, where a
 state is the rendered text of the function. Each backend memoizes the
-steps it has taken and the instruction count of each output it has
+steps it has taken and the instruction count of each state it has
 verified, both bounded at :data:`MEMO_ENTRIES` and cleared when full.
-A compile follows the step memo as far as it reaches; at the first miss
-it takes up one live ``Function`` (a copy of the parsed input, or one
-parse of the last state reached) and runs the remaining passes on it,
-rendering after each pass to key the step. The final state is verified
-once, unless the output memo already holds it, so every output returned
-has passed ``verify_function``.
+Every step follows one rule: a step in the memo moves to the state it
+gives and drops any live ``Function``; a step not in it runs the pass on
+the live function, parsing the current state only when there is none,
+and renders the result to key the step. An input not yet verified is
+parsed and verified once, and that parse is the first live function. The
+final state is verified once, unless the count memo already holds it, so
+every output returned has passed ``verify_function``.
 
 The input is already normalized (``NormalizedIr`` is made once, where a
 corpus enters the program) and the renderer writes the canonical form, so
@@ -20,13 +21,9 @@ is a bug and raises instead.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from passtune.backend.classify import diagnostic_from_message
 from passtune.backend.mini_ir import (
-    Function,
     MiniIrError,
-    clone_function,
     parse_function,
     render_function,
     verify_function,
@@ -48,13 +45,6 @@ def mini_vocabulary() -> PassVocabulary:
     return PassVocabulary(tuple(PASSES), tuple(META_PIPELINES))
 
 
-@lru_cache(maxsize=1024)
-def _parsed(text: str) -> Function:
-    fn = parse_function(text)
-    verify_function(fn)
-    return fn
-
-
 def _remember(memo: dict, key, value) -> None:
     if len(memo) >= MEMO_ENTRIES:
         memo.clear()
@@ -71,25 +61,28 @@ class MiniBackend:
     def __init__(self) -> None:
         self._vocabulary = mini_vocabulary()
         self._steps: dict[tuple[str, str], str] = {}  # (state, flag) -> state
-        self._counts: dict[str, int] = {}  # verified output -> count
+        self._counts: dict[str, int] = {}  # verified state -> count
 
     @property
     def vocabulary(self) -> PassVocabulary:
         return self._vocabulary
 
     def apply(self, ir: NormalizedIr, passes: PassList) -> CompileOutcome:
-        try:
-            fn = _parsed(ir.text)
-        except MiniIrError as err:
-            return CompileOutcome.failure(diagnostic_from_message(str(err)))
         text, live = ir.text, None
+        if text not in self._counts:
+            try:
+                live = parse_function(text)
+                verify_function(live)
+            except MiniIrError as err:
+                return CompileOutcome.failure(diagnostic_from_message(str(err)))
+            _remember(self._counts, text, count_instructions(text))
         for flag in expand_flags(passes.items):
+            reached = self._steps.get((text, flag))
+            if reached is not None:
+                text, live = reached, None
+                continue
             if live is None:
-                reached = self._steps.get((text, flag))
-                if reached is not None:
-                    text = reached
-                    continue
-                live = clone_function(fn) if text == ir.text else parse_function(text)
+                live = parse_function(text)
             PASSES[flag](live)
             state = render_function(live)
             _remember(self._steps, (text, flag), state)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from oracles import best_by_enumeration, count_all_valid_lists
@@ -12,7 +14,7 @@ from passtune.autotuner import (
 )
 from passtune.backend import mini
 from passtune.backend.classify import diagnostic_from_message
-from passtune.backend.passlist import PassVocabulary
+from passtune.backend.passlist import OZ_ITEMS, PassVocabulary
 from passtune.backend.types import CompileOutcome, compile_items
 from passtune.ircore import NormalizedIr
 from passtune.minigen import generate_function
@@ -275,6 +277,44 @@ def test_broadcast_never_regresses(backend, corpus20):
     updated = broadcast_best_lists(backend, corpus20, results)
     for fn in corpus20:
         assert updated[fn.id].best_count <= results[fn.id].best_count
+
+
+def test_a_failed_compile_never_replaces_the_best_list(backend):
+    # Every list below would win on the real backend; on the rigged one
+    # only -Oz and the list minimization starts from compile.
+    fn = find_function(lambda f: f.source_dataset == "mini/phaseorder")
+    donor = find_function(
+        lambda f: f.source_dataset == "mini/phaseorder" and f.id != fn.id
+    )
+    winner, start = ("-Oz", "-mem2reg"), ("-Oz", "-mem2reg", "-dce")
+    compiles = {OZ_ITEMS, start}
+    rigged = RiggedBackend(backend, lambda ir, passes: passes.items not in compiles)
+    everything = SearchBudget.evaluation_count(10_000)  # the whole space
+
+    found = random_search(backend, fn, everything, seed=0, max_len=2)
+    assert found.best_pass_list == " ".join(winner)
+    searched = random_search(rigged, fn, everything, seed=0, max_len=2)
+    assert searched.best_pass_list == "-Oz"
+    assert searched.best_count == found.baseline_count
+    assert searched.evaluations_used == found.evaluations_used
+
+    count = count_of(backend, fn, start)
+    assert minimize_pass_list(backend, fn.ir, start, seed=0, count=count)[0] != start
+    assert minimize_pass_list(rigged, fn.ir, start, seed=0, count=count) == (
+        start, count, len(start)
+    )
+
+    oz_count = searched.best_count
+    results = {
+        fn.id: TuneResult(fn.id, "-Oz", oz_count, "-Oz", oz_count, 1),
+        donor.id: TuneResult(
+            donor.id, "-Oz", 9, " ".join(winner), count_of(backend, donor, winner), 3
+        ),
+    }
+    shared = broadcast_best_lists(backend, [fn, donor], results)[fn.id]
+    assert shared.best_pass_list == " ".join(winner)
+    kept = broadcast_best_lists(rigged, [fn, donor], results)[fn.id]
+    assert kept == dataclasses.replace(results[fn.id], evaluations_used=2)
 
 
 # --- corpus pipeline ----------------------------------------------------

@@ -7,6 +7,12 @@ from pathlib import Path
 import pytest
 
 from passtune import __version__
+from passtune.autotuner import (
+    DEFAULT_WALL_CLOCK_SECONDS,
+    SearchBudget,
+    TuneResult,
+    autotune_corpus,
+)
 from passtune.backend import BackendUnavailableError
 from passtune.backend.llvm import resolve_opt_path
 from passtune.cli import main
@@ -122,6 +128,27 @@ def test_ingest_jsonl_rows(tmp_path):
     corpus = read_corpus(out)
     assert corpus[0].id == "r1"
     assert corpus[0].source_dataset == "suite/z"
+
+
+def test_ingest_source_dataset_labels_what_has_no_label(tmp_path):
+    ll = tmp_path / "one.ll"
+    shutil.copy(DATA / "sample.ll", ll)
+    rows = tmp_path / "rows.jsonl"
+    write_jsonl(
+        [
+            {
+                "id": "own",
+                "source_dataset": "suite/z",
+                "raw_text": "define i32 @own() {\nret i32 4\n}",
+            },
+            {"id": "bare", "raw_text": "define i32 @bare() {\nret i32 5\n}"},
+        ],
+        rows,
+    )
+    out = tmp_path / "corpus.jsonl"
+    assert run("ingest", ll, rows, "--output", out, "--source-dataset", "lab") == 0
+    labels = {fn.id: fn.source_dataset for fn in read_corpus(out)}
+    assert labels == {"one": "lab", "own": "suite/z", "bare": "lab"}
 
 
 def test_ingest_reports_partial_failure(tmp_path, capsys, caplog):
@@ -609,6 +636,28 @@ def test_a_bad_budget_names_the_flag_and_the_value(
     assert not out.with_name(out.name + ".manifest.json").exists()
 
 
+def test_autotune_without_a_budget_flag_takes_the_default_wall_clock(
+    tmp_path, corpus_file, monkeypatch
+):
+    budgets = []
+
+    def spy(backend, functions, budget, **kwargs):
+        budgets.append(budget)
+        return autotune_corpus(backend, functions, budget, **kwargs)
+
+    monkeypatch.setattr("passtune.cli.autotune_corpus", spy)
+    out = tmp_path / "out.jsonl"
+    assert run(
+        "autotune", "--corpus", corpus_file, "--output", out,
+        "--max-len", 1, "--no-minimize", "--no-broadcast",
+    ) == 0
+    assert budgets == [SearchBudget.wall_clock(DEFAULT_WALL_CLOCK_SECONDS)]
+    # search stops once it has tried all 7 length-1 lists, -Oz included
+    results = read_records(TuneResult, out)
+    assert len(results) == 12
+    assert {r.evaluations_used for r in results} == {7}
+
+
 def test_fewer_than_one_worker_is_a_config_error(tmp_path, corpus_file, capsys):
     assert run(
         "autotune",
@@ -648,6 +697,7 @@ def test_a_timeout_that_is_not_positive_is_a_config_error(
         ("nan", "timeout must be positive, got nan"),
         ("-1", "timeout must be positive, got -1.0"),
         ("inf", "timeout must be finite, got inf"),
+        ("abc", "invalid float value: 'abc'"),
     ],
 )
 def test_a_bad_timeout_is_a_usage_error_on_every_backend(
@@ -779,6 +829,41 @@ def test_a_malformed_input_row_is_a_config_error(
     err = capsys.readouterr().err
     assert f"{bad}:2: " in err
     assert "Traceback" not in err
+
+
+# case id -> (input, its int field, command line); JSON true is 1 to Python
+TRUE_IN_AN_INT_FIELD = {
+    "tuned-best-count": (
+        "tuned", "best_count",
+        "dataset --corpus {corpus} --tune-results {tuned} --output {out}",
+    ),
+    "corpus-instruction-count": (
+        "corpus", "instruction_count",
+        "autotune --corpus {corpus} --output {out} --budget-evals 1",
+    ),
+    "rows-delta": (
+        "rows", "delta",
+        "report --rows {rows} --predictions {preds} --tune-results {tuned}"
+        " --output-dir {out}",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,field,argv", TRUE_IN_AN_INT_FIELD.values(), ids=TRUE_IN_AN_INT_FIELD.keys()
+)
+def test_json_true_in_an_int_field_is_a_config_error(
+    tmp_path, input_files, capsys, caplog, kind, field, argv
+):
+    first = input_files[kind].read_text().splitlines()[0]
+    bad = tmp_path / f"bad-{kind}.jsonl"
+    bad.write_text(first + "\n" + _with(field, True)(json.loads(first)) + "\n")
+    names = {key: str(path) for key, path in input_files.items()}
+    names.update({kind: str(bad), "out": str(tmp_path / "out")})
+    capsys.readouterr()
+    assert run(*(arg.format(**names) for arg in argv.split())) == 2
+    assert_errors(capsys, caplog, f"{bad}:2: field {field} has the wrong type: true")
+    assert not (tmp_path / "out").exists()
 
 
 # (case in MANIFEST_INPUTS, the corpus input that is empty)

@@ -52,6 +52,36 @@ def test_memo_output_equals_the_memo_free_reference(first, second, seed, length,
             ), compiled
 
 
+def test_every_step_asks_the_memo(monkeypatch):
+    # ``-gvn`` leaves this function as it is, so a compile that starts with
+    # it comes back to the input, whose later steps the memo already holds
+    ir = NormalizedIr(
+        "define i32 @f(i32 %a) {\n%x = add i32 2, 3\n%y = add i32 %a, %x\n"
+        "%z = mul i32 %a, 4\nret i32 %y\n}"
+    )
+    items = ("-gvn", "-constfold", "-dce")
+    assert reference_apply(ir, ("-gvn",))[0] == ir.text
+    expected = reference_apply(ir, items)
+    ran = []
+
+    def counted(flag, run_pass):
+        def run(fn):
+            ran.append(flag)
+            run_pass(fn)
+
+        return run
+
+    for flag, run_pass in list(mini_passes.PASSES.items()):
+        monkeypatch.setitem(mini_passes.PASSES, flag, counted(flag, run_pass))
+    backend = MiniBackend()
+    compile_items(backend, ir, items[1:])
+    assert ran == ["-constfold", "-dce"]
+    ran.clear()
+    out = compile_items(backend, ir, items)
+    assert ran == ["-gvn"]
+    assert (out.output.text, out.instruction_count) == expected
+
+
 def test_verification_is_not_memoized_away(monkeypatch):
     calls = []
 
