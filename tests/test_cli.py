@@ -756,6 +756,17 @@ def _with(field, value):
     return lambda row: json.dumps({**row, field: value})
 
 
+def run_with_a_second_row(tmp_path, input_files, kind, bad_row, argv):
+    """Run ``argv`` with input ``kind`` cut to its first row followed by
+    ``bad_row`` of it; returns the exit status and the file written."""
+    first = input_files[kind].read_text().splitlines()[0]
+    bad = tmp_path / f"bad-{kind}.jsonl"
+    bad.write_text(first + "\n" + bad_row(json.loads(first)) + "\n")
+    names = {key: str(path) for key, path in input_files.items()}
+    names.update({kind: str(bad), "out": str(tmp_path / "out")})
+    return run(*(arg.format(**names) for arg in argv.split())), bad
+
+
 # case id -> (input whose second row is malformed, that row, command line)
 MALFORMED_ROWS = {
     "ingest-not-json": ("raw", lambda row: "{not json", "ingest {raw} --output {out}"),
@@ -819,13 +830,9 @@ MALFORMED_ROWS = {
 def test_a_malformed_input_row_is_a_config_error(
     tmp_path, input_files, capsys, kind, bad_row, argv
 ):
-    first = input_files[kind].read_text().splitlines()[0]
-    bad = tmp_path / f"bad-{kind}.jsonl"
-    bad.write_text(first + "\n" + bad_row(json.loads(first)) + "\n")
-    names = {key: str(path) for key, path in input_files.items()}
-    names.update({kind: str(bad), "out": str(tmp_path / "out")})
     capsys.readouterr()
-    assert run(*(arg.format(**names) for arg in argv.split())) == 2
+    code, bad = run_with_a_second_row(tmp_path, input_files, kind, bad_row, argv)
+    assert code == 2
     err = capsys.readouterr().err
     assert f"{bad}:2: " in err
     assert "Traceback" not in err
@@ -855,13 +862,10 @@ TRUE_IN_AN_INT_FIELD = {
 def test_json_true_in_an_int_field_is_a_config_error(
     tmp_path, input_files, capsys, caplog, kind, field, argv
 ):
-    first = input_files[kind].read_text().splitlines()[0]
-    bad = tmp_path / f"bad-{kind}.jsonl"
-    bad.write_text(first + "\n" + _with(field, True)(json.loads(first)) + "\n")
-    names = {key: str(path) for key, path in input_files.items()}
-    names.update({kind: str(bad), "out": str(tmp_path / "out")})
     capsys.readouterr()
-    assert run(*(arg.format(**names) for arg in argv.split())) == 2
+    bad_row = _with(field, True)
+    code, bad = run_with_a_second_row(tmp_path, input_files, kind, bad_row, argv)
+    assert code == 2
     assert_errors(capsys, caplog, f"{bad}:2: field {field} has the wrong type: true")
     assert not (tmp_path / "out").exists()
 
