@@ -24,7 +24,6 @@ import dataclasses
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
@@ -32,7 +31,7 @@ from passtune.backend import Backend, PassVocabulary, compile_items
 from passtune.backend.passlist import DEFAULT_MAX_LEN, OZ_ITEMS, sample_items
 from passtune.evaluator import overall_improvement
 from passtune.ircore import IrFunction, NormalizedIr
-from passtune.util import positive_seconds, stable_seed
+from passtune.util import map_in_order, positive_seconds, stable_seed
 
 DEFAULT_WALL_CLOCK_SECONDS = 780.0
 
@@ -208,33 +207,37 @@ def broadcast_best_lists(
     backend: Backend,
     functions: Iterable[IrFunction],
     results: dict[str, TuneResult],
+    workers: int = 1,
 ) -> dict[str, TuneResult]:
     """Try every tuned list on every function; one round, no minimizing.
 
     Lists are applied in (length, lexicographic) order so the outcome is
     independent of corpus ordering. A function's own list is never
-    compiled again. Returns updated results keyed by function id;
-    evaluations_used grows by the compilations spent here.
+    compiled again. ``workers`` (at least 1) functions are tried at once;
+    the results do not depend on it. Returns updated results keyed by
+    function id; evaluations_used grows by the compilations spent here.
     """
     unique_lists = sorted(
         {tuple(r.best_pass_list.split()) for r in results.values()},
         key=lambda items: (len(items), items),
     )
-    updated: dict[str, TuneResult] = {}
-    for fn in functions:
+
+    def broadcast_to(fn: IrFunction) -> TuneResult:
         result = results[fn.id]
         own = tuple(result.best_pass_list.split())
         others = [items for items in unique_lists if items != own]
         best = (result.best_count, own)
         for items in others:
             best = _keep_better(backend, fn.ir, items, best)
-        updated[fn.id] = dataclasses.replace(
+        return dataclasses.replace(
             result,
             best_pass_list=" ".join(best[1]),
             best_count=best[0],
             evaluations_used=result.evaluations_used + len(others),
         )
-    return updated
+
+    updated = map_in_order(broadcast_to, functions, workers)
+    return {result.function_id: result for result in updated}
 
 
 def _tune_one(
@@ -283,25 +286,22 @@ def autotune_corpus(
     results do not depend on corpus order or worker scheduling.
     Functions whose -Oz baseline fails are skipped and listed in the
     returned stats rather than aborting the run. ``workers`` (at least
-    1) searches run at once.
+    1) functions are searched, and then broadcast to, at once; the
+    results do not depend on it.
 
     The stats are the values the autotune manifest records, in its
     order: ``functions_tuned``, ``mean_evaluations_per_function``,
     ``overall_improvement_percent`` and ``baseline_failures`` (the ids
     of the functions skipped).
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     functions = list(functions)
     results: dict[str, TuneResult] = {}
     failures: list[str] = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        tuned = list(
-            pool.map(
-                lambda fn: _tune_one(backend, fn, budget, seed, max_len, minimize),
-                functions,
-            )
-        )
+    tuned = map_in_order(
+        lambda fn: _tune_one(backend, fn, budget, seed, max_len, minimize),
+        functions,
+        workers,
+    )
     for fn, result in zip(functions, tuned):
         if result is None:
             failures.append(fn.id)
@@ -309,7 +309,7 @@ def autotune_corpus(
             results[fn.id] = result
     survivors = [fn for fn in functions if fn.id in results]
     if broadcast and results:
-        results = broadcast_best_lists(backend, survivors, results)
+        results = broadcast_best_lists(backend, survivors, results, workers)
     ordered = [results[fn.id] for fn in survivors]
     stats = {
         "functions_tuned": len(ordered),

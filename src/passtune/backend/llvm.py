@@ -52,8 +52,19 @@ def resolve_opt_path(explicit: Optional[str] = None) -> str:
     return resolved
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 class LlvmBackend:
     """Applies pass lists by invoking ``opt`` in a subprocess."""
+
+    # Each compile is its own process, so threads that wait on them scale
+    # with the CPUs this process may run on.
+    default_workers = _usable_cpus()
 
     def __init__(
         self,

@@ -60,7 +60,11 @@ class Backend(Protocol):
     """Anything that can apply a pass list to normalized IR.
 
     ``passes`` arrives already checked against ``vocabulary``.
+    ``default_workers`` is how many threads should call ``apply`` at once
+    when the user does not say: it follows from how the backend compiles.
     """
+
+    default_workers: int
 
     @property
     def vocabulary(self) -> PassVocabulary: ...

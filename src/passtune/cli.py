@@ -76,7 +76,7 @@ from passtune.predictor import (
     predict_retrieval,
     predict_top_frequency,
 )
-from passtune.util import DEFAULT_TIMEOUT_SECONDS, positive_seconds
+from passtune.util import DEFAULT_TIMEOUT_SECONDS, positive_seconds, worker_count
 from passtune.util import file_digest, read_records, unique_ids, write_records
 
 EXIT_OK = 0
@@ -99,13 +99,22 @@ class _IngestRow:
 
 
 def _make_backend(args: argparse.Namespace):
+    """The backend the flags name; an unset ``--workers`` becomes its default.
+
+    The resolved count stays in ``args``, so the manifest records the
+    number of workers actually used.
+    """
     if args.backend == "mini":
-        return MiniBackend()
-    return LlvmBackend(
-        args.opt_path,
-        timeout=args.timeout,
-        extra_args=tuple(args.opt_arg or ()),
-    )
+        backend = MiniBackend()
+    else:
+        backend = LlvmBackend(
+            args.opt_path,
+            timeout=args.timeout,
+            extra_args=tuple(args.opt_arg or ()),
+        )
+    if "workers" in args and args.workers is None:
+        args.workers = backend.default_workers
+    return backend
 
 
 def _resolve_budget(args: argparse.Namespace) -> SearchBudget:
@@ -137,6 +146,18 @@ def _timeout_seconds(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     try:
         return positive_seconds(seconds, "timeout")
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def _worker_count(text: str) -> int:
+    """``--workers``'s type, so that every subcommand checks it at parse time."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    try:
+        return worker_count(workers)
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
 
@@ -289,7 +310,11 @@ def _cmd_dataset(args: argparse.Namespace) -> list[str]:
     tune_results = _read_per_function(TuneResult, args.tune_results)
     backend = _make_backend(args)
     records, failures = build_pass_dataset(
-        tune_results, corpus, backend, token_limit=args.token_limit
+        tune_results,
+        corpus,
+        backend,
+        token_limit=args.token_limit,
+        workers=args.workers,
     )
     truncated = sum(1 for r in records if r.truncated)
     _write_output(
@@ -321,6 +346,7 @@ def _cmd_single_pass_dataset(args: argparse.Namespace) -> list[str]:
         max_prefix_len=args.max_prefix_len,
         seed=args.seed,
         token_limit=args.token_limit,
+        workers=args.workers,
     )
     expected = len(passes) * args.per_pass
     truncated = sum(1 for r in records if r.truncated)
@@ -398,7 +424,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
     backend = _make_backend(args)
     predictions = _read_per_function(Prediction, args.predictions)
     summary, rows = evaluate_predictions(
-        predictions, corpus, backend, use_oz_backup=args.oz_backup
+        predictions,
+        corpus,
+        backend,
+        use_oz_backup=args.oz_backup,
+        workers=args.workers,
     )
     write_summary(summary, args.summary or _derived_output(args.output, "summary"))
     _write_output(args, rows, [args.corpus, args.predictions], {"summary": summary})
@@ -489,6 +519,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
+    # The flags of the subcommands that compile item by item.
+    compile_flags = argparse.ArgumentParser(add_help=False, parents=[backend_flags])
+    compile_flags.add_argument(
+        "--workers",
+        type=_worker_count,
+        default=None,
+        help=(
+            "compilations run at once, one item each (default: the usable CPUs "
+            "with llvm, 1 with mini); outputs do not depend on it"
+        ),
+    )
+
     # Full flag names only, so a config key "max" is not read as --max-len.
     whole_names = partial(argparse.ArgumentParser, allow_abbrev=False)
     sub = parser.add_subparsers(
@@ -523,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "autotune",
-        parents=[common, backend_flags],
+        parents=[common, compile_flags],
         help="search the best pass list per function",
     )
     p.add_argument("--corpus", required=True, help="corpus file from ingest/gen-mini-corpus")
@@ -542,14 +584,13 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"wall-clock budget per function (default {DEFAULT_WALL_CLOCK_SECONDS:.0f}s)",
     )
     p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN, help="max sampled list length")
-    p.add_argument("--workers", type=int, default=1, help="parallel per-function searches")
     p.add_argument("--no-minimize", action="store_true", help="skip the minimization sweep")
     p.add_argument("--no-broadcast", action="store_true", help="skip the broadcast round")
     p.set_defaults(handler=_cmd_autotune)
 
     p = sub.add_parser(
         "dataset",
-        parents=[common, backend_flags],
+        parents=[common, compile_flags],
         help="render (prompt, answer) pass-ordering records",
     )
     p.add_argument("--corpus", required=True)
@@ -565,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "single-pass-dataset",
-        parents=[common, backend_flags],
+        parents=[common, compile_flags],
         help="render single-pass translation records",
     )
     p.add_argument("--corpus", required=True)
@@ -609,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "evaluate",
-        parents=[common, backend_flags],
+        parents=[common, compile_flags],
         help="score predictions against the -Oz baseline",
     )
     p.add_argument("--corpus", required=True)

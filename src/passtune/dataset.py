@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 from passtune.backend import Backend, compile_items
 from passtune.backend.passlist import sample_items
 from passtune.ircore import DEFAULT_TOKEN_LIMIT, IrFunction, estimate_tokens
-from passtune.util import stable_seed
+from passtune.util import map_in_order, stable_seed
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,7 @@ def build_pass_dataset(
     corpus: Sequence[IrFunction],
     backend: Backend,
     token_limit: int = DEFAULT_TOKEN_LIMIT,
+    workers: int = 1,
 ) -> tuple[list[PassOrderingRecord], list[str]]:
     """Render one record per tune result; return the records and the failures.
 
@@ -125,37 +126,82 @@ def build_pass_dataset(
     the answer; a failure (a timeout included) becomes the message
     ``"<function id>: <diagnostic>"`` instead of a record.
     Records whose prompt+answer exceed the token limit are flagged
-    ``truncated``, never dropped.
+    ``truncated``, never dropped. ``workers`` (at least 1) lists are
+    compiled at once; records and failures keep the order of
+    ``tune_results`` whatever it is.
     """
     _check_token_limit(token_limit)
     by_id = {fn.id: fn for fn in corpus}
-    records: list[PassOrderingRecord] = []
-    failures: list[str] = []
+    tune_results = list(tune_results)
     for result in tune_results:
-        fn = by_id.get(result.function_id)
-        if fn is None:
+        if result.function_id not in by_id:
             raise ValueError(f"tune result for unknown function {result.function_id!r}")
+
+    def render(result) -> PassOrderingRecord | str:
+        fn = by_id[result.function_id]
         items = tuple(result.best_pass_list.split())
         outcome = compile_items(backend, fn.ir, items)
         if not outcome.ok:
-            failures.append(f"{fn.id}: {outcome.diagnostic.message}")
-            continue
+            return f"{fn.id}: {outcome.diagnostic.message}"
         prompt = fn.normalized_text
         answer = render_answer(
             items, fn.instruction_count, outcome.instruction_count, outcome.output.text
         )
+        return PassOrderingRecord(
+            function_id=fn.id,
+            prompt=prompt,
+            answer=answer,
+            pass_list=result.best_pass_list,
+            input_count=fn.instruction_count,
+            output_count=outcome.instruction_count,
+            truncated=_is_truncated(prompt, answer, token_limit),
+        )
+
+    rendered = map_in_order(render, tune_results, workers)
+    records = [r for r in rendered if isinstance(r, PassOrderingRecord)]
+    return records, [r for r in rendered if isinstance(r, str)]
+
+
+def _single_pass_records(
+    backend: Backend,
+    corpus: Sequence[IrFunction],
+    target: str,
+    per_pass: int,
+    max_prefix_len: int,
+    seed: int,
+    token_limit: int,
+) -> list[SinglePassRecord]:
+    """One target pass's records, drawn from its own seeded generator."""
+    rng = random.Random(stable_seed(seed, target))
+    records: list[SinglePassRecord] = []
+    seen_prompts: set[str] = set()
+    for _attempt in range(per_pass * 50):
+        if len(seen_prompts) == per_pass:
+            break
+        fn = rng.choice(corpus)
+        prefix = sample_items(rng, backend.vocabulary, rng.randint(0, max_prefix_len))
+        pre = compile_items(backend, fn.ir, prefix)
+        if not pre.ok:
+            continue
+        prompt_ir = pre.output.text
+        prompt = render_single_pass_prompt(target, prompt_ir)
+        if prompt in seen_prompts:
+            continue
+        out = compile_items(backend, pre.output, (target,))
+        if not out.ok:
+            continue
+        seen_prompts.add(prompt)
         records.append(
-            PassOrderingRecord(
+            SinglePassRecord(
                 function_id=fn.id,
+                target_pass=target,
+                prefix_passes=" ".join(prefix),
                 prompt=prompt,
-                answer=answer,
-                pass_list=result.best_pass_list,
-                input_count=fn.instruction_count,
-                output_count=outcome.instruction_count,
-                truncated=_is_truncated(prompt, answer, token_limit),
+                answer=out.output.text,
+                truncated=_is_truncated(prompt, out.output.text, token_limit),
             )
         )
-    return records, failures
+    return records
 
 
 def build_single_pass_dataset(
@@ -166,6 +212,7 @@ def build_single_pass_dataset(
     max_prefix_len: int,
     seed: int,
     token_limit: int = DEFAULT_TOKEN_LIMIT,
+    workers: int = 1,
 ) -> list[SinglePassRecord]:
     """Sample (prompt, answer) pairs for each target pass.
 
@@ -176,6 +223,10 @@ def build_single_pass_dataset(
     (``per_pass * 50``) before finding ``per_pass`` unique prompts gives
     fewer records; the caller counts them. A failed compilation (a
     timeout included) costs its attempt and nothing more.
+
+    Each target pass draws from its own generator, seeded by ``seed``
+    and the pass, so ``workers`` (at least 1) passes are sampled at once
+    and the records, in the order of ``passes``, do not depend on it.
     """
     if per_pass < 1:
         raise ValueError(f"per_pass must be >= 1, got {per_pass}")
@@ -192,39 +243,14 @@ def build_single_pass_dataset(
     if not corpus:
         raise ValueError("corpus is empty")
 
-    records: list[SinglePassRecord] = []
-    for target in passes:
-        rng = random.Random(stable_seed(seed, target))
-        seen_prompts: set[str] = set()
-        for _attempt in range(per_pass * 50):
-            if len(seen_prompts) == per_pass:
-                break
-            fn = rng.choice(corpus)
-            prefix = sample_items(
-                rng, backend.vocabulary, rng.randint(0, max_prefix_len)
-            )
-            pre = compile_items(backend, fn.ir, prefix)
-            if not pre.ok:
-                continue
-            prompt_ir = pre.output.text
-            prompt = render_single_pass_prompt(target, prompt_ir)
-            if prompt in seen_prompts:
-                continue
-            out = compile_items(backend, pre.output, (target,))
-            if not out.ok:
-                continue
-            seen_prompts.add(prompt)
-            records.append(
-                SinglePassRecord(
-                    function_id=fn.id,
-                    target_pass=target,
-                    prefix_passes=" ".join(prefix),
-                    prompt=prompt,
-                    answer=out.output.text,
-                    truncated=_is_truncated(prompt, out.output.text, token_limit),
-                )
-            )
-    return records
+    per_target = map_in_order(
+        lambda target: _single_pass_records(
+            backend, corpus, target, per_pass, max_prefix_len, seed, token_limit
+        ),
+        passes,
+        workers,
+    )
+    return [record for records in per_target for record in records]
 
 
 def dedup(corpus: Iterable[IrFunction]) -> list[IrFunction]:

@@ -1,9 +1,10 @@
 """Evaluation metrics and reports for pass-list predictors.
 
-One loop, :func:`evaluate_predictions`, scores a pass list against -Oz
-(functions improved/regressed, savings, overall improvement) and any
-claims that come with it (compile rate, error histogram, exact match,
-BLEU, count MAPE). Its summary is the plain dict that ``evaluate``
+:func:`evaluate_predictions` scores each function's pass list against
+-Oz, with any claims that come with it, in one pass per function, and
+folds the scores in corpus order: functions improved/regressed, savings
+and overall improvement, then compile rate, error histogram, exact
+match, BLEU and count MAPE for the claims. Its summary is the plain dict that ``evaluate``
 writes, key for key and in the same order, to the summary file, the
 manifest and stdout. :func:`reports` turns its rows into the report's
 tables (pass frequency, list lengths, improvement by source dataset and
@@ -17,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from passtune.backend import (
     Backend,
@@ -29,6 +30,7 @@ from passtune.backend import (
 from passtune.backend.passlist import OZ_ITEMS
 from passtune.ircore import IrFunction, normalize
 from passtune.predictor import Prediction
+from passtune.util import map_in_order
 
 BLEU_MAX_ORDER = 4
 BLEU_SMOOTHING = 1e-9
@@ -110,11 +112,83 @@ class EvalRow:
             raise ValueError("delta inconsistent with counts")
 
 
+class _Claim(NamedTuple):
+    """One prediction's claims, scored: what the summary's ``code_*`` keys fold."""
+
+    error: Optional[str]  # the claimed code's error category; None if it compiled
+    input_counts: tuple[int, int]  # (claimed, actual)
+    text_score: tuple[bool, float]  # (exact match, BLEU)
+    output_counts: Optional[tuple[int, int]]  # None if the list did not compile
+
+
+def _score_function(
+    backend: Backend,
+    fn: IrFunction,
+    pred: Optional[Prediction],
+    use_oz_backup: bool,
+) -> Optional[tuple[EvalRow, int, Optional[_Claim]]]:
+    """One function's row, additional compilations and scored claims.
+
+    None when -Oz fails to compile; see :func:`evaluate_predictions`.
+    """
+    oz = compile_items(backend, fn.ir, OZ_ITEMS)
+    if not oz.ok:
+        return None
+    predicted_count = oz_count = oz.instruction_count
+    failed = False
+    additional = 0
+    claim = None
+    if pred is not None:
+        additional += pred.extra_compilations
+        items = pred.items()
+        # The compiler's output for the predicted list; None if it has none.
+        compiled: Optional[CompileOutcome] = oz
+        if items != OZ_ITEMS:
+            try:
+                compiled = compile_items(backend, fn.ir, items)
+            except InvalidPassListError:
+                compiled = None
+            else:
+                additional += int(use_oz_backup)
+                if not compiled.ok:
+                    compiled = None
+                elif not use_oz_backup or compiled.instruction_count < oz_count:
+                    predicted_count = compiled.instruction_count
+        failed = pred.parse_failed or compiled is None
+        if pred.predicted_code is not None:
+            code = normalize(pred.predicted_code)
+            check = compile_items(backend, code, ())
+            if compiled is None:
+                text_score, output_counts = (False, 0.0), None
+            else:
+                reference = compiled.output.text
+                text_score = (code.text == reference, bleu(code.text, reference))
+                output_counts = (pred.predicted_output_count, compiled.instruction_count)
+            claim = _Claim(
+                None if check.ok else check.diagnostic.category.value,
+                (pred.predicted_input_count, fn.instruction_count),
+                text_score,
+                output_counts,
+            )
+    row = EvalRow(
+        function_id=fn.id,
+        source_dataset=fn.source_dataset,
+        unopt_count=fn.instruction_count,
+        oz_count=oz_count,
+        predicted_count=predicted_count,
+        delta=oz_count - predicted_count,
+        prediction_failed=failed,
+        prediction_missing=pred is None,
+    )
+    return row, additional, claim
+
+
 def evaluate_predictions(
     predictions: Sequence[Prediction],
     corpus: Sequence[IrFunction],
     backend: Backend,
     use_oz_backup: bool = False,
+    workers: int = 1,
 ) -> tuple[dict[str, Any], list[EvalRow]]:
     """Compile each predicted list and score it against -Oz.
 
@@ -126,11 +200,13 @@ def evaluate_predictions(
     scored as -Oz and flagged ``prediction_failed``. With the
     backup protocol each compiled list is charged as one additional
     compilation and kept only if strictly smaller than -Oz, so nothing
-    regresses.
+    regresses. ``workers`` (at least 1) functions are scored at once;
+    their scores are folded in corpus order, so the rows and the summary
+    do not depend on it.
 
     Returns the summary, in the key order it is written, and the rows.
     The summary starts with :func:`summarize_rows`'s keys. When some
-    prediction carries claims, the claims are scored in the same loop
+    prediction carries claims, the claims are scored with their function
     and ``code_*`` keys follow: the claimed code is compiled with no
     passes (``code_compile_rate``, and ``code_error_<category>`` counts
     in :class:`ErrorCategory` order) and compared with the compiler's
@@ -149,73 +225,31 @@ def evaluate_predictions(
             raise ValueError(f"prediction for unknown function {pred.function_id!r}")
         by_id[pred.function_id] = pred
 
+    scored = map_in_order(
+        lambda fn: _score_function(backend, fn, by_id.get(fn.id), use_oz_backup),
+        corpus,
+        workers,
+    )
     rows: list[EvalRow] = []
     additional = 0
-    histogram = {category.value: 0 for category in ErrorCategory}
-    text_scores: list[tuple[bool, float]] = []  # (exact match, BLEU) per claim
-    input_counts: list[tuple[int, int]] = []  # (claimed, actual)
-    output_counts: list[tuple[int, int]] = []
-    for fn in corpus:
-        oz = compile_items(backend, fn.ir, OZ_ITEMS)
-        if not oz.ok:
-            continue
-        predicted_count = oz_count = oz.instruction_count
-        failed = False
-        pred = by_id.get(fn.id)
-        if pred is not None:
-            additional += pred.extra_compilations
-            items = pred.items()
-            # The compiler's output for the predicted list; None if it has none.
-            compiled: Optional[CompileOutcome] = oz
-            if items != OZ_ITEMS:
-                try:
-                    compiled = compile_items(backend, fn.ir, items)
-                except InvalidPassListError:
-                    compiled = None
-                else:
-                    additional += int(use_oz_backup)
-                    if not compiled.ok:
-                        compiled = None
-                    elif not use_oz_backup or compiled.instruction_count < oz_count:
-                        predicted_count = compiled.instruction_count
-            failed = pred.parse_failed or compiled is None
-            if pred.predicted_code is not None:
-                code = normalize(pred.predicted_code)
-                check = compile_items(backend, code, ())
-                if not check.ok:
-                    histogram[check.diagnostic.category.value] += 1
-                input_counts.append((pred.predicted_input_count, fn.instruction_count))
-                if compiled is None:
-                    text_scores.append((False, 0.0))
-                else:
-                    reference = compiled.output.text
-                    text_scores.append(
-                        (code.text == reference, bleu(code.text, reference))
-                    )
-                    output_counts.append(
-                        (pred.predicted_output_count, compiled.instruction_count)
-                    )
-        rows.append(
-            EvalRow(
-                function_id=fn.id,
-                source_dataset=fn.source_dataset,
-                unopt_count=fn.instruction_count,
-                oz_count=oz_count,
-                predicted_count=predicted_count,
-                delta=oz_count - predicted_count,
-                prediction_failed=failed,
-                prediction_missing=pred is None,
-            )
-        )
+    claims: list[_Claim] = []
+    for row, extra, claim in filter(None, scored):
+        rows.append(row)
+        additional += extra
+        if claim is not None:
+            claims.append(claim)
     summary = summarize_rows(rows, additional)
-    if text_scores:
-        n = len(text_scores)
+    if claims:
+        n = len(claims)
+        histogram = {category.value: 0 for category in ErrorCategory}
+        histogram.update(Counter(c.error for c in claims if c.error is not None))
+        output_counts = [c.output_counts for c in claims if c.output_counts]
         summary.update(
             code_claims=n,
-            code_bleu=sum(score for _, score in text_scores) / n,
+            code_bleu=sum(c.text_score[1] for c in claims) / n,
             code_compile_rate=(n - sum(histogram.values())) / n,
-            code_exact_match_rate=sum(exact for exact, _ in text_scores) / n,
-            code_input_count_mape=mape(*zip(*input_counts)),
+            code_exact_match_rate=sum(c.text_score[0] for c in claims) / n,
+            code_input_count_mape=mape(*zip(*(c.input_counts for c in claims))),
             code_output_count_mape=(
                 mape(*zip(*output_counts)) if output_counts else None
             ),

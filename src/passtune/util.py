@@ -1,4 +1,5 @@
-"""Small shared helpers: seeding, time limits, JSON Lines IO, file digests."""
+"""Small shared helpers: seeding, time limits, the compile pool, JSON Lines
+IO, file digests."""
 
 from __future__ import annotations
 
@@ -8,10 +9,12 @@ import json
 import math
 import types
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
 
 _T = TypeVar("_T")
+_R = TypeVar("_R")
 DEFAULT_TIMEOUT_SECONDS = 60.0
 
 
@@ -32,6 +35,31 @@ def positive_seconds(seconds: float, what: str) -> float:
     if seconds == math.inf:
         raise ValueError(f"{what} must be finite, got {seconds}")
     return seconds
+
+
+def worker_count(workers: int) -> int:
+    """``workers`` if it is at least 1, else a ValueError."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return workers
+
+
+def map_in_order(
+    fn: Callable[[_T], _R], items: Iterable[_T], workers: int
+) -> list[_R]:
+    """``[fn(item) for item in items]``, run on ``workers`` threads.
+
+    Every stage that compiles item by item maps through here, and one
+    worker takes the same path as many. Results come back in input order
+    whatever order they finish in. The first exception, in input order,
+    is raised once the items already started have finished; the items not
+    yet started are cancelled.
+    """
+    pool = ThreadPoolExecutor(max_workers=worker_count(workers))
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def write_jsonl(rows: Iterable[dict[str, Any]], path: str | Path) -> int:

@@ -14,7 +14,7 @@ from passtune.autotuner import (
     autotune_corpus,
 )
 from passtune.backend import BackendUnavailableError
-from passtune.backend.llvm import resolve_opt_path
+from passtune.backend.llvm import LlvmBackend, resolve_opt_path
 from passtune.cli import main
 from passtune.dataset import parse_answer, render_answer
 from passtune.evaluator import EvalRow
@@ -668,6 +668,52 @@ def test_fewer_than_one_worker_is_a_config_error(tmp_path, corpus_file, capsys):
     ) == 2
     assert "workers must be at least 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand", ["autotune", "dataset", "single-pass-dataset", "evaluate"]
+)
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        ("0", "workers must be at least 1, got 0"),
+        ("-1", "workers must be at least 1, got -1"),
+        ("abc", "invalid int value: 'abc'"),
+    ],
+)
+def test_a_bad_worker_count_is_a_usage_error_on_every_compiling_subcommand(
+    tmp_path, corpus_file, capsys, subcommand, value, message
+):
+    out = tmp_path / "out.jsonl"
+    assert run(
+        subcommand, "--corpus", corpus_file, "--output", out, "--workers", value
+    ) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"passtune {subcommand}: error: argument --workers: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,workers",
+    [
+        ([], 1),
+        (["--workers", "2"], 2),
+        (["--backend", "llvm"], LlvmBackend.default_workers),
+        (["--backend", "llvm", "--workers", "1"], 1),
+    ],
+)
+def test_the_manifest_records_the_workers_used(
+    tmp_path, corpus_file, flags, workers
+):
+    out = tmp_path / "out.jsonl"
+    assert run(
+        "autotune", "--corpus", corpus_file, "--output", out,
+        "--budget-evals", 1, "--max-len", 1, "--no-minimize", "--no-broadcast",
+        "--opt-path", write_stub(tmp_path), *flags,
+    ) == 0
+    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+    assert manifest["config"]["workers"] == workers
+    assert type(manifest["config"]["workers"]) is int
 
 
 def test_a_timeout_that_is_not_positive_is_a_config_error(
