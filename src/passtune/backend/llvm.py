@@ -1,11 +1,22 @@
-"""Backend that drives an external LLVM ``opt`` executable.
+"""Backend that compiles with LLVM's ``opt``.
 
-Each application runs ``opt -S <flags...>`` with a wall-clock limit and
-feeds it the IR on standard input. There is no temporary file, so the
-output names its source ``<stdin>`` on every run. The output is
-re-normalized. A nonzero exit, unparseable output and a time-limit hit
-each become a classified failure outcome, so a hang costs one failed
-compilation and nothing more.
+A compile is ``opt -S <flags...>`` on the IR, read from standard input,
+so the output names its source ``<stdin>``. It runs in one of two ways:
+
+- ``opt-server``: the compile is a request to ``optd`` (see ``optd.py``),
+  a long-lived process that runs LLVM 14's legacy passes by name exactly
+  as ``opt -enable-new-pm=0`` does, without starting a process each time.
+  This is the path when optd builds, the only extra argument is
+  ``-enable-new-pm=0`` and ``opt`` is the LLVM that ``llvm-config`` names.
+  A list optd does not run the way ``opt`` does goes to ``opt``.
+- ``opt``: one ``opt`` process per compile, the reference and the
+  fallback.
+
+:attr:`LlvmBackend.compile_path` says which path runs, and why not the
+server when it does not. Either way the output is re-normalized. A
+failure, unparseable output and a time-limit hit each become a classified
+failure outcome, so a crash or hang costs one failed compilation and
+nothing more.
 
 The executable is found via the constructor argument, the
 ``PASSTUNE_OPT`` environment variable, or ``opt`` on PATH, in that
@@ -24,9 +35,16 @@ import os
 import re
 import shutil
 import subprocess
+import threading
 from typing import Optional, Sequence
 
 from passtune.backend.classify import diagnostic_from_message
+from passtune.backend.optd import (
+    OptdUnavailable,
+    ServerPool,
+    llvm_version_of,
+    server_binary,
+)
 from passtune.backend.passlist import PassList, PassVocabulary, llvm10_vocabulary
 from passtune.backend.types import BackendUnavailableError, CompileOutcome
 from passtune.ircore import MalformedIrError, NormalizedIr, count_instructions, normalize
@@ -35,6 +53,8 @@ from passtune.util import DEFAULT_TIMEOUT_SECONDS, positive_seconds
 logger = logging.getLogger(__name__)
 
 OPT_ENV_VAR = "PASSTUNE_OPT"
+# The only extra opt arguments under which optd compiles as opt does.
+SERVER_ARGS = ("-enable-new-pm=0",)
 
 # An option line of the help listing: "  --dce   - Dead Code Elimination".
 _LISTED_OPTION = re.compile(r"^\s*--?([\w.-]+)", re.MULTILINE)
@@ -60,10 +80,10 @@ def _usable_cpus() -> int:
 
 
 class LlvmBackend:
-    """Applies pass lists by invoking ``opt`` in a subprocess."""
+    """Applies pass lists through optd servers or ``opt`` processes."""
 
-    # Each compile is its own process, so threads that wait on them scale
-    # with the CPUs this process may run on.
+    # Every compile runs in another process, an optd server or opt, so
+    # threads that wait on them scale with the CPUs this process may use.
     default_workers = _usable_cpus()
 
     def __init__(
@@ -76,6 +96,8 @@ class LlvmBackend:
         self.opt_path = resolve_opt_path(opt_path)
         self.extra_args = tuple(extra_args)
         self._vocabulary = self._listed_only(llvm10_vocabulary())
+        self._choice_lock = threading.Lock()
+        self._choice: Optional[tuple[dict, Optional[ServerPool]]] = None
 
     @property
     def vocabulary(self) -> PassVocabulary:
@@ -120,27 +142,65 @@ class LlvmBackend:
         proc = self._query("--version")
         return " ".join(proc.stdout.split()) or f"opt at {self.opt_path}"
 
-    def apply(self, ir: NormalizedIr, passes: PassList) -> CompileOutcome:
-        cmd = [self.opt_path, "-S", *self.extra_args, *passes.items]
+    @property
+    def compile_path(self) -> dict:
+        """How compiles run: ``path`` (``opt-server`` or ``opt``), the LLVM
+        version, and under ``opt`` the ``fallback_reason``."""
+        return self._chosen()[0]
+
+    def _chosen(self) -> tuple[dict, Optional[ServerPool]]:
+        """The compile path and its servers, chosen on first use."""
+        with self._choice_lock:
+            if self._choice is None:
+                self._choice = self._choose_path()
+            return self._choice
+
+    def _choose_path(self) -> tuple[dict, Optional[ServerPool]]:
+        version = self.version()
+        path = {"path": "opt", "llvm_version": llvm_version_of(version)}
+        if self.extra_args != SERVER_ARGS:
+            given = " ".join(self.extra_args) or "none"
+            path["fallback_reason"] = (
+                f"extra opt arguments are {given}, not {' '.join(SERVER_ARGS)}"
+            )
+            return path, None
+        try:
+            binary = server_binary(self.opt_path, version)
+        except OptdUnavailable as err:
+            path["fallback_reason"] = str(err)
+            return path, None
+        path["path"] = "opt-server"
+        return path, ServerPool(binary, self.opt_path)
+
+    def _run_opt(self, cmd: list[str], text: str) -> tuple[bool, str]:
+        """(True, output) or (False, failure message) of one ``opt`` process."""
         try:
             proc = subprocess.run(
-                cmd,
-                input=ir.text + "\n",
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
+                cmd, input=text, capture_output=True, text=True, timeout=self.timeout
             )
-        except subprocess.TimeoutExpired:
-            message = f"{' '.join(cmd)} exceeded {self.timeout:g}s"
-            return CompileOutcome.failure(diagnostic_from_message(message))
         except OSError as err:
             raise BackendUnavailableError(
                 f"cannot run {self.opt_path!r}: {err}"
             ) from err
         if proc.returncode != 0:
-            message = proc.stderr.strip() or f"exit code {proc.returncode}"
+            return False, proc.stderr.strip() or f"exit code {proc.returncode}"
+        return True, proc.stdout
+
+    def apply(self, ir: NormalizedIr, passes: PassList) -> CompileOutcome:
+        cmd = [self.opt_path, "-S", *self.extra_args, *passes.items]
+        text = ir.text + "\n"
+        servers = self._chosen()[1]
+        try:
+            reply = None
+            if servers is not None:
+                reply = servers.compile(passes.items, text, self.timeout)
+            ok, out = self._run_opt(cmd, text) if reply is None else reply
+        except subprocess.TimeoutExpired:
+            message = f"{' '.join(cmd)} exceeded {self.timeout:g}s"
             return CompileOutcome.failure(diagnostic_from_message(message))
-        out = normalize(proc.stdout)
+        if not ok:
+            return CompileOutcome.failure(diagnostic_from_message(out))
+        out = normalize(out)
         try:
             count = count_instructions(out)
         except MalformedIrError as err:

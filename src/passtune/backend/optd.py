@@ -1,0 +1,278 @@
+"""Build and run ``optd``, a long-lived ``opt -S -enable-new-pm=0``.
+
+``optd.cpp``, next to this file, runs LLVM 14's legacy passes by name the
+way ``opt`` does, one compile per request, and stays up between requests.
+It is compiled once with g++ against the LLVM that ``llvm-config``
+describes: the ``llvm-config`` beside ``opt``, else the one on PATH. The
+binary is cached under ``${XDG_CACHE_HOME:-~/.cache}/passtune/`` (or the
+temporary directory if that is not writable), keyed by the sha256 of the
+source, ``llvm-config --version`` and ``opt --version``.
+
+A :class:`ServerPool` hands each compile an idle server or starts one, so
+there are at most as many servers as threads compiling at once. A compile
+that hits its time limit kills its server; a server that dies costs only
+the compile it was running, and one found dead while idle is replaced.
+Servers exit when their standard input closes: a ``weakref.finalize``
+closes it and reaps the server when the pool is dropped or Python exits.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import queue
+import select
+import shlex
+import shutil
+import subprocess
+import tempfile
+import threading
+import time
+import weakref
+from pathlib import Path
+from typing import Optional
+
+from passtune.backend.types import BackendUnavailableError
+from passtune.util import DEFAULT_TIMEOUT_SECONDS
+
+SOURCE = Path(__file__).with_name("optd.cpp")
+
+# The reply statuses of optd.cpp.
+_PRINTED, _FAILED, _UNSUPPORTED = 0, 1, 2
+# g++ takes seconds on this source; a build that takes this long is stuck.
+_BUILD_SECONDS = 600.0
+# How long a server that was asked to stop may take to exit.
+_STOP_SECONDS = 5.0
+
+
+class OptdUnavailable(RuntimeError):
+    """optd cannot be built here; the message says why."""
+
+
+_build_lock = threading.Lock()
+_builds: dict[str, "str | OptdUnavailable"] = {}
+
+
+def server_binary(opt_path: str, opt_version: str) -> str:
+    """The optd built for ``opt_path`` (whose ``--version`` is ``opt_version``).
+
+    Builds at most once per process; raises :class:`OptdUnavailable`.
+    """
+    with _build_lock:
+        if opt_path not in _builds:
+            try:
+                _builds[opt_path] = _build(opt_path, opt_version)
+            except OptdUnavailable as err:
+                _builds[opt_path] = err
+        built = _builds[opt_path]
+    if isinstance(built, OptdUnavailable):
+        raise built
+    return built
+
+
+def find_llvm_config(opt_path: str) -> Optional[str]:
+    """The ``llvm-config`` beside ``opt_path`` (links resolved), else on PATH."""
+    beside = Path(os.path.realpath(opt_path)).with_name("llvm-config")
+    return str(beside) if os.access(beside, os.X_OK) else shutil.which("llvm-config")
+
+
+def _build(opt_path: str, opt_version: str) -> str:
+    gxx = shutil.which("g++")
+    if gxx is None:
+        raise OptdUnavailable("no g++ on PATH")
+    config = find_llvm_config(opt_path)
+    if config is None:
+        raise OptdUnavailable("no llvm-config beside opt or on PATH")
+
+    def query(option: str) -> str:
+        try:
+            return subprocess.run(
+                [config, option],
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=DEFAULT_TIMEOUT_SECONDS,
+            ).stdout.strip()
+        except (OSError, subprocess.SubprocessError) as err:
+            raise OptdUnavailable(f"{config} {option} failed: {err}") from err
+
+    llvm_version = query("--version")
+    opt_llvm = llvm_version_of(opt_version)
+    if opt_llvm != llvm_version:
+        raise OptdUnavailable(
+            f"opt is LLVM {opt_llvm} but {config} is LLVM {llvm_version}"
+        )
+    try:
+        source = SOURCE.read_bytes()
+    except OSError as err:
+        raise OptdUnavailable(f"cannot read {SOURCE}: {err}") from err
+    key = hashlib.sha256(
+        b"\0".join((source, llvm_version.encode(), opt_version.encode()))
+    ).hexdigest()
+    cache = _cache_dir()
+    target = cache / f"optd-{key[:16]}"
+    if os.access(target, os.X_OK):
+        return str(target)
+    flags = [query(option) for option in ("--cxxflags", "--ldflags", "--libs")]
+    rpath = f"-Wl,-rpath,{query('--libdir')}"
+    try:
+        # Built apart and renamed into place, so no process runs half a file.
+        with tempfile.TemporaryDirectory(dir=cache, prefix=".optd-") as scratch:
+            partial = os.path.join(scratch, "optd")
+            cmd = [gxx, *shlex.split(flags[0]), "-O2", str(SOURCE), "-o", partial]
+            cmd += [*shlex.split(flags[1]), *shlex.split(flags[2]), rpath]
+            proc = subprocess.run(
+                cmd, capture_output=True, text=True, timeout=_BUILD_SECONDS
+            )
+            if proc.returncode != 0:
+                lines = proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"]
+                raise OptdUnavailable(f"g++ could not build optd: {lines[-1]}")
+            os.replace(partial, target)
+    except (OSError, subprocess.TimeoutExpired) as err:
+        raise OptdUnavailable(f"g++ could not build optd: {err}") from err
+    return str(target)
+
+
+def llvm_version_of(version_text: str) -> Optional[str]:
+    """The version number in ``opt --version`` text, e.g. ``14.0.6``."""
+    words = version_text.split()
+    for word, following in zip(words, words[1:]):
+        if word == "version" and following[:1].isdigit():
+            return following
+    return None
+
+
+def _cache_dir() -> Path:
+    """The first of the user's cache and a private temporary directory we can write."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    private = Path(tempfile.gettempdir(), f"passtune-{os.getuid()}")
+    for candidate in (Path(base, "passtune"), private):
+        try:
+            candidate.mkdir(mode=0o700, parents=True, exist_ok=True)
+        except OSError:
+            continue
+        if candidate.stat().st_uid == os.getuid() and os.access(candidate, os.W_OK):
+            return candidate
+    raise OptdUnavailable(f"no writable cache directory for optd (tried {base})")
+
+
+class _ServerDied(Exception):
+    """The server exited during a compile."""
+
+
+def _stop(proc: subprocess.Popen, stderr) -> None:
+    """Close ``proc``'s input, so that it exits, and reap it."""
+    try:
+        proc.stdin.close()
+    except OSError:  # a dead server's pipe
+        pass
+    try:
+        proc.wait(timeout=_STOP_SECONDS)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+    proc.stdout.close()
+    stderr.close()
+
+
+class _Server:
+    """One optd process; one thread at a time talks to it."""
+
+    def __init__(self, command: list[str]) -> None:
+        self._stderr = tempfile.TemporaryFile()
+        try:
+            self.proc = subprocess.Popen(
+                command,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=self._stderr,
+            )
+        except OSError as err:
+            self._stderr.close()
+            raise BackendUnavailableError(f"cannot start {command[0]}: {err}") from err
+        self.close = weakref.finalize(self, _stop, self.proc, self._stderr)
+        self._stderr_mark = 0  # where the current request's stderr starts
+
+    def kill(self) -> None:
+        self.proc.kill()
+        self.close()
+
+    def exchange(self, request: bytes, timeout: float) -> tuple[int, bytes]:
+        """(status, body) of one request; raises TimeoutExpired or _ServerDied."""
+        deadline = time.monotonic() + timeout
+        self._stderr_mark = self._stderr.seek(0, os.SEEK_END)
+        try:
+            self.proc.stdin.write(request)
+            self.proc.stdin.flush()
+        except BrokenPipeError:
+            raise _ServerDied from None
+        reply = bytearray()
+        while b"\n" not in reply:
+            reply += self._read(deadline, timeout)
+        head, _, body = bytes(reply).partition(b"\n")
+        status, size = map(int, head.split())
+        reply = bytearray(body)
+        while len(reply) < size:
+            reply += self._read(deadline, timeout)
+        return status, bytes(reply)
+
+    def _read(self, deadline: float, timeout: float) -> bytes:
+        fd = self.proc.stdout.fileno()
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+            raise subprocess.TimeoutExpired(self.proc.args, timeout)
+        chunk = os.read(fd, 1 << 16)
+        if not chunk:
+            raise _ServerDied
+        return chunk
+
+    def last_stderr(self) -> str:
+        """What the server wrote to standard error during the last request."""
+        self._stderr.seek(self._stderr_mark)
+        return self._stderr.read().decode("utf-8", errors="replace")
+
+
+class ServerPool:
+    """Idle optd servers, each taken by one compile at a time."""
+
+    def __init__(self, binary: str, opt_path: str) -> None:
+        self._command = [binary, opt_path]
+        self._idle: queue.SimpleQueue[_Server] = queue.SimpleQueue()
+
+    def _take(self) -> _Server:
+        while True:
+            try:
+                server = self._idle.get_nowait()
+            except queue.Empty:
+                return _Server(self._command)
+            if server.proc.poll() is None:
+                return server
+            server.close()  # died while idle: reap it, try the next
+
+    def compile(
+        self, items: tuple[str, ...], text: str, timeout: float
+    ) -> Optional[tuple[bool, str]]:
+        """(True, output) or (False, what opt would print) for ``items`` on ``text``.
+
+        ``None`` when optd does not run ``items`` the way ``opt`` does; a
+        compile past ``timeout`` seconds kills its server and raises
+        ``subprocess.TimeoutExpired``.
+        """
+        server = self._take()
+        data = text.encode()
+        request = f"{len(data)} {' '.join(items)}\n".encode() + data
+        try:
+            status, body = server.exchange(request, timeout)
+        except subprocess.TimeoutExpired:
+            server.kill()
+            raise
+        except _ServerDied:
+            message = server.last_stderr().strip()
+            server.close()
+            return False, message or f"exit code {server.proc.returncode}"
+        self._idle.put(server)
+        if status == _UNSUPPORTED:
+            return None
+        if status == _PRINTED:
+            return True, body.decode()
+        return False, body.decode().strip() or "exit code 1"

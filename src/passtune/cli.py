@@ -5,8 +5,9 @@ corpus, ``autotune`` a results file, ``dataset``/``single-pass-dataset``
 training records, ``predict`` a predictions file, ``evaluate`` per-row
 scores plus a summary, and ``report`` CSV breakdowns. Every output gets
 a sibling ``<name>.manifest.json`` recording the resolved config, seed,
-input digests, and tool version; timestamps appear only there, so
-reruns with identical inputs are byte-identical.
+input digests, and tool version, and for a compiling subcommand on llvm
+the ``compile_path`` (optd server or ``opt`` processes, and why); timestamps
+appear only there, so reruns with identical inputs are byte-identical.
 
 ``--config file.json`` stands for the flags it names, inserted right after
 the subcommand: argparse checks them like typed flags, and explicit flags win.
@@ -115,6 +116,13 @@ def _make_backend(args: argparse.Namespace):
     if "workers" in args and args.workers is None:
         args.workers = backend.default_workers
     return backend
+
+
+def _compile_path(backend) -> dict:
+    """The manifest entry that says how ``backend`` compiled, where it can say."""
+    if isinstance(backend, LlvmBackend):
+        return {"compile_path": backend.compile_path}
+    return {}
 
 
 def _resolve_budget(args: argparse.Namespace) -> SearchBudget:
@@ -297,7 +305,9 @@ def _cmd_autotune(args: argparse.Namespace) -> list[str]:
         broadcast=not args.no_broadcast,
         workers=args.workers,
     )
-    _write_output(args, results, [args.corpus], {"stats": stats})
+    _write_output(
+        args, results, [args.corpus], {"stats": stats, **_compile_path(backend)}
+    )
     print(f"tuned {stats['functions_tuned']} functions -> {args.output}")
     mean_evaluations = stats["mean_evaluations_per_function"]
     print(f"mean_evaluations_per_function = {mean_evaluations:.2f}")
@@ -326,6 +336,7 @@ def _cmd_dataset(args: argparse.Namespace) -> list[str]:
             "records": len(records),
             "truncated": truncated,
             "record_errors": len(failures),
+            **_compile_path(backend),
         },
     )
     print(f"wrote {len(records)} records to {args.output} ({truncated} truncated)")
@@ -359,6 +370,7 @@ def _cmd_single_pass_dataset(args: argparse.Namespace) -> list[str]:
             "records": len(records),
             "expected_records": expected,
             "truncated": truncated,
+            **_compile_path(backend),
         },
     )
     print(f"wrote {len(records)} records to {args.output} ({truncated} truncated)")
@@ -431,7 +443,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
         workers=args.workers,
     )
     write_summary(summary, args.summary or _derived_output(args.output, "summary"))
-    _write_output(args, rows, [args.corpus, args.predictions], {"summary": summary})
+    _write_output(
+        args,
+        rows,
+        [args.corpus, args.predictions],
+        {"summary": summary, **_compile_path(backend)},
+    )
     for key, value in summary.items():
         print(f"{key} = {value}")
     scored = {row.function_id for row in rows}

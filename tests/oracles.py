@@ -8,13 +8,19 @@ picked by the same (count, length, items) order the tuner documents.
 is the score retrieval must reproduce. :func:`run_pipeline` and
 :func:`reference_apply` compile on the mini IR with no memo, one live
 function from parse to render: the outputs the mini backend's memo must
-reproduce.
+reproduce. :class:`LlvmInstructionCounter` counts instructions by walking
+the module that LLVM's own parser builds, the exact count
+``ircore.count_instructions`` must give on real LLVM output.
 """
 
+import ctypes
 import re
+import shlex
+import subprocess
 from collections import Counter
 from itertools import product
-from typing import Iterator
+from pathlib import Path
+from typing import Iterator, Optional
 
 from passtune.backend import compile_items
 from passtune.backend.mini_ir import (
@@ -25,6 +31,7 @@ from passtune.backend.mini_ir import (
     verify_function,
 )
 from passtune.backend.mini_passes import PASSES, expand_flags
+from passtune.backend.optd import find_llvm_config
 from passtune.ircore import NormalizedIr, count_instructions
 
 
@@ -155,3 +162,95 @@ def reference_normalize(raw: str) -> NormalizedIr:
         if line:
             out_lines.append(line)
     return NormalizedIr("\n".join(out_lines))
+
+
+class LlvmInstructionCounter:
+    """Instructions of every function body in IR text, counted through LLVM's
+    C API as CompilerGym's ``IrInstructionCount`` does: parse the module, then
+    walk its functions, their blocks and the blocks' instructions."""
+
+    def __init__(self, library: str) -> None:
+        lib = ctypes.CDLL(library)
+        ref = ctypes.c_void_p
+        signatures = {
+            "LLVMContextCreate": ([], ref),
+            "LLVMContextDispose": ([ref], None),
+            "LLVMCreateMemoryBufferWithMemoryRangeCopy": (
+                [ctypes.c_char_p, ctypes.c_size_t, ctypes.c_char_p],
+                ref,
+            ),
+            "LLVMParseIRInContext": (
+                [ref, ref, ctypes.POINTER(ref), ctypes.POINTER(ref)],
+                ctypes.c_int,
+            ),
+            "LLVMDisposeModule": ([ref], None),
+            "LLVMDisposeMessage": ([ref], None),
+        }
+        for first, following in (
+            ("LLVMGetFirstFunction", "LLVMGetNextFunction"),
+            ("LLVMGetFirstBasicBlock", "LLVMGetNextBasicBlock"),
+            ("LLVMGetFirstInstruction", "LLVMGetNextInstruction"),
+        ):
+            signatures[first] = signatures[following] = ([ref], ref)
+        for name, (argtypes, restype) in signatures.items():
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = argtypes, restype
+        self._lib = lib
+
+    def _walk(self, first, following, parent) -> Iterator[int]:
+        item = getattr(self._lib, first)(parent)
+        while item:
+            yield item
+            item = getattr(self._lib, following)(item)
+
+    def __call__(self, text: str) -> int:
+        lib = self._lib
+        data = text.encode()
+        context = lib.LLVMContextCreate()
+        try:
+            buffer = lib.LLVMCreateMemoryBufferWithMemoryRangeCopy(
+                data, len(data), b"<stdin>"
+            )
+            module, message = ctypes.c_void_p(), ctypes.c_void_p()
+            # The parser takes the buffer, whether or not it succeeds.
+            if lib.LLVMParseIRInContext(
+                context, buffer, ctypes.byref(module), ctypes.byref(message)
+            ):
+                error = ctypes.string_at(message.value).decode()
+                lib.LLVMDisposeMessage(message)
+                raise ValueError(error)
+            functions = self._walk("LLVMGetFirstFunction", "LLVMGetNextFunction", module)
+            try:
+                return sum(
+                    1
+                    for fn in functions
+                    for block in self._walk(
+                        "LLVMGetFirstBasicBlock", "LLVMGetNextBasicBlock", fn
+                    )
+                    for _ in self._walk(
+                        "LLVMGetFirstInstruction", "LLVMGetNextInstruction", block
+                    )
+                )
+            finally:
+                lib.LLVMDisposeModule(module)
+        finally:
+            lib.LLVMContextDispose(context)
+
+
+def llvm_instruction_counter(opt_path: str) -> Optional[LlvmInstructionCounter]:
+    """The counter over the libLLVM of ``opt_path``'s LLVM, if llvm-config
+    (beside it, else on PATH) names a shared library that exists."""
+    config = find_llvm_config(opt_path)
+    if config is None:
+        return None
+
+    def query(option):
+        return subprocess.run(
+            [config, option], capture_output=True, text=True, check=True, timeout=60
+        ).stdout.strip()
+
+    names = [f[2:] for f in shlex.split(query("--libs")) if f.startswith("-l")]
+    if len(names) != 1:
+        return None  # a static build: no one library to load
+    library = Path(query("--libdir"), f"lib{names[0]}.so")
+    return LlvmInstructionCounter(str(library)) if library.exists() else None

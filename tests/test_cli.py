@@ -716,6 +716,29 @@ def test_the_manifest_records_the_workers_used(
     assert type(manifest["config"]["workers"]) is int
 
 
+def test_an_llvm_manifest_says_which_path_compiled_and_why_not_the_server(
+    tmp_path, corpus_file
+):
+    outputs = {}
+    for flags in ([], ["--backend", "llvm", "--opt-path", write_stub(tmp_path)]):
+        out = outputs[len(flags)] = tmp_path / f"out{len(flags)}.jsonl"
+        assert run(
+            "autotune", "--corpus", corpus_file, "--output", out,
+            "--budget-evals", 1, "--max-len", 1, "--no-minimize", "--no-broadcast",
+            *flags,
+        ) == 0
+    manifests = {
+        n: json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        for n, out in outputs.items()
+    }
+    assert "compile_path" not in manifests[0]
+    assert manifests[4]["compile_path"] == {
+        "path": "opt",
+        "llvm_version": "10.0.0",
+        "fallback_reason": "extra opt arguments are none, not -enable-new-pm=0",
+    }
+
+
 def test_a_timeout_that_is_not_positive_is_a_config_error(
     tmp_path, corpus_file, capsys
 ):

@@ -109,6 +109,16 @@ def test_apply_pass_effect_via_stub(stub_opt, sample_ir):
     assert outcome.instruction_count == 4  # %dead line dropped
 
 
+def test_a_stub_that_no_optd_can_match_compiles_through_opt(stub_opt, sample_ir):
+    # The stub says LLVM 10.0.0: no llvm-config here names that version, so
+    # even under the server's arguments every compile is an opt process.
+    backend = LlvmBackend(stub_opt, extra_args=("-enable-new-pm=0",))
+    path = backend.compile_path
+    assert (path["path"], path["llvm_version"]) == ("opt", "10.0.0")
+    assert path["fallback_reason"]
+    assert compile_items(backend, sample_ir, ("-dce",)).instruction_count == 4
+
+
 def test_apply_failure_is_classified(stub_opt, sample_ir):
     backend = LlvmBackend(stub_opt, extra_args=("--stub-crash",))
     outcome = compile_items(backend, sample_ir, ())

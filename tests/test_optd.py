@@ -1,0 +1,328 @@
+"""optd compiles as ``opt -S -enable-new-pm=0`` does, and costs one compile at most.
+
+The property tests compare optd's output with ``opt``'s byte for byte and
+count instructions through LLVM's C API. The isolation tests time out,
+kill and crash servers. Everything here is skipped without ``opt``, and
+all but the fake-server tests without a built optd (``g++`` and
+``llvm-config``).
+"""
+
+import json
+import os
+import shutil
+import signal
+import subprocess
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import llvm_instruction_counter
+from passtune.backend import BackendUnavailableError, compile_items
+from passtune.backend import optd
+from passtune.backend.classify import diagnostic_from_message
+from passtune.backend.llvm import SERVER_ARGS, LlvmBackend, resolve_opt_path
+from passtune.backend.optd import ServerPool, server_binary
+from passtune.cli import main
+from passtune.ircore import count_instructions, normalize
+from passtune.minigen import generate_corpus
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = Path(__file__).parent / "data"
+LIMIT = 60.0  # seconds; no compile here comes near it
+
+STRUCT = """\
+%struct.s = type { i32, i32 }
+define i32 @second(%struct.s* %p) {
+entry:
+  %a = getelementptr inbounds %struct.s, %struct.s* %p, i32 0, i32 1
+  %v = load i32, i32* %a
+  %w = add i32 %v, 0
+  ret i32 %w
+}"""
+
+SWITCH = """\
+define i32 @pick(i32 %x) {
+entry:
+  switch i32 %x, label %other [
+    i32 0, label %zero
+    i32 1, label %one
+    i32 7, label %seven
+  ]
+zero:
+  ret i32 10
+one:
+  ret i32 20
+seven:
+  br label %other
+other:
+  %r = phi i32 [ 1, %entry ], [ 2, %seven ]
+  ret i32 %r
+}"""
+
+INVOKE = """\
+declare i32 @may_throw(i32)
+declare i32 @__gxx_personality_v0(...)
+define i32 @guarded(i32 %x) personality i8* bitcast (i32 (...)* @__gxx_personality_v0 to i8*) {
+entry:
+  %v = invoke i32 @may_throw(i32 %x)
+          to label %ok unwind label %lpad
+ok:
+  %w = add i32 %v, 0
+  ret i32 %w
+lpad:
+  %lp = landingpad { i8*, i32 }
+          cleanup
+          catch i8* null
+          filter [0 x i8*] zeroinitializer
+  ret i32 -1
+}"""
+
+# A module that parses but that the verifier rejects.
+UNDOMINATED = """\
+define i32 @f(i32 %a) {
+entry:
+  %x = add i32 %y, 1
+  %y = add i32 %a, 1
+  ret i32 %x
+}"""
+
+TRIPLE = 'target triple = "x86_64-unknown-linux-gnu"\n'
+
+
+def as_sent(raw: str) -> str:
+    """IR text as the backend sends it to optd or opt."""
+    return normalize(raw).text + "\n"
+
+
+def inputs() -> list[str]:
+    llvm_tune = ROOT / "perfbench" / "data" / "llvm-tune.jsonl"
+    rows = [json.loads(line) for line in llvm_tune.read_text().splitlines()]
+    sample = (DATA / "sample.ll").read_text()
+    return (
+        [as_sent(row["raw_text"]) for row in rows]
+        + [fn.normalized_text + "\n" for fn in generate_corpus(12, seed=7)]
+        + [as_sent(sample), as_sent(TRIPLE + sample)]
+    )
+
+
+INPUTS = inputs()
+HAND_WRITTEN = [as_sent(text) for text in (STRUCT, SWITCH, INVOKE)]
+
+
+@pytest.fixture(scope="module")
+def opt():
+    try:
+        return resolve_opt_path()
+    except BackendUnavailableError:
+        pytest.skip("no optimizer executable on PATH or in PASSTUNE_OPT")
+
+
+@pytest.fixture(scope="module")
+def backend(opt):
+    backend = LlvmBackend(opt, extra_args=SERVER_ARGS)
+    if backend.compile_path["path"] != "opt-server":
+        pytest.skip(f"no optd: {backend.compile_path['fallback_reason']}")
+    return backend
+
+
+@pytest.fixture(scope="module")
+def pool(backend):
+    binary = server_binary(backend.opt_path, backend.version())
+    return ServerPool(binary, backend.opt_path)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The processes of every optd server started while the test runs."""
+    procs = []
+
+    class Recorded(optd._Server):
+        def __init__(self, command):
+            super().__init__(command)
+            procs.append(self.proc)
+
+    monkeypatch.setattr(optd, "_Server", Recorded)
+    return procs
+
+
+def opt_reply(opt, items, text):
+    """(True, output) or (False, stripped standard error) of opt itself."""
+    proc = subprocess.run(
+        [opt, "-S", *SERVER_ARGS, *items],
+        input=text,
+        capture_output=True,
+        text=True,
+        timeout=LIMIT,
+    )
+    if proc.returncode != 0:
+        return False, proc.stderr.strip()
+    return True, proc.stdout
+
+
+@st.composite
+def flag_lists(draw, vocabulary):
+    """1-12 listed flags, each -O level at most once; the levels often adjacent."""
+    passes = draw(st.lists(st.sampled_from(vocabulary.passes), max_size=12))
+    room = 12 - len(passes)
+    levels = draw(
+        st.lists(st.sampled_from(vocabulary.meta_flags), unique=True, max_size=room)
+    )
+    assume(passes or levels)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(passes)))
+        return tuple(passes[:at] + levels + passes[at:])
+    return tuple(draw(st.permutations(passes + levels)))
+
+
+def test_the_server_is_chosen_wherever_gxx_and_llvm_config_exist(opt):
+    if shutil.which("g++") is None or shutil.which("llvm-config") is None:
+        pytest.skip("no g++ or no llvm-config on PATH")
+    path = LlvmBackend(opt, extra_args=SERVER_ARGS).compile_path
+    assert path == {"path": "opt-server", "llvm_version": path["llvm_version"]}
+    assert path["llvm_version"][:1].isdigit()
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_the_server_prints_what_opt_prints(opt, backend, pool, data):
+    text = data.draw(st.sampled_from(INPUTS + HAND_WRITTEN))
+    items = data.draw(flag_lists(backend.vocabulary))
+    assert pool.compile(items, text, LIMIT) == opt_reply(opt, items, text)
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        ("-Oz", "-Os"),
+        ("-Oz", "-Os", "-dce"),
+        ("-O3", "-Oz"),
+        ("-Os", "-O1", "-instcombine"),
+        ("-gvn", "-Oz", "-O2", "-simplifycfg"),
+    ],
+)
+# On llvm-tune's eighth function, each of these lists prints differently when
+# the -O levels are added in list order rather than in opt's fixed order.
+@pytest.mark.parametrize("text", [INPUTS[7], INPUTS[-1]], ids=["llvm-tune", "triple"])
+def test_adjacent_o_levels_go_in_opts_fixed_order(opt, pool, items, text):
+    assert pool.compile(items, text, LIMIT) == opt_reply(opt, items, text)
+
+
+def test_a_named_struct_keeps_its_name_on_a_reused_server(opt, pool, started):
+    text = as_sent(STRUCT)
+    expected = opt_reply(opt, ("-instcombine",), text)
+    assert expected[0] and "%struct.s = type" in expected[1]
+    replies = [pool.compile(("-instcombine",), text, LIMIT) for _ in range(2)]
+    assert replies == [expected, expected]
+    assert "%struct.s.0" not in replies[1][1]
+    assert len(started) <= 1  # both on the server the pool already had, or one new
+
+
+@pytest.mark.parametrize(
+    "text",
+    [(DATA / f"{name}.ll").read_text() for name in ("bad_float", "bad_type")]
+    + [UNDOMINATED],
+    ids=["bad_float", "bad_type", "undominated"],
+)
+def test_a_broken_input_fails_with_opts_category_and_message(opt, backend, text):
+    ir = normalize(text)
+    ok, message = opt_reply(opt, ("-dce",), ir.text + "\n")
+    assert not ok
+    outcome = compile_items(backend, ir, ("-dce",))
+    assert not outcome.ok
+    assert outcome.diagnostic == diagnostic_from_message(message)
+
+
+def test_a_list_the_server_does_not_run_as_opt_goes_to_opt(pool):
+    text = INPUTS[0]
+    assert pool.compile(("-not-a-pass",), text, LIMIT) is None
+    assert pool.compile(("-Oz", "-dce", "-Oz"), text, LIMIT) is None
+    assert pool.compile(("-dce",), text, LIMIT)[0]
+
+
+@pytest.fixture(scope="module")
+def counter(opt):
+    counter = llvm_instruction_counter(opt)
+    if counter is None:
+        pytest.skip("no shared libLLVM named by llvm-config")
+    return counter
+
+
+@pytest.mark.parametrize(
+    "raw", [STRUCT, SWITCH, INVOKE], ids=["struct", "switch", "invoke"]
+)
+def test_hand_written_counts_match_the_llvm_walk(counter, raw):
+    assert count_instructions(normalize(raw)) == counter(raw) > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_counts_of_server_outputs_match_the_llvm_walk(backend, pool, counter, data):
+    text = data.draw(st.sampled_from(INPUTS + HAND_WRITTEN))
+    items = data.draw(flag_lists(backend.vocabulary))
+    ok, out = pool.compile(items, text, LIMIT)
+    assume(ok)
+    assert count_instructions(normalize(out)) == counter(out)
+
+
+def test_a_compile_past_the_timeout_fails_and_the_next_gets_a_fresh_server(
+    backend, started
+):
+    timed = LlvmBackend(backend.opt_path, timeout=1e-6, extra_args=SERVER_ARGS)
+    ir = normalize((DATA / "sample.ll").read_text())
+    outcome = compile_items(timed, ir, ("-Oz",))
+    assert not outcome.ok
+    assert outcome.diagnostic.message == (
+        f"{timed.opt_path} -S -enable-new-pm=0 -Oz exceeded 1e-06s"
+    )
+    assert len(started) == 1 and started[0].poll() is not None
+    timed.timeout = LIMIT
+    assert compile_items(timed, ir, ("-Oz",)).ok
+    assert len(started) == 2 and started[1].poll() is None
+
+
+def test_a_server_killed_while_idle_is_replaced(backend, started):
+    fresh = LlvmBackend(backend.opt_path, extra_args=SERVER_ARGS)
+    ir = normalize((DATA / "sample.ll").read_text())
+    first = compile_items(fresh, ir, ("-dce",))
+    assert first.ok and len(started) == 1
+    os.kill(started[0].pid, signal.SIGKILL)
+    started[0].wait()
+    assert compile_items(fresh, ir, ("-dce",)) == first
+    assert len(started) == 2
+
+
+def test_a_server_that_dies_costs_one_compile_and_its_stderr_is_the_message(
+    tmp_path,
+):
+    fake = tmp_path / "dying-optd"
+    fake.write_text('#!/bin/sh\nread request\necho "fake optd: $1 crashed" >&2\nexit 3\n')
+    fake.chmod(0o755)
+    pool = ServerPool(str(fake), "/usr/bin/opt")
+    text = INPUTS[0]
+    assert pool.compile(("-dce",), text, LIMIT) == (
+        False,
+        "fake optd: /usr/bin/opt crashed",
+    )
+    assert pool.compile(("-dce",), text, LIMIT) == (
+        False,
+        "fake optd: /usr/bin/opt crashed",
+    )
+
+
+def test_every_server_a_subcommand_starts_is_reaped_when_it_returns(
+    backend, started, tmp_path
+):
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["gen-mini-corpus", "--n", "4", "--output", str(corpus)]) == 0
+    out = tmp_path / "tuned.jsonl"
+    code = main([
+        "autotune", "--corpus", str(corpus), "--output", str(out),
+        "--budget-evals", "4", "--workers", "2", "--seed", "1",
+        "--backend", "llvm", "--opt-path", backend.opt_path, "--opt-arg=-enable-new-pm=0",
+    ])
+    assert code == 0
+    assert started and all(proc.poll() is not None for proc in started)
+    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+    assert manifest["compile_path"] == backend.compile_path
