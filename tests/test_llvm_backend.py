@@ -110,8 +110,8 @@ def test_apply_pass_effect_via_stub(stub_opt, sample_ir):
 
 
 def test_a_stub_that_no_optd_can_match_compiles_through_opt(stub_opt, sample_ir):
-    # The stub says LLVM 10.0.0: no llvm-config here names that version, so
-    # even under the server's arguments every compile is an opt process.
+    # The stub reports LLVM 10.0.0 and is no LLVM build, so even under the
+    # server's arguments the backend compiles through opt processes.
     backend = LlvmBackend(stub_opt, extra_args=("-enable-new-pm=0",))
     path = backend.compile_path
     assert (path["path"], path["llvm_version"]) == ("opt", "10.0.0")
