@@ -11,10 +11,9 @@ from passtune.backend.mini import MiniBackend
 from passtune.dataset import (
     build_pass_dataset,
     build_single_pass_dataset,
-    corpus_stats,
     parse_answer,
-    split,
 )
+from passtune.ircore import corpus_stats, split
 from passtune.minigen import generate_corpus
 
 backend = MiniBackend()

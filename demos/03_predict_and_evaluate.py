@@ -11,8 +11,8 @@ import tempfile
 
 from passtune.autotuner import SearchBudget, autotune_corpus
 from passtune.backend.mini import MiniBackend
-from passtune.dataset import split
 from passtune.evaluator import evaluate_predictions, reports, write_report_csvs
+from passtune.ircore import split
 from passtune.minigen import generate_corpus
 from passtune.predictor import (
     RetrievalIndex,

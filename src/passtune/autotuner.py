@@ -28,12 +28,15 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from passtune.backend import Backend, PassVocabulary, compile_items
-from passtune.backend.passlist import DEFAULT_MAX_LEN, OZ_ITEMS, sample_items
-from passtune.evaluator import overall_improvement
-from passtune.ircore import IrFunction, NormalizedIr
-from passtune.util import map_in_order, positive_seconds, stable_seed
-
-DEFAULT_WALL_CLOCK_SECONDS = 780.0
+from passtune.backend.passlist import OZ_ITEMS, sample_items
+from passtune.ircore import IrFunction, NormalizedIr, overall_improvement
+from passtune.util import (
+    DEFAULT_MAX_LEN,
+    DEFAULT_WALL_CLOCK_SECONDS,
+    map_in_order,
+    positive_seconds,
+    stable_seed,
+)
 
 
 @dataclass(frozen=True)

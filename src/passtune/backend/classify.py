@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 
 
 class ErrorCategory(enum.Enum):
@@ -39,9 +39,8 @@ class IrDiagnostic:
 
 
 def _load_table() -> list[tuple[ErrorCategory, tuple[str, ...]]]:
-    text = (
-        resources.files("passtune.backend").joinpath("data/error_patterns.json")
-    ).read_text(encoding="utf-8")
+    path = Path(__file__).with_name("data") / "error_patterns.json"
+    text = path.read_text(encoding="utf-8")
     table = []
     for entry in json.loads(text):
         table.append(

@@ -25,7 +25,10 @@ newer LLVM releases, whose default pass manager does not accept the
 legacy flag set) can be supplied with ``extra_args``. The vocabulary
 keeps only the flags that ``opt --help-hidden`` lists, so a flag the
 installed ``opt`` does not know is never sampled; the dropped flags are
-logged as one warning.
+logged as one warning. That listing and ``opt --version`` are read once
+per ``opt`` file and kept beside optd's binary (see
+:func:`~passtune.backend.optd.cached_run`), so on a warm cache a backend
+starts no process before its first compile.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from passtune.backend.classify import diagnostic_from_message
 from passtune.backend.optd import (
     OptdUnavailable,
     ServerPool,
+    cached_run,
     llvm_version_of,
     server_binary,
 )
@@ -104,13 +108,14 @@ class LlvmBackend:
         return self._vocabulary
 
     def _query(self, option: str) -> subprocess.CompletedProcess:
-        """Run ``opt <option>`` under the default limit, not the per-compile one."""
+        """``opt <option>``: cached per ``opt`` file (see ``optd.cached_run``),
+        else run under the default limit, not the per-compile one."""
+        return cached_run([self.opt_path, option], self._run_query)
+
+    def _run_query(self, cmd: list[str]) -> subprocess.CompletedProcess:
         try:
             return subprocess.run(
-                [self.opt_path, option],
-                capture_output=True,
-                text=True,
-                timeout=DEFAULT_TIMEOUT_SECONDS,
+                cmd, capture_output=True, text=True, timeout=DEFAULT_TIMEOUT_SECONDS
             )
         except (OSError, subprocess.TimeoutExpired) as err:
             raise BackendUnavailableError(

@@ -8,6 +8,12 @@ binary is cached under ``${XDG_CACHE_HOME:-~/.cache}/passtune/`` (or the
 temporary directory if that is not writable), keyed by the sha256 of the
 source, ``llvm-config --version`` and ``opt --version``.
 
+The same directory keeps the answers of the start-up queries
+(``opt --help-hidden``, ``opt --version``, ``llvm-config --version``):
+:func:`cached_run` keys each on the executable's resolved path, device,
+inode, size and modification time, and on its arguments, so a subcommand
+on a warm cache starts no process before its first compile.
+
 A :class:`ServerPool` hands each compile an idle server or starts one, so
 there are at most as many servers as threads compiling at once. A compile
 that hits its time limit kills its server; a server that dies costs only
@@ -18,7 +24,9 @@ closes it and reaps the server when the pool is dropped or Python exits.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import json
 import os
 import queue
 import select
@@ -30,7 +38,7 @@ import threading
 import time
 import weakref
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from passtune.backend.types import BackendUnavailableError
 from passtune.util import DEFAULT_TIMEOUT_SECONDS
@@ -84,19 +92,22 @@ def _build(opt_path: str, opt_version: str) -> str:
     if config is None:
         raise OptdUnavailable("no llvm-config beside opt or on PATH")
 
-    def query(option: str) -> str:
+    def run(command: list[str]) -> subprocess.CompletedProcess:
         try:
             return subprocess.run(
-                [config, option],
+                command,
                 capture_output=True,
                 text=True,
                 check=True,
                 timeout=DEFAULT_TIMEOUT_SECONDS,
-            ).stdout.strip()
+            )
         except (OSError, subprocess.SubprocessError) as err:
-            raise OptdUnavailable(f"{config} {option} failed: {err}") from err
+            raise OptdUnavailable(f"{' '.join(command)} failed: {err}") from err
 
-    llvm_version = query("--version")
+    def query(option: str) -> str:
+        return run([config, option]).stdout.strip()
+
+    llvm_version = cached_run([config, "--version"], run).stdout.strip()
     opt_llvm = llvm_version_of(opt_version)
     if opt_llvm != llvm_version:
         raise OptdUnavailable(
@@ -154,6 +165,47 @@ def _cache_dir() -> Path:
         if candidate.stat().st_uid == os.getuid() and os.access(candidate, os.W_OK):
             return candidate
     raise OptdUnavailable(f"no writable cache directory for optd (tried {base})")
+
+
+def cached_run(
+    command: list[str], run: Callable[[list[str]], subprocess.CompletedProcess]
+) -> subprocess.CompletedProcess:
+    """``run(command)``, or the answer that the same executable gave before.
+
+    An answer is reused while the file at the executable's resolved path
+    keeps its device, inode, size and modification time. Only an answer
+    that exited 0 is kept, and only its standard output. A cache that
+    cannot be read or written just means ``run`` runs.
+    """
+    try:
+        path = os.path.realpath(command[0])
+        st = os.stat(path)
+        key = [path, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, *command[1:]]
+        digest = hashlib.sha256(json.dumps(key).encode()).hexdigest()
+        entry = _cache_dir() / f"query-{digest[:16]}.json"
+    except (OSError, OptdUnavailable):
+        return run(command)
+    try:
+        stored = json.loads(entry.read_text(encoding="utf-8"))
+        if stored["key"] == key and isinstance(stored["stdout"], str):
+            return subprocess.CompletedProcess(command, 0, stored["stdout"], "")
+    except (OSError, ValueError, TypeError, KeyError):
+        pass  # missing or corrupt: ask again, and store the new answer
+    proc = run(command)
+    if proc.returncode != 0:
+        return proc
+    try:  # written apart and renamed into place, as the binary is
+        fd, partial = tempfile.mkstemp(dir=entry.parent, prefix=".query-")
+    except OSError:
+        return proc
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump({"key": key, "stdout": proc.stdout}, fh)
+        os.replace(partial, entry)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(partial)
+    return proc
 
 
 class _ServerDied(Exception):

@@ -11,9 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from importlib import resources
-
-DEFAULT_MAX_LEN = 12
+from pathlib import Path
 
 OZ_ITEMS = ("-Oz",)  # the baseline every list is scored against
 
@@ -93,8 +91,6 @@ def llvm10_vocabulary() -> PassVocabulary:
     Derived from the LLVM 10 legacy pass-manager flag space (the optimizer
     this harness targets); coverage-instrumentation flags are excluded.
     """
-    text = (
-        resources.files("passtune.backend").joinpath("data/llvm10_passes.json")
-    ).read_text(encoding="utf-8")
-    data = json.loads(text)
+    path = Path(__file__).with_name("data") / "llvm10_passes.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
     return PassVocabulary(tuple(data["passes"]), tuple(data["meta_flags"]))

@@ -34,50 +34,22 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from passtune import __version__
-from passtune.autotuner import (
-    DEFAULT_WALL_CLOCK_SECONDS,
-    SearchBudget,
-    TuneResult,
-    autotune_corpus,
-)
-from passtune.backend import BackendUnavailableError
-from passtune.backend.llvm import LlvmBackend
-from passtune.backend.mini import MiniBackend
-from passtune.backend.passlist import DEFAULT_MAX_LEN
-from passtune.dataset import (
-    build_pass_dataset,
-    build_single_pass_dataset,
-    corpus_stats,
-    dedup,
-    split,
-)
-from passtune.evaluator import (
-    EvalRow,
-    evaluate_predictions,
-    reports,
-    write_report_csvs,
-    write_summary,
-)
 from passtune.ircore import (
     DEFAULT_TOKEN_LIMIT,
     IrFunction,
     MalformedIrError,
+    corpus_stats,
+    dedup,
     read_corpus,
+    split,
 )
-from passtune.minigen import generate_corpus
-from passtune.predictor import (
-    ExternalPredictorError,
-    FilePredictor,
-    MissingPredictionError,
-    Prediction,
-    ProcessPredictor,
-    RetrievalIndex,
-    build_frequency_table,
-    predict_always_oz,
-    predict_retrieval,
-    predict_top_frequency,
+from passtune.util import (
+    DEFAULT_MAX_LEN,
+    DEFAULT_TIMEOUT_SECONDS,
+    DEFAULT_WALL_CLOCK_SECONDS,
+    positive_seconds,
+    worker_count,
 )
-from passtune.util import DEFAULT_TIMEOUT_SECONDS, positive_seconds, worker_count
 from passtune.util import file_digest, read_records, unique_ids, write_records
 
 EXIT_OK = 0
@@ -103,11 +75,15 @@ def _make_backend(args: argparse.Namespace):
     """The backend the flags name; an unset ``--workers`` becomes its default.
 
     The resolved count stays in ``args``, so the manifest records the
-    number of workers actually used.
+    number of workers actually used. Only the named backend is imported.
     """
     if args.backend == "mini":
+        from passtune.backend.mini import MiniBackend
+
         backend = MiniBackend()
     else:
+        from passtune.backend.llvm import LlvmBackend
+
         backend = LlvmBackend(
             args.opt_path,
             timeout=args.timeout,
@@ -120,12 +96,14 @@ def _make_backend(args: argparse.Namespace):
 
 def _compile_path(backend) -> dict:
     """The manifest entry that says how ``backend`` compiled, where it can say."""
-    if isinstance(backend, LlvmBackend):
+    if hasattr(backend, "compile_path"):
         return {"compile_path": backend.compile_path}
     return {}
 
 
-def _resolve_budget(args: argparse.Namespace) -> SearchBudget:
+def _resolve_budget(args: argparse.Namespace):
+    from passtune.autotuner import SearchBudget
+
     if args.budget_evals is not None:
         return SearchBudget.evaluation_count(args.budget_evals)
     if args.budget_seconds is not None:
@@ -285,6 +263,8 @@ def _cmd_ingest(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_gen_mini_corpus(args: argparse.Namespace) -> list[str]:
+    from passtune.minigen import generate_corpus
+
     functions = generate_corpus(args.n, args.seed)
     _write_output(args, functions, [], {"corpus_stats": corpus_stats(functions)})
     print(f"wrote {len(functions)} functions to {args.output}")
@@ -292,6 +272,8 @@ def _cmd_gen_mini_corpus(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_autotune(args: argparse.Namespace) -> list[str]:
+    from passtune.autotuner import autotune_corpus
+
     corpus = read_corpus(args.corpus)
     backend = _make_backend(args)
     budget = _resolve_budget(args)
@@ -316,6 +298,9 @@ def _cmd_autotune(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_dataset(args: argparse.Namespace) -> list[str]:
+    from passtune.autotuner import TuneResult
+    from passtune.dataset import build_pass_dataset
+
     corpus = read_corpus(args.corpus)
     tune_results = _read_per_function(TuneResult, args.tune_results)
     backend = _make_backend(args)
@@ -344,6 +329,8 @@ def _cmd_dataset(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_single_pass_dataset(args: argparse.Namespace) -> list[str]:
+    from passtune.dataset import build_single_pass_dataset
+
     corpus = read_corpus(args.corpus)
     backend = _make_backend(args)
     passes = (
@@ -383,6 +370,19 @@ def _cmd_single_pass_dataset(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_predict(args: argparse.Namespace) -> list[str]:
+    from passtune.autotuner import TuneResult
+    from passtune.predictor import (
+        ExternalPredictorError,
+        FilePredictor,
+        MissingPredictionError,
+        ProcessPredictor,
+        RetrievalIndex,
+        build_frequency_table,
+        predict_always_oz,
+        predict_retrieval,
+        predict_top_frequency,
+    )
+
     corpus = read_corpus(args.corpus)
     inputs = [args.corpus]
     if args.method == "always-oz":
@@ -432,6 +432,9 @@ def _cmd_predict(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
+    from passtune.evaluator import evaluate_predictions, write_summary
+    from passtune.predictor import Prediction
+
     corpus = read_corpus(args.corpus)
     backend = _make_backend(args)
     predictions = _read_per_function(Prediction, args.predictions)
@@ -460,6 +463,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_report(args: argparse.Namespace) -> list[str]:
+    from passtune.autotuner import TuneResult
+    from passtune.evaluator import EvalRow, reports, write_report_csvs
+    from passtune.predictor import Prediction
+
     rows = _read_per_function(EvalRow, args.rows)
     if not rows:
         raise ValueError(f"rows file {args.rows} is empty")
@@ -743,10 +750,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         failures, code = args.handler(args), EXIT_PARTIAL_FAILURE
     except SystemExit as err:  # argparse --help/--version or usage error
         return EXIT_OK if err.code in (0, None) else EXIT_CONFIG_ERROR
-    except BackendUnavailableError as err:
-        failures, code = [err], EXIT_BACKEND_ERROR
     except (OSError, ValueError) as err:
         failures, code = [*getattr(err, "failures", []), err], EXIT_CONFIG_ERROR
+    except RuntimeError as err:
+        # Imported here, so that start-up does not load the backend package.
+        from passtune.backend.types import BackendUnavailableError
+
+        if not isinstance(err, BackendUnavailableError):
+            raise
+        failures, code = [err], EXIT_BACKEND_ERROR
     for line in failures:
         print(f"error: {line}", file=sys.stderr)
     return code if failures else EXIT_OK

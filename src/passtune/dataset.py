@@ -17,11 +17,12 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from passtune.backend import Backend, compile_items
 from passtune.backend.passlist import sample_items
 from passtune.ircore import DEFAULT_TOKEN_LIMIT, IrFunction, estimate_tokens
+from passtune.ircore import split  # noqa: F401  (perfbench's tracer times it here)
 from passtune.util import map_in_order, stable_seed
 
 
@@ -251,59 +252,3 @@ def build_single_pass_dataset(
         workers,
     )
     return [record for records in per_target for record in records]
-
-
-def dedup(corpus: Iterable[IrFunction]) -> list[IrFunction]:
-    """Keep the first function per distinct normalized text."""
-    seen: set[str] = set()
-    out: list[IrFunction] = []
-    for fn in corpus:
-        if fn.normalized_text in seen:
-            continue
-        seen.add(fn.normalized_text)
-        out.append(fn)
-    return out
-
-
-def split(
-    corpus: Sequence[IrFunction],
-    fractions: Mapping[str, float],
-    seed: int,
-) -> dict[str, list[IrFunction]]:
-    """Deterministic disjoint partition by named fractions summing to 1.
-
-    Every part must get at least one function.
-    """
-    if not fractions:
-        raise ValueError("fractions must be non-empty")
-    for name, frac in fractions.items():
-        if not frac > 0:  # written so that NaN fails too
-            raise ValueError(f"fraction {name!r} must be positive")
-    total = sum(fractions.values())
-    if not abs(total - 1.0) <= 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {total}")
-    shuffled = list(corpus)
-    random.Random(seed).shuffle(shuffled)
-    out: dict[str, list[IrFunction]] = {}
-    n = len(shuffled)
-    cumulative = 0.0
-    start = 0
-    names = list(fractions)
-    for i, name in enumerate(names):
-        cumulative += fractions[name]
-        end = n if i == len(names) - 1 else round(cumulative * n)
-        if end == start:
-            raise ValueError(f"split part {name!r} gets none of the {n} functions")
-        out[name] = shuffled[start:end]
-        start = end
-    return out
-
-
-def corpus_stats(functions: Sequence[IrFunction]) -> dict[str, int]:
-    """Corpus accounting: sizes in functions, instructions, tokens, bytes."""
-    return {
-        "functions": len(functions),
-        "total_instructions": sum(fn.instruction_count for fn in functions),
-        "total_tokens": sum(fn.token_estimate for fn in functions),
-        "text_bytes": sum(len(fn.normalized_text.encode("utf-8")) for fn in functions),
-    }

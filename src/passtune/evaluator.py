@@ -28,23 +28,12 @@ from passtune.backend import (
     compile_items,
 )
 from passtune.backend.passlist import OZ_ITEMS
-from passtune.ircore import IrFunction, normalize
+from passtune.ircore import IrFunction, normalize, overall_improvement
 from passtune.predictor import Prediction
 from passtune.util import map_in_order
 
 BLEU_MAX_ORDER = 4
 BLEU_SMOOTHING = 1e-9
-
-
-def overall_improvement(sum_oz: int, sum_predicted: int) -> float:
-    """Percent improvement of a predictor over the -Oz baseline.
-
-    Positive when the predictor's total instruction count is below the
-    baseline's. The denominator is the predictor's total.
-    """
-    if sum_predicted <= 0:
-        raise ValueError("sum_predicted must be positive")
-    return (sum_oz - sum_predicted) / sum_predicted * 100.0
 
 
 def mape(predicted: Sequence[float], actual: Sequence[float]) -> float:

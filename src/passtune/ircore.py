@@ -2,14 +2,19 @@
 
 Every other module works on the normalized form produced here: no
 indentation, single-space separated tokens, no comments, no debug
-metadata, no attribute groups, newlines preserved.
+metadata, no attribute groups, newlines preserved. The corpus operations
+that compile nothing (reading, deduplicating, splitting, stats) and the
+headline metric over instruction counts, :func:`overall_improvement`,
+live here too, so ``ingest`` loads no backend.
 """
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Mapping, Sequence
 
 from passtune.util import read_records, unique_ids
 
@@ -185,3 +190,70 @@ def read_corpus(path: str | Path) -> list[IrFunction]:
     if not corpus:
         raise ValueError(f"corpus {path} is empty")
     return corpus
+
+
+def dedup(corpus: Iterable[IrFunction]) -> list[IrFunction]:
+    """Keep the first function per distinct normalized text."""
+    seen: set[str] = set()
+    out: list[IrFunction] = []
+    for fn in corpus:
+        if fn.normalized_text in seen:
+            continue
+        seen.add(fn.normalized_text)
+        out.append(fn)
+    return out
+
+
+def split(
+    corpus: Sequence[IrFunction],
+    fractions: Mapping[str, float],
+    seed: int,
+) -> dict[str, list[IrFunction]]:
+    """Deterministic disjoint partition by named fractions summing to 1.
+
+    Every part must get at least one function.
+    """
+    if not fractions:
+        raise ValueError("fractions must be non-empty")
+    for name, frac in fractions.items():
+        if not frac > 0:  # written so that NaN fails too
+            raise ValueError(f"fraction {name!r} must be positive")
+    total = sum(fractions.values())
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"fractions must sum to 1, got {total}")
+    shuffled = list(corpus)
+    random.Random(seed).shuffle(shuffled)
+    out: dict[str, list[IrFunction]] = {}
+    n = len(shuffled)
+    cumulative = 0.0
+    start = 0
+    names = list(fractions)
+    for i, name in enumerate(names):
+        cumulative += fractions[name]
+        end = n if i == len(names) - 1 else round(cumulative * n)
+        if end == start:
+            raise ValueError(f"split part {name!r} gets none of the {n} functions")
+        out[name] = shuffled[start:end]
+        start = end
+    return out
+
+
+def corpus_stats(functions: Sequence[IrFunction]) -> dict[str, int]:
+    """Corpus accounting: sizes in functions, instructions, tokens, bytes."""
+    return {
+        "functions": len(functions),
+        "total_instructions": sum(fn.instruction_count for fn in functions),
+        "total_tokens": sum(fn.token_estimate for fn in functions),
+        "text_bytes": sum(len(fn.normalized_text.encode("utf-8")) for fn in functions),
+    }
+
+
+def overall_improvement(sum_oz: int, sum_predicted: int) -> float:
+    """Percent improvement of a predictor over the -Oz baseline.
+
+    Positive when the predictor's total instruction count is below the
+    baseline's. The denominator is the predictor's total.
+    """
+    if sum_predicted <= 0:
+        raise ValueError("sum_predicted must be positive")
+    return (sum_oz - sum_predicted) / sum_predicted * 100.0

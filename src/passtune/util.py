@@ -1,5 +1,6 @@
 """Small shared helpers: seeding, time limits, the compile pool, JSON Lines
-IO, file digests."""
+IO, file digests, and the defaults that the command line's help shows, so
+that building the parser loads no stage module."""
 
 from __future__ import annotations
 
@@ -9,13 +10,14 @@ import json
 import math
 import types
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 DEFAULT_TIMEOUT_SECONDS = 60.0
+DEFAULT_MAX_LEN = 12  # the longest pass list the tuner samples
+DEFAULT_WALL_CLOCK_SECONDS = 780.0  # the tuner's search time per function
 
 
 def stable_seed(seed: int, tag: str) -> int:
@@ -55,6 +57,10 @@ def map_in_order(
     is raised once the items already started have finished; the items not
     yet started are cancelled.
     """
+    # Imported here: it loads logging too, which a stage that compiles
+    # nothing does not need.
+    from concurrent.futures import ThreadPoolExecutor
+
     pool = ThreadPoolExecutor(max_workers=worker_count(workers))
     try:
         return list(pool.map(fn, items))

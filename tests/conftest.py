@@ -6,6 +6,13 @@ from passtune.ircore import normalize
 from passtune.minigen import generate_corpus
 
 
+@pytest.fixture
+def private_cache(tmp_path, monkeypatch):
+    """The user cache moved under ``tmp_path``: a stub opt's answers stay there."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache" / "passtune"
+
+
 @pytest.fixture(scope="session")
 def backend():
     return MiniBackend()

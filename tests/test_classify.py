@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
 from passtune.backend.classify import (
+    _TABLE,
     ErrorCategory,
     IrDiagnostic,
     classify_error,
@@ -75,3 +79,10 @@ def test_nine_categories():
         "index_error",
         "other",
     }
+
+
+def test_the_table_reads_as_it_did_through_importlib_resources():
+    text = json.dumps([(category.value, patterns) for category, patterns in _TABLE])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a3af9a21158b307789073e20e4f77c717a3853cff555b305fbbe726e5e799c01"
+    )

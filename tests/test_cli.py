@@ -645,7 +645,7 @@ def test_autotune_without_a_budget_flag_takes_the_default_wall_clock(
         budgets.append(budget)
         return autotune_corpus(backend, functions, budget, **kwargs)
 
-    monkeypatch.setattr("passtune.cli.autotune_corpus", spy)
+    monkeypatch.setattr("passtune.autotuner.autotune_corpus", spy)
     out = tmp_path / "out.jsonl"
     assert run(
         "autotune", "--corpus", corpus_file, "--output", out,
@@ -703,7 +703,7 @@ def test_a_bad_worker_count_is_a_usage_error_on_every_compiling_subcommand(
     ],
 )
 def test_the_manifest_records_the_workers_used(
-    tmp_path, corpus_file, flags, workers
+    tmp_path, private_cache, corpus_file, flags, workers
 ):
     out = tmp_path / "out.jsonl"
     assert run(
@@ -717,7 +717,7 @@ def test_the_manifest_records_the_workers_used(
 
 
 def test_an_llvm_manifest_says_which_path_compiled_and_why_not_the_server(
-    tmp_path, corpus_file
+    tmp_path, private_cache, corpus_file
 ):
     outputs = {}
     for flags in ([], ["--backend", "llvm", "--opt-path", write_stub(tmp_path)]):
@@ -740,7 +740,7 @@ def test_an_llvm_manifest_says_which_path_compiled_and_why_not_the_server(
 
 
 def test_a_timeout_that_is_not_positive_is_a_config_error(
-    tmp_path, corpus_file, capsys
+    tmp_path, private_cache, corpus_file, capsys
 ):
     out = tmp_path / "out.jsonl"
     assert run(
@@ -1424,7 +1424,7 @@ def test_evaluate_missing_predictions_is_partial(
 
 
 def test_file_predictions_are_checked_against_the_installed_vocabulary(
-    tmp_path, corpus_file
+    tmp_path, private_cache, corpus_file
 ):
     # The stub opt does not list -die, as opt 14 does not.
     stub = write_stub(tmp_path, omit=("-die",))

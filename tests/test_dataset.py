@@ -14,14 +14,11 @@ from passtune.dataset import (
     SinglePassRecord,
     build_pass_dataset,
     build_single_pass_dataset,
-    corpus_stats,
-    dedup,
     parse_answer,
     render_answer,
     render_single_pass_prompt,
-    split,
 )
-from passtune.ircore import NormalizedIr
+from passtune.ircore import NormalizedIr, corpus_stats, dedup, split
 from passtune.util import read_records, write_records
 from test_predictor import PoisonBackend
 

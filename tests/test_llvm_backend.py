@@ -1,7 +1,9 @@
 import logging
+import os
 import shutil
 import stat
 import subprocess
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -22,13 +24,18 @@ DATA = Path(__file__).parent / "data"
 # input when there is none, as opt does), with a few trigger flags for
 # exercising the backend's failure paths. Trigger flags are passed via
 # extra_args so they bypass vocabulary validation. `--help-hidden` lists
-# the flags in LISTED, one option line each, as opt prints them.
+# the flags in LISTED, one option line each, as opt prints them. With a LOG
+# path, every run appends its arguments there as one line.
 STUB_OPT = """\
 #!/usr/bin/env python3
 import sys, time
 
 LISTED = {listed}
+LOG = {log}
 args = sys.argv[1:]
+if LOG:
+    with open(LOG, "a") as fh:
+        fh.write(" ".join(args) + "\\n")
 if "--version" in args:
     print("stub LLVM (http://llvm.org/) version 10.0.0")
     sys.exit(0)
@@ -54,16 +61,20 @@ sys.stdout.write(text)
 """
 
 
-def write_stub(tmp_path, omit=()):
+def write_stub(tmp_path, omit=(), log=None):
+    # The backend caches what opt answers at start-up, keyed on its file;
+    # a stub's answers belong in the test's own cache (see private_cache).
+    assert os.environ.get("XDG_CACHE_HOME", "").startswith(str(tmp_path))
     listed = [f for f in llvm10_vocabulary().all_flags if f not in omit]
     path = tmp_path / "stub-opt"
-    path.write_text(STUB_OPT.replace("{listed}", repr(listed)))
+    text = STUB_OPT.replace("{listed}", repr(listed))
+    path.write_text(text.replace("{log}", repr(log and str(log))))
     path.chmod(path.stat().st_mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)
     return str(path)
 
 
 @pytest.fixture
-def stub_opt(tmp_path):
+def stub_opt(tmp_path, private_cache):
     return write_stub(tmp_path)
 
 
@@ -170,7 +181,7 @@ def test_a_timeout_that_is_not_positive_is_rejected(stub_opt, timeout, message):
         LlvmBackend(stub_opt, timeout=timeout)
 
 
-def test_start_up_queries_do_not_use_the_compile_timeout(tmp_path):
+def test_start_up_queries_do_not_use_the_compile_timeout(tmp_path, private_cache):
     # Starting the stub takes far longer than 1 ms; only compiles get that limit.
     backend = LlvmBackend(write_stub(tmp_path, omit=("-die",)), timeout=0.001)
     assert backend.timeout == 0.001
@@ -201,7 +212,7 @@ def test_backend_vocabulary_is_llvm10(stub_opt):
     assert "-Oz" in backend.vocabulary.meta_flags
 
 
-def test_flags_opt_does_not_list_leave_the_vocabulary(tmp_path, caplog):
+def test_flags_opt_does_not_list_leave_the_vocabulary(tmp_path, private_cache, caplog):
     stub = write_stub(tmp_path, omit=("-die", "-O1"))
     with caplog.at_level(logging.WARNING, logger="passtune.backend.llvm"):
         backend = LlvmBackend(stub)
@@ -243,3 +254,67 @@ def test_nonexecutable_path_raises(tmp_path):
     plain.write_text("just text")
     with pytest.raises(BackendUnavailableError):
         LlvmBackend(str(plain))
+
+
+# --- the start-up query cache -------------------------------------------------
+
+
+def _queries(log):
+    """The start-up queries the stub has answered, in order."""
+    lines = log.read_text().splitlines() if log.exists() else []
+    return [line for line in lines if line in ("--help-hidden", "--version")]
+
+
+def test_a_second_backend_on_the_same_opt_runs_no_query(tmp_path, private_cache):
+    log = tmp_path / "opt.log"
+    stub = write_stub(tmp_path, omit=("-die",), log=log)
+    first = LlvmBackend(stub)
+    version = first.version()
+    assert _queries(log) == ["--help-hidden", "--version"]
+    second = LlvmBackend(stub)
+    assert (second.vocabulary, second.version()) == (first.vocabulary, version)
+    assert "-die" not in second.vocabulary
+    assert _queries(log) == ["--help-hidden", "--version"]
+
+
+def test_a_rewritten_opt_is_asked_again(tmp_path, private_cache):
+    log = tmp_path / "opt.log"
+    assert "-die" in LlvmBackend(write_stub(tmp_path, log=log)).vocabulary
+    # The same file rewritten with another size: its listing lacks -die.
+    stub = write_stub(tmp_path, omit=("-die",), log=log)
+    assert "-die" not in LlvmBackend(stub).vocabulary
+    # The same size and text with another modification time.
+    st = os.stat(stub)
+    os.utime(stub, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    assert "-die" not in LlvmBackend(stub).vocabulary
+    assert _queries(log) == ["--help-hidden"] * 3
+
+
+@pytest.mark.parametrize(
+    "garbage", ["", "{", "[1]", '"text"', '{"key": null}', '{"key": [], "stdout": "x"}']
+)
+def test_a_corrupt_cache_entry_is_asked_again(tmp_path, private_cache, garbage):
+    log = tmp_path / "opt.log"
+    stub = write_stub(tmp_path, omit=("-die",), log=log)
+    vocabulary = LlvmBackend(stub).vocabulary
+    [entry] = private_cache.glob("query-*")
+    entry.write_text(garbage)
+    assert LlvmBackend(stub).vocabulary == vocabulary
+    assert LlvmBackend(stub).vocabulary == vocabulary  # the entry was rewritten
+    assert _queries(log) == ["--help-hidden"] * 2
+
+
+def test_without_a_writable_cache_every_backend_asks(
+    tmp_path, private_cache, monkeypatch, sample_ir
+):
+    # A file where each cache directory would go: no one can make them there.
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
+    monkeypatch.setattr(tempfile, "tempdir", str(blocked))
+    log = tmp_path / "opt.log"
+    stub = write_stub(tmp_path, log=log)
+    for _ in range(2):
+        backend = LlvmBackend(stub)
+        assert compile_items(backend, sample_ir, ("-dce",)).instruction_count == 4
+    assert _queries(log) == ["--help-hidden", "--version"] * 2

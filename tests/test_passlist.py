@@ -1,16 +1,18 @@
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from passtune.backend.passlist import (
-    DEFAULT_MAX_LEN,
     InvalidPassListError,
     PassList,
     PassVocabulary,
     llvm10_vocabulary,
     sample_items,
 )
+from passtune.util import DEFAULT_MAX_LEN
 
 TINY = PassVocabulary(("-a", "-b", "-c"), ("-Oz", "-O2"))
 
@@ -81,3 +83,11 @@ def test_llvm10_vocabulary_shape():
     for flag in ("-mem2reg", "-instcombine", "-simplifycfg", "-gvn", "-adce"):
         assert flag in vocab
     assert all(flag.startswith("-") for flag in vocab.all_flags)
+
+
+def test_the_vocabulary_reads_as_it_did_through_importlib_resources():
+    vocab = llvm10_vocabulary()
+    text = json.dumps([vocab.passes, vocab.meta_flags])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0c294defaca5c8ebe0ca58637c3d505790618a2b7c7a19340d32e6d4ed69ebaf"
+    )
