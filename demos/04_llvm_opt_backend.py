@@ -1,7 +1,7 @@
 """Driving a real LLVM `opt` binary.
 
 Everything in the other demos runs on the hermetic mini backend; this
-one swaps in the subprocess-backed LLVM backend. It needs an `opt`
+one swaps in the LLVM backend, which compiles with `opt`. It needs an `opt`
 executable and exits with a pointer to the configuration knobs when
 none is found, so it is safe to run anywhere.
 
@@ -11,8 +11,8 @@ Run: python3 demos/04_llvm_opt_backend.py
 import sys
 from pathlib import Path
 
+from passtune.backend import BackendUnavailableError, compile_items
 from passtune.backend.llvm import OPT_ENV_VAR, LlvmBackend, resolve_opt_path
-from passtune.backend.types import BackendUnavailableError, compile_items
 from passtune.ircore import normalize
 
 try:

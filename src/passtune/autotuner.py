@@ -27,8 +27,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from passtune.backend import Backend, PassVocabulary, compile_items
-from passtune.backend.passlist import OZ_ITEMS, sample_items
+from passtune.backend import Backend, compile_items
+from passtune.backend.passlist import OZ_ITEMS, PassVocabulary, sample_items
 from passtune.ircore import IrFunction, NormalizedIr, overall_improvement
 from passtune.util import (
     DEFAULT_MAX_LEN,

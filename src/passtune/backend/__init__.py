@@ -1,45 +1,93 @@
-"""Compiler backends: apply a pass list to IR and report the outcome.
+"""Compiler backends and the contract they share.
 
-Two implementations share one interface:
+Two backends implement :class:`Backend`:
 
-- :class:`~passtune.backend.llvm.LlvmBackend` drives an external ``opt``
-  executable over a subprocess.
+- :class:`~passtune.backend.llvm.LlvmBackend` compiles with LLVM's
+  ``opt``: in long-lived optd servers when they build and run the list as
+  ``opt`` does, else one ``opt`` process per compile.
 - :class:`~passtune.backend.mini.MiniBackend` is a small hermetic
   compiler for an LLVM-shaped subset, used for fast deterministic tests
   and demos.
 
-Both return a :class:`CompileOutcome` for every compilation, and every
-failed compile, a time limit included, is a failed outcome carrying a
-category from the shared diagnostic taxonomy in
-:mod:`passtune.backend.classify`. Callers compile through
-:func:`compile_items`, which checks the flags against the backend's
-vocabulary once.
+The contract: :meth:`Backend.apply` returns a :class:`CompileOutcome` for
+every compilation, and a compile that fails for any reason (bad input,
+optimizer error, time limit) is a failed outcome carrying a category from
+the diagnostic taxonomy in :mod:`passtune.backend.classify`, never an
+exception. Only :class:`BackendUnavailableError`, a backend that cannot
+run at all, is raised. Every stage compiles through :func:`compile_items`,
+which checks the flags against the backend's vocabulary once.
 """
 
-from passtune.backend.classify import ErrorCategory, IrDiagnostic, classify_error
-from passtune.backend.passlist import (
-    InvalidPassListError,
-    PassList,
-    PassVocabulary,
-    llvm10_vocabulary,
-)
-from passtune.backend.types import (
-    Backend,
-    BackendUnavailableError,
-    CompileOutcome,
-    compile_items,
-)
+from __future__ import annotations
 
-__all__ = [
-    "Backend",
-    "BackendUnavailableError",
-    "CompileOutcome",
-    "ErrorCategory",
-    "InvalidPassListError",
-    "IrDiagnostic",
-    "PassList",
-    "PassVocabulary",
-    "classify_error",
-    "compile_items",
-    "llvm10_vocabulary",
-]
+from dataclasses import dataclass
+from typing import Optional, Protocol
+
+from passtune.backend.classify import IrDiagnostic
+from passtune.backend.passlist import PassList, PassVocabulary
+from passtune.ircore import NormalizedIr
+
+
+class BackendUnavailableError(RuntimeError):
+    """The backend cannot run at all (missing executable, bad install)."""
+
+
+@dataclass(frozen=True)
+class CompileOutcome:
+    """Result of applying one pass list to one function.
+
+    Exactly one of ``output`` (success) or ``diagnostic`` (failure) is
+    set. ``instruction_count`` is the count of the optimized output and
+    is ``None`` on failure.
+    """
+
+    ok: bool
+    output: Optional[NormalizedIr]
+    instruction_count: Optional[int]
+    diagnostic: Optional[IrDiagnostic]
+
+    def __post_init__(self) -> None:
+        if self.ok:
+            if self.output is None or self.instruction_count is None:
+                raise ValueError("successful outcome needs output and count")
+            if self.diagnostic is not None:
+                raise ValueError("successful outcome cannot carry a diagnostic")
+        else:
+            if self.diagnostic is None:
+                raise ValueError("failed outcome needs a diagnostic")
+            if self.output is not None or self.instruction_count is not None:
+                raise ValueError("failed outcome cannot carry output")
+
+    @classmethod
+    def success(cls, output: NormalizedIr, instruction_count: int) -> "CompileOutcome":
+        return cls(True, output, instruction_count, None)
+
+    @classmethod
+    def failure(cls, diagnostic: IrDiagnostic) -> "CompileOutcome":
+        return cls(False, None, None, diagnostic)
+
+
+class Backend(Protocol):
+    """Anything that can apply a pass list to normalized IR.
+
+    ``passes`` arrives already checked against ``vocabulary``.
+    ``default_workers`` is how many threads should call ``apply`` at once
+    when the user does not say: it follows from how the backend compiles.
+    """
+
+    default_workers: int
+
+    @property
+    def vocabulary(self) -> PassVocabulary: ...
+
+    def apply(self, ir: NormalizedIr, passes: PassList) -> CompileOutcome: ...
+
+
+def compile_items(
+    backend: Backend, ir: NormalizedIr, items: tuple[str, ...]
+) -> CompileOutcome:
+    """The one compile path: apply ``items`` to ``ir`` on ``backend``.
+
+    ``items`` are checked against the backend's vocabulary here, once.
+    """
+    return backend.apply(ir, PassList(items, backend.vocabulary))

@@ -41,6 +41,7 @@ import subprocess
 import threading
 from typing import Optional, Sequence
 
+from passtune.backend import BackendUnavailableError, CompileOutcome
 from passtune.backend.classify import diagnostic_from_message
 from passtune.backend.optd import (
     OptdUnavailable,
@@ -50,7 +51,6 @@ from passtune.backend.optd import (
     server_binary,
 )
 from passtune.backend.passlist import PassList, PassVocabulary, llvm10_vocabulary
-from passtune.backend.types import BackendUnavailableError, CompileOutcome
 from passtune.ircore import MalformedIrError, NormalizedIr, count_instructions, normalize
 from passtune.util import DEFAULT_TIMEOUT_SECONDS, positive_seconds
 

@@ -21,6 +21,7 @@ is a bug and raises instead.
 
 from __future__ import annotations
 
+from passtune.backend import CompileOutcome
 from passtune.backend.classify import diagnostic_from_message
 from passtune.backend.mini_ir import (
     MiniIrError,
@@ -30,7 +31,6 @@ from passtune.backend.mini_ir import (
 )
 from passtune.backend.mini_passes import META_PIPELINES, PASSES, expand_flags
 from passtune.backend.passlist import PassList, PassVocabulary
-from passtune.backend.types import CompileOutcome
 from passtune.ircore import NormalizedIr, count_instructions
 
 # Not called here: the name stays bound because perfbench's tracer test wraps it.

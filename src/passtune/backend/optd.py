@@ -40,7 +40,7 @@ import weakref
 from pathlib import Path
 from typing import Callable, Optional
 
-from passtune.backend.types import BackendUnavailableError
+from passtune.backend import BackendUnavailableError
 from passtune.util import DEFAULT_TIMEOUT_SECONDS
 
 SOURCE = Path(__file__).with_name("optd.cpp")

@@ -115,37 +115,38 @@ def _parse_fractions(text: str) -> dict[str, float]:
     out: dict[str, float] = {}
     for part in text.split(","):
         name, sep, value = part.partition("=")
-        if not sep or not name.strip():
+        name = name.strip()
+        if not sep or not name:
             raise ValueError(f"bad split part {part!r}; use name=fraction,...")
+        if name in out:
+            raise ValueError(f"split part {name!r} given twice")
         try:
-            out[name.strip()] = float(value)
+            out[name] = float(value)
         except ValueError:
             raise ValueError(f"bad fraction in {part!r}") from None
     return out
 
 
-def _timeout_seconds(text: str) -> float:
-    """``--timeout``'s type, so that every backend checks it at parse time."""
-    try:
-        seconds = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    try:
-        return positive_seconds(seconds, "timeout")
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+def _checked(convert, check):
+    """An argparse type: ``convert`` the text, then ``check`` the value.
 
+    Checking at parse time means every subcommand and backend rejects a bad
+    value the same way, before any work.
+    """
 
-def _worker_count(text: str) -> int:
-    """``--workers``'s type, so that every subcommand checks it at parse time."""
-    try:
-        workers = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    try:
-        return worker_count(workers)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}"
+            ) from None
+        try:
+            return check(value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return parse
 
 
 def _parse_passes(text: str) -> tuple[str, ...]:
@@ -535,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     backend_flags.add_argument(
         "--timeout",
-        type=_timeout_seconds,
+        type=_checked(float, partial(positive_seconds, what="timeout")),
         default=DEFAULT_TIMEOUT_SECONDS,
         help=(
             "per-compilation timeout in seconds; under predict --method command, "
@@ -547,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     compile_flags = argparse.ArgumentParser(add_help=False, parents=[backend_flags])
     compile_flags.add_argument(
         "--workers",
-        type=_worker_count,
+        type=_checked(int, worker_count),
         default=None,
         help=(
             "compilations run at once, one item each (default: the usable CPUs "
@@ -754,7 +755,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         failures, code = [*getattr(err, "failures", []), err], EXIT_CONFIG_ERROR
     except RuntimeError as err:
         # Imported here, so that start-up does not load the backend package.
-        from passtune.backend.types import BackendUnavailableError
+        from passtune.backend import BackendUnavailableError
 
         if not isinstance(err, BackendUnavailableError):
             raise

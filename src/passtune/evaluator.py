@@ -20,14 +20,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
-from passtune.backend import (
-    Backend,
-    CompileOutcome,
-    ErrorCategory,
-    InvalidPassListError,
-    compile_items,
-)
-from passtune.backend.passlist import OZ_ITEMS
+from passtune.backend import Backend, CompileOutcome, compile_items
+from passtune.backend.classify import ErrorCategory
+from passtune.backend.passlist import OZ_ITEMS, InvalidPassListError
 from passtune.ircore import IrFunction, normalize, overall_improvement
 from passtune.predictor import Prediction
 from passtune.util import map_in_order

@@ -16,8 +16,12 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from passtune.backend import InvalidPassListError, PassList, PassVocabulary
-from passtune.backend.passlist import OZ_ITEMS
+from passtune.backend.passlist import (
+    OZ_ITEMS,
+    InvalidPassListError,
+    PassList,
+    PassVocabulary,
+)
 from passtune.dataset import AnswerParseError, parse_answer
 from passtune.ircore import IrFunction
 from passtune.util import DEFAULT_TIMEOUT_SECONDS, positive_seconds, read_jsonl, unique_ids

@@ -22,17 +22,17 @@ from passtune.autotuner import (
     minimize_pass_list,
     random_search,
 )
+from passtune.backend import BackendUnavailableError, compile_items
 from passtune.backend.classify import ErrorCategory
 from passtune.backend.llvm import LlvmBackend, resolve_opt_path
 from passtune.backend.mini_interp import run_function
 from passtune.backend.mini_ir import parse_function
 from passtune.backend.mini_passes import PASSES
 from passtune.backend.passlist import llvm10_vocabulary, sample_items
-from passtune.backend.types import BackendUnavailableError, compile_items
 from passtune.cli import main as cli_main
 from passtune.dataset import parse_answer, render_answer, render_single_pass_prompt
-from passtune.evaluator import bleu, evaluate_predictions, mape, overall_improvement
-from passtune.ircore import NormalizedIr, normalize
+from passtune.evaluator import bleu, evaluate_predictions, mape
+from passtune.ircore import NormalizedIr, normalize, overall_improvement
 from passtune.minigen import generate_corpus
 from passtune.predictor import Prediction
 from passtune.util import file_digest, stable_seed

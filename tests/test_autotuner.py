@@ -12,10 +12,9 @@ from passtune.autotuner import (
     minimize_pass_list,
     random_search,
 )
-from passtune.backend import mini
+from passtune.backend import CompileOutcome, compile_items, mini
 from passtune.backend.classify import diagnostic_from_message
 from passtune.backend.passlist import OZ_ITEMS, PassVocabulary
-from passtune.backend.types import CompileOutcome, compile_items
 from passtune.ircore import NormalizedIr
 from passtune.minigen import generate_function
 from passtune.util import read_records, write_records

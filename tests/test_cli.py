@@ -7,12 +7,7 @@ from pathlib import Path
 import pytest
 
 from passtune import __version__
-from passtune.autotuner import (
-    DEFAULT_WALL_CLOCK_SECONDS,
-    SearchBudget,
-    TuneResult,
-    autotune_corpus,
-)
+from passtune.autotuner import SearchBudget, TuneResult, autotune_corpus
 from passtune.backend import BackendUnavailableError
 from passtune.backend.llvm import LlvmBackend, resolve_opt_path
 from passtune.cli import main
@@ -20,7 +15,13 @@ from passtune.dataset import parse_answer, render_answer
 from passtune.evaluator import EvalRow
 from passtune.ircore import read_corpus
 from passtune.predictor import Prediction
-from passtune.util import file_digest, read_jsonl, read_records, write_jsonl
+from passtune.util import (
+    DEFAULT_WALL_CLOCK_SECONDS,
+    file_digest,
+    read_jsonl,
+    read_records,
+    write_jsonl,
+)
 
 from test_evaluator import CODE_KEYS, SUMMARY_KEYS
 from test_llvm_backend import write_stub
@@ -976,6 +977,14 @@ CONFIG_ERRORS = {
     "split-fraction-not-a-number": (
         "ingest {raw} --output {out} --split train=x",
         "bad fraction in 'train=x'",
+    ),
+    "split-part-given-twice": (
+        "ingest {raw} --output {out} --split train=0.5,train=0.5",
+        "split part 'train' given twice",
+    ),
+    "split-part-given-twice-with-another": (
+        "ingest {raw} --output {out} --split train=0.5,test=0.3,train=0.2",
+        "split part 'train' given twice",
     ),
     "top-frequency-without-tune-results": (
         "predict --corpus {corpus} --method top-frequency --output {out}",

@@ -7,16 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passtune.backend import ErrorCategory, compile_items
-from passtune.evaluator import (
-    EvalRow,
-    bleu,
-    evaluate_predictions,
-    mape,
-    overall_improvement,
-    summarize_rows,
-)
-from passtune.ircore import IrFunction
+from passtune.backend import compile_items
+from passtune.backend.classify import ErrorCategory
+from passtune.evaluator import EvalRow, bleu, evaluate_predictions, mape, summarize_rows
+from passtune.ircore import IrFunction, overall_improvement
 from passtune.minigen import generate_function
 from passtune.predictor import FilePredictor, Prediction, predict_always_oz
 from test_predictor import PoisonBackend

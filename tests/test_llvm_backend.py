@@ -9,13 +9,13 @@ from pathlib import Path
 import pytest
 
 from passtune.backend.classify import ErrorCategory
+from passtune.backend import BackendUnavailableError, compile_items
 from passtune.backend.llvm import (
     OPT_ENV_VAR,
     LlvmBackend,
     resolve_opt_path,
 )
 from passtune.backend.passlist import llvm10_vocabulary
-from passtune.backend.types import BackendUnavailableError, compile_items
 from passtune.ircore import normalize
 
 DATA = Path(__file__).parent / "data"

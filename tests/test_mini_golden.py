@@ -8,8 +8,9 @@ import hashlib
 import itertools
 import json
 
-from passtune.backend import InvalidPassListError, PassList, compile_items
+from passtune.backend import compile_items
 from passtune.backend.mini import MiniBackend
+from passtune.backend.passlist import InvalidPassListError, PassList
 from passtune.minigen import generate_corpus
 
 GOLDEN_SHA256 = "cbf8b34924104752dad4644965348257c752516b0b16480de78fae96fe2237eb"

@@ -161,6 +161,22 @@ def opt_reply(opt, items, text):
     return True, proc.stdout
 
 
+# LLVM 14's opt is itself not deterministic on some lists: on `-attributor
+# -attributor`, about one run in three of @f20 keeps a dead `mul` that the
+# others drop. So the oracle is every reply opt gives, found by rerunning it:
+# 20 runs all miss an output that one run in three gives with odds (2/3)**20,
+# under one in a thousand.
+OPT_RUNS = 20
+
+
+def assert_opt_can_print(opt, items, text, reply):
+    """``reply`` is byte for byte what some run of opt itself gives."""
+    for _ in range(OPT_RUNS - 1):
+        if opt_reply(opt, items, text) == reply:
+            return
+    assert reply == opt_reply(opt, items, text)
+
+
 @st.composite
 def flag_lists(draw, vocabulary):
     """1-12 listed flags, each -O level at most once; the levels often adjacent."""
@@ -189,7 +205,22 @@ def test_the_server_is_chosen_wherever_gxx_and_llvm_config_exist(opt):
 def test_the_server_prints_what_opt_prints(opt, backend, pool, data):
     text = data.draw(st.sampled_from(INPUTS + HAND_WRITTEN))
     items = data.draw(flag_lists(backend.vocabulary))
-    assert pool.compile(items, text, LIMIT) == opt_reply(opt, items, text)
+    assert_opt_can_print(opt, items, text, pool.compile(items, text, LIMIT))
+
+
+def test_a_list_opt_prints_two_ways_gives_one_of_them(opt, pool):
+    # The draw on which comparing with a single opt run failed.
+    text = next(text for text in INPUTS if "@f20(" in text)
+    items = ("-attributor", "-attributor")
+    assert_opt_can_print(opt, items, text, pool.compile(items, text, LIMIT))
+
+
+def test_a_reply_opt_never_gives_fails_the_oracle(opt):
+    text = as_sent(STRUCT)
+    ok, output = opt_reply(opt, ("-instcombine",), text)
+    assert ok
+    with pytest.raises(AssertionError):
+        assert_opt_can_print(opt, ("-instcombine",), text, (ok, output + "\n"))
 
 
 @pytest.mark.parametrize(

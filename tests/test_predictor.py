@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from passtune.autotuner import SearchBudget, TuneResult, autotune_corpus
+from passtune.backend import CompileOutcome
 from passtune.backend.classify import diagnostic_from_message
-from passtune.backend.types import CompileOutcome
 from passtune.dataset import render_answer
 from passtune.predictor import (
     ExternalPredictorError,

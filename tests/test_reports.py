@@ -5,12 +5,12 @@ import pytest
 from passtune.autotuner import TuneResult
 from passtune.evaluator import (
     EvalRow,
-    overall_improvement,
     reports,
     summarize_rows,
     write_report_csvs,
     write_summary,
 )
+from passtune.ircore import overall_improvement
 from passtune.predictor import Prediction
 from passtune.util import read_records, write_records
 
