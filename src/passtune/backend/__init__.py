@@ -70,12 +70,17 @@ class CompileOutcome:
 class Backend(Protocol):
     """Anything that can apply a pass list to normalized IR.
 
-    ``passes`` arrives already checked against ``vocabulary``.
-    ``default_workers`` is how many threads should call ``apply`` at once
-    when the user does not say: it follows from how the backend compiles.
+    ``passes`` arrives already checked against ``vocabulary``. How the
+    stages run ``apply`` follows from how the backend compiles:
+    ``default_workers`` is how many workers compile at once when the user
+    does not say, and ``in_process`` says whether a compile is Python code
+    in this process, which only forked worker processes overlap, rather
+    than a wait on another process, which threads overlap (see
+    :func:`passtune.util.map_in_order`).
     """
 
     default_workers: int
+    in_process: bool
 
     @property
     def vocabulary(self) -> PassVocabulary: ...

@@ -52,7 +52,7 @@ from passtune.backend.optd import (
 )
 from passtune.backend.passlist import PassList, PassVocabulary, llvm10_vocabulary
 from passtune.ircore import MalformedIrError, NormalizedIr, count_instructions, normalize
-from passtune.util import DEFAULT_TIMEOUT_SECONDS, positive_seconds
+from passtune.util import DEFAULT_TIMEOUT_SECONDS, positive_seconds, usable_cpus
 
 logger = logging.getLogger(__name__)
 
@@ -76,19 +76,14 @@ def resolve_opt_path(explicit: Optional[str] = None) -> str:
     return resolved
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 class LlvmBackend:
     """Applies pass lists through optd servers or ``opt`` processes."""
 
     # Every compile runs in another process, an optd server or opt, so
     # threads that wait on them scale with the CPUs this process may use.
-    default_workers = _usable_cpus()
+    # Forked workers would start servers that the subcommand never reaps.
+    default_workers = usable_cpus()
+    in_process = False
 
     def __init__(
         self,

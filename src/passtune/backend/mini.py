@@ -32,6 +32,7 @@ from passtune.backend.mini_ir import (
 from passtune.backend.mini_passes import META_PIPELINES, PASSES, expand_flags
 from passtune.backend.passlist import PassList, PassVocabulary
 from passtune.ircore import NormalizedIr, count_instructions
+from passtune.util import usable_cpus
 
 # Not called here: the name stays bound because perfbench's tracer test wraps it.
 from passtune.ircore import normalize  # noqa: F401
@@ -55,13 +56,17 @@ class MiniBackend:
     """In-process compiler for the small IR subset.
 
     Threads may share one backend: an entry lost to another thread's
-    clear costs one recompute and changes no output.
+    clear costs one recompute and changes no output. A forked worker
+    process gets a copy of the memos as they stood at the fork, and what
+    it adds stays in that worker.
     """
 
-    # Pure Python under the GIL, so threads do not overlap its compiles: on
-    # 2 cores the 800-function mini-corpus autotune took 1.02 s at one
-    # worker and 0.99 s at two (whole process, median of 5).
-    default_workers = 1
+    # Pure Python under the GIL, so threads do not overlap its compiles
+    # (1.02 s at one thread and 0.99 s at two for the 800-function
+    # mini-corpus autotune on 2 cores) and the stages fork one worker
+    # process per usable CPU instead.
+    default_workers = usable_cpus()
+    in_process = True
 
     def __init__(self) -> None:
         self._vocabulary = mini_vocabulary()

@@ -5,9 +5,10 @@ corpus, ``autotune`` a results file, ``dataset``/``single-pass-dataset``
 training records, ``predict`` a predictions file, ``evaluate`` per-row
 scores plus a summary, and ``report`` CSV breakdowns. Every output gets
 a sibling ``<name>.manifest.json`` recording the resolved config, seed,
-input digests, and tool version, and for a compiling subcommand on llvm
-the ``compile_path`` (optd server or ``opt`` processes, and why); timestamps
-appear only there, so reruns with identical inputs are byte-identical.
+input digests, and tool version; for a compiling subcommand also what its
+workers ran as (``workers_run_as``) and, on llvm, the ``compile_path`` (optd
+server or ``opt`` processes, and why). Timestamps appear only there, so
+reruns with identical inputs are byte-identical.
 
 ``--config file.json`` stands for the flags it names, inserted right after
 the subcommand: argparse checks them like typed flags, and explicit flags win.
@@ -49,6 +50,7 @@ from passtune.util import (
     DEFAULT_WALL_CLOCK_SECONDS,
     positive_seconds,
     worker_count,
+    workers_run_as,
 )
 from passtune.util import file_digest, read_records, unique_ids, write_records
 
@@ -94,11 +96,13 @@ def _make_backend(args: argparse.Namespace):
     return backend
 
 
-def _compile_path(backend) -> dict:
-    """The manifest entry that says how ``backend`` compiled, where it can say."""
+def _how_compiled(args: argparse.Namespace, backend) -> dict:
+    """The manifest entries that say how ``backend`` compiled: what its
+    workers ran as and, where it can say, its compile path."""
+    how = {"workers_run_as": workers_run_as(args.workers, backend.in_process)}
     if hasattr(backend, "compile_path"):
-        return {"compile_path": backend.compile_path}
-    return {}
+        how["compile_path"] = backend.compile_path
+    return how
 
 
 def _resolve_budget(args: argparse.Namespace):
@@ -289,7 +293,10 @@ def _cmd_autotune(args: argparse.Namespace) -> list[str]:
         workers=args.workers,
     )
     _write_output(
-        args, results, [args.corpus], {"stats": stats, **_compile_path(backend)}
+        args,
+        results,
+        [args.corpus],
+        {"stats": stats, **_how_compiled(args, backend)},
     )
     print(f"tuned {stats['functions_tuned']} functions -> {args.output}")
     mean_evaluations = stats["mean_evaluations_per_function"]
@@ -322,7 +329,7 @@ def _cmd_dataset(args: argparse.Namespace) -> list[str]:
             "records": len(records),
             "truncated": truncated,
             "record_errors": len(failures),
-            **_compile_path(backend),
+            **_how_compiled(args, backend),
         },
     )
     print(f"wrote {len(records)} records to {args.output} ({truncated} truncated)")
@@ -358,7 +365,7 @@ def _cmd_single_pass_dataset(args: argparse.Namespace) -> list[str]:
             "records": len(records),
             "expected_records": expected,
             "truncated": truncated,
-            **_compile_path(backend),
+            **_how_compiled(args, backend),
         },
     )
     print(f"wrote {len(records)} records to {args.output} ({truncated} truncated)")
@@ -451,7 +458,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
         args,
         rows,
         [args.corpus, args.predictions],
-        {"summary": summary, **_compile_path(backend)},
+        {"summary": summary, **_how_compiled(args, backend)},
     )
     for key, value in summary.items():
         print(f"{key} = {value}")
@@ -551,8 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_checked(int, worker_count),
         default=None,
         help=(
-            "compilations run at once, one item each (default: the usable CPUs "
-            "with llvm, 1 with mini); outputs do not depend on it"
+            "compilations run at once, one item each (default: the usable CPUs); "
+            "outputs do not depend on it"
         ),
     )
 

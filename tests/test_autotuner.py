@@ -24,6 +24,8 @@ from test_evaluator import CountingBackend
 class RiggedBackend:
     """Wraps a real backend but fails compiles matching a predicate."""
 
+    in_process = False  # stages run it on threads
+
     def __init__(self, inner, should_fail):
         self._inner = inner
         self._should_fail = should_fail

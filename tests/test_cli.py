@@ -10,6 +10,7 @@ from passtune import __version__
 from passtune.autotuner import SearchBudget, TuneResult, autotune_corpus
 from passtune.backend import BackendUnavailableError
 from passtune.backend.llvm import LlvmBackend, resolve_opt_path
+from passtune.backend.mini import MiniBackend
 from passtune.cli import main
 from passtune.dataset import parse_answer, render_answer
 from passtune.evaluator import EvalRow
@@ -697,7 +698,7 @@ def test_a_bad_worker_count_is_a_usage_error_on_every_compiling_subcommand(
 @pytest.mark.parametrize(
     "flags,workers",
     [
-        ([], 1),
+        ([], MiniBackend.default_workers),
         (["--workers", "2"], 2),
         (["--backend", "llvm"], LlvmBackend.default_workers),
         (["--backend", "llvm", "--workers", "1"], 1),
@@ -715,6 +716,8 @@ def test_the_manifest_records_the_workers_used(
     manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
     assert manifest["config"]["workers"] == workers
     assert type(manifest["config"]["workers"]) is int
+    run_as = "threads" if "llvm" in flags else "forked processes"
+    assert manifest["workers_run_as"] == (run_as if workers > 1 else "inline")
 
 
 def test_an_llvm_manifest_says_which_path_compiled_and_why_not_the_server(

@@ -269,6 +269,8 @@ def test_backup_never_regresses(backend, corpus20):
 class CountingBackend:
     """Counts each (function text, flags) compilation it passes on."""
 
+    in_process = False  # the counts live in this process, so stages use threads
+
     def __init__(self, inner):
         self._inner = inner
         self.compiled = Counter()

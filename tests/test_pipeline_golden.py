@@ -2,11 +2,15 @@
 
 Every data file the subcommand chain writes, from ``ingest`` to ``report``,
 is pinned by one digest, so a change that moves any byte of them shows
-here. Manifests are left out: they hold timestamps.
+here. Manifests are left out: they hold timestamps. The chain runs at one
+worker and at two (forked processes on mini), whatever the machine's
+default, and both must give the same bytes.
 """
 
 import hashlib
 import json
+
+import pytest
 
 from passtune.cli import main
 from passtune.minigen import generate_corpus
@@ -42,7 +46,8 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def test_pipeline_data_files_match_the_golden_digest(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pipeline_data_files_match_the_golden_digest(tmp_path, workers):
     rows = tmp_path / "rows.jsonl"
     with open(rows, "w", encoding="utf-8") as fh:
         for n, fn in enumerate(generate_corpus(30, seed=7)):
@@ -57,20 +62,22 @@ def test_pipeline_data_files_match_the_golden_digest(tmp_path):
         ("ingest", rows, "--output", out / "corpus.jsonl",
          "--split", "train=0.8,test=0.2", "--seed", 2),
         ("autotune", "--corpus", train, "--output", tuned,
-         "--budget-evals", 20, "--max-len", 3, "--seed", 2),
+         "--budget-evals", 20, "--max-len", 3, "--seed", 2, "--workers", workers),
         ("dataset", "--corpus", train, "--tune-results", tuned,
-         "--output", out / "records.jsonl"),
+         "--output", out / "records.jsonl", "--workers", workers),
         ("single-pass-dataset", "--corpus", train, "--output", out / "single.jsonl",
-         "--per-pass", 1, "--seed", 2),
+         "--per-pass", 1, "--seed", 2, "--workers", workers),
         ("predict", "--corpus", test, "--method", "retrieval",
          "--tune-results", tuned, "--train-corpus", train, "--output", preds),
         ("evaluate", "--corpus", test, "--predictions", preds,
-         "--output", out / "eval.jsonl", "--oz-backup"),
+         "--output", out / "eval.jsonl", "--oz-backup", "--workers", workers),
         ("report", "--rows", out / "eval.jsonl", "--predictions", preds,
          "--tune-results", tuned, "--output-dir", out / "report"),
     ]
     for step in steps:
         assert run(*step) == 0, step[0]
+    manifest = json.loads((out / "tuned.jsonl.manifest.json").read_text())
+    assert manifest["workers_run_as"] == ("inline", "forked processes")[workers - 1]
     files = sorted(
         p for p in out.rglob("*")
         if p.is_file() and not p.name.endswith("manifest.json")

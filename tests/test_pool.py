@@ -1,10 +1,15 @@
 """The compile pool: every stage that compiles item by item maps through
 ``util.map_in_order``, so its compiles overlap and its output keeps input
-order and does not depend on the number of workers."""
+order and does not depend on the number of workers or on what they run
+as, threads or forked processes."""
 
+import gc
+import os
 import shutil
+import signal
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -16,7 +21,7 @@ from passtune.cli import main
 from passtune.dataset import build_pass_dataset, build_single_pass_dataset
 from passtune.evaluator import evaluate_predictions
 from passtune.predictor import Prediction
-from passtune.util import map_in_order
+from passtune.util import WorkerError, map_in_order
 
 from test_evaluator import DATA_TYPE_ERROR, claiming
 
@@ -44,8 +49,113 @@ def test_map_in_order_raises_the_first_failure_in_input_order():
         map_in_order(fail_on_odd, range(6), 2)
 
 
+# --- the fork carrier ---------------------------------------------------------
+
+
+@pytest.fixture
+def no_child_left():
+    """The test starts and ends with no child process, running or unreaped.
+
+    Earlier tests' optd servers that only the garbage collector frees are
+    reaped first.
+    """
+    gc.collect()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids ``os.fork`` returned to this process."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def test_forked_workers_keep_input_order(no_child_left, forks):
+    out = map_in_order(lambda x: (x * x, os.getpid()), range(7), 3, fork=True)
+    assert [square for square, _ in out] == [x * x for x in range(7)]
+    assert {pid for _, pid in out} == set(forks)
+    assert len(forks) == 3 and os.getpid() not in forks
+
+
+def test_forked_workers_start_one_child_per_item_at_most(no_child_left, forks):
+    assert map_in_order(str, range(3), 5, fork=True) == ["0", "1", "2"]
+    assert len(forks) == 3
+    assert map_in_order(str, range(3), 1, fork=True) == ["0", "1", "2"]
+    assert map_in_order(str, [4], 2, fork=True) == ["4"]
+    assert len(forks) == 3  # one worker or one item runs here
+
+
+@pytest.mark.parametrize("failing,raised", [((2, 3), ValueError), ((3, 4), KeyError)])
+def test_forked_workers_raise_the_lower_index_failure(no_child_left, failing, raised):
+    # worker 0 maps the even items, worker 1 the odd ones, and each fails once
+    def fail(x):
+        if x in failing:
+            raise (ValueError if x % 2 == 0 else KeyError)(x)
+        return x
+
+    with pytest.raises(raised) as caught:
+        map_in_order(fail, range(6), 2, fork=True)
+    assert caught.value.args == (min(failing),)
+    assert isinstance(caught.value.__cause__, WorkerError)
+    assert "in fail\n    raise" in str(caught.value.__cause__)  # the worker's traceback
+
+
+def test_a_forked_worker_that_exits_is_an_error(no_child_left):
+    def exit_on_three(x):
+        if x == 3:
+            os._exit(7)
+        return x
+
+    with pytest.raises(WorkerError, match=r"worker 1 \(exit status 7\) sent no usable reply"):
+        map_in_order(exit_on_three, range(6), 2, fork=True)
+
+
+def test_an_interrupt_kills_and_reaps_the_forked_workers(no_child_left):
+    parent = os.getpid()
+
+    def interrupt_on_one(x):
+        if x == 1:
+            time.sleep(0.5)  # every worker has been forked by now
+            os.kill(parent, signal.SIGINT)
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        map_in_order(interrupt_on_one, range(4), 2, fork=True)
+    assert time.monotonic() - start < 30
+
+
+def test_a_process_with_other_threads_maps_on_threads(no_child_left, forks):
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    other.start()
+    try:
+        pids = map_in_order(lambda _: os.getpid(), range(4), 2, fork=True)
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
+    assert pids == [os.getpid()] * 4 and forks == []
+
+
+# --- the stages on threads ------------------------------------------------------
+
+
 class _Wrapped:
-    """A mini backend with a hook around each compile."""
+    """A mini backend with a hook around each compile, run on threads."""
+
+    in_process = False
 
     def __init__(self) -> None:
         self.inner = mini.MiniBackend()
@@ -174,9 +284,15 @@ def test_pass_records_and_rows_keep_input_order(backend, corpus20, tuned):
     assert (summary, rows) == evaluate_predictions(predictions, fns, backend)
 
 
-def _every_stage(corpus, workers):
+class ThreadedMini(mini.MiniBackend):
+    """The mini backend on threads, sharing its memos as a library caller may."""
+
+    in_process = False
+
+
+def _every_stage(corpus, workers, backend_class=mini.MiniBackend):
     """Tune, broadcast, both datasets and evaluation on a fresh backend."""
-    backend = mini.MiniBackend()
+    backend = backend_class()
     budget = SearchBudget.evaluation_count(6)
     tuned, stats = autotune_corpus(
         backend, corpus[:8], budget, seed=5, broadcast=False, workers=workers
@@ -195,18 +311,23 @@ def _every_stage(corpus, workers):
     }
 
 
-def test_every_stage_is_the_same_at_one_and_three_workers(corpus20, monkeypatch):
-    # each run starts cold with a small memo, so threads miss and clear it,
-    # and threads switch often, so a lost update in the shared memo would show
+@pytest.mark.parametrize(
+    "backend_class", [mini.MiniBackend, ThreadedMini], ids=["forks", "threads"]
+)
+def test_every_stage_is_the_same_at_one_and_three_workers(
+    corpus20, monkeypatch, backend_class
+):
+    # each run starts cold with a small memo, so workers miss and clear it,
+    # and threads switch often, so a lost update in a shared memo would show
     monkeypatch.setattr(mini, "MEMO_ENTRIES", 7)
     serial = _every_stage(corpus20, workers=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threaded = _every_stage(corpus20, workers=3)
+        parallel = _every_stage(corpus20, workers=3, backend_class=backend_class)
     finally:
         sys.setswitchinterval(interval)
-    assert serial == threaded
+    assert serial == parallel
     tuned, _ = serial["tuned"]
     assert any(r.best_pass_list != " ".join(OZ_ITEMS) for r in tuned)
 

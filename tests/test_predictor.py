@@ -337,6 +337,8 @@ class PoisonBackend:
     """Fails every list holding ``poison`` or ``timeout_flag``; the second
     stands for a time-limit hit, which a backend also returns as a failure."""
 
+    in_process = False  # stages run it on threads
+
     def __init__(self, inner, poison, timeout_flag=None):
         self._inner = inner
         self._poison = poison

@@ -19,20 +19,26 @@ from test_llvm_backend import write_stub
 
 SRC = str(Path(passtune.__file__).parents[1])
 
-# Runs `passtune <argv...>` and writes its exit code and the `passtune`
-# modules it loaded to the file named first.
+# Runs `passtune <argv...>` and writes to the file named first its exit code,
+# the modules it loaded and whether a child process of it is left, running
+# or unreaped.
 CHILD_SCRIPT = """\
-import json, sys
+import json, os, sys
 from passtune.cli import main
 code = main(sys.argv[2:])
-loaded = sorted(m for m in sys.modules if m.startswith("passtune"))
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children_left = True
+except ChildProcessError:
+    children_left = False
 with open(sys.argv[1], "w") as fh:
-    json.dump({"code": code, "loaded": loaded}, fh)
+    json.dump({"code": code, "loaded": sorted(sys.modules), "left": children_left}, fh)
 """
 
 
-def run_fresh(tmp_path, *argv):
-    """(exit code, loaded passtune modules) of one subcommand in a new process."""
+def run_fresh_all(tmp_path, *argv):
+    """(exit code, loaded modules, whether a child is left) of one subcommand
+    in a new process."""
     out = tmp_path / "loaded.json"
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     subprocess.run(
@@ -43,7 +49,13 @@ def run_fresh(tmp_path, *argv):
         timeout=120,
     )
     result = json.loads(out.read_text())
-    return result["code"], set(result["loaded"])
+    return result["code"], set(result["loaded"]), result["left"]
+
+
+def run_fresh(tmp_path, *argv):
+    """(exit code, loaded passtune modules) of one subcommand in a new process."""
+    code, loaded, _ = run_fresh_all(tmp_path, *argv)
+    return code, {m for m in loaded if m.startswith("passtune")}
 
 
 @pytest.fixture
@@ -87,6 +99,22 @@ def test_a_mini_subcommand_loads_no_llvm_backend(tmp_path, corpus):
     assert code == 0
     assert "passtune.backend.mini" in loaded
     assert not loaded & {"passtune.backend.llvm", "passtune.backend.optd"}
+
+
+@pytest.mark.parametrize("subcommand", ["autotune", "single-pass-dataset"])
+def test_mini_workers_fork_no_multiprocessing_and_leave_no_child(
+    tmp_path, corpus, subcommand
+):
+    code, loaded, left = run_fresh_all(
+        tmp_path, subcommand, "--corpus", corpus, "--output", tmp_path / "out.jsonl",
+        "--seed", 1, "--workers", 2,
+        *(["--budget-evals", 2] if subcommand == "autotune" else ["--per-pass", 1]),
+    )
+    manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
+    assert code == 0 and manifest["workers_run_as"] == "forked processes"
+    assert not {m for m in loaded if m.split(".")[0] == "multiprocessing"}
+    assert "concurrent.futures.process" not in loaded
+    assert not left
 
 
 def test_an_llvm_subcommand_loads_no_mini_backend(tmp_path, private_cache, corpus):
