@@ -87,10 +87,6 @@ class TuneResult:
     evaluations_used: int
 
 
-class BaselineFailedError(RuntimeError):
-    """The -Oz baseline did not compile; the function cannot be tuned."""
-
-
 def count_valid_pass_lists(vocabulary: PassVocabulary, max_len: int) -> int:
     """Number of distinct valid lists with length in [1, max_len].
 
@@ -135,8 +131,9 @@ def random_search(
     budget: SearchBudget,
     seed: int,
     max_len: int = DEFAULT_MAX_LEN,
-) -> TuneResult:
-    """Tune one function; returns the best list found under the budget."""
+) -> Optional[TuneResult]:
+    """Tune one function: the best list found under the budget, or None
+    when its -Oz baseline fails to compile."""
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
     rng = random.Random(seed)
@@ -145,7 +142,7 @@ def random_search(
 
     baseline = compile_items(backend, ir, OZ_ITEMS)
     if not baseline.ok:
-        raise BaselineFailedError(f"-Oz failed on function {fn.id!r}")
+        return None
     best = (baseline.instruction_count, OZ_ITEMS)
 
     # Every distinct list tried, the prepaid -Oz baseline included.
@@ -252,11 +249,8 @@ def _tune_one(
     minimize: bool,
 ) -> Optional[TuneResult]:
     fn_seed = stable_seed(seed, fn.id)
-    try:
-        result = random_search(backend, fn, budget, fn_seed, max_len)
-    except BaselineFailedError:
-        return None
-    if minimize:
+    result = random_search(backend, fn, budget, fn_seed, max_len)
+    if result is not None and minimize:
         items, count, extra = minimize_pass_list(
             backend,
             fn.ir,

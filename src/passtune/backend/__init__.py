@@ -72,14 +72,13 @@ class Backend(Protocol):
 
     ``passes`` arrives already checked against ``vocabulary``. How the
     stages run ``apply`` follows from how the backend compiles:
-    ``default_workers`` is how many workers compile at once when the user
-    does not say, and ``in_process`` says whether a compile is Python code
-    in this process, which only forked worker processes overlap, rather
-    than a wait on another process, which threads overlap (see
-    :func:`passtune.util.map_in_order`).
+    ``in_process`` says whether a compile is Python code in this process,
+    which only forked worker processes overlap, rather than a wait on
+    another process, which threads overlap (see
+    :func:`passtune.util.map_in_order`). Either way the workers overlap
+    compiles up to the usable CPUs, which is what ``--workers`` defaults to.
     """
 
-    default_workers: int
     in_process: bool
 
     @property

@@ -52,7 +52,7 @@ from passtune.backend.optd import (
 )
 from passtune.backend.passlist import PassList, PassVocabulary, llvm10_vocabulary
 from passtune.ircore import MalformedIrError, NormalizedIr, count_instructions, normalize
-from passtune.util import DEFAULT_TIMEOUT_SECONDS, positive_seconds, usable_cpus
+from passtune.util import DEFAULT_TIMEOUT_SECONDS, positive_seconds
 
 logger = logging.getLogger(__name__)
 
@@ -80,9 +80,9 @@ class LlvmBackend:
     """Applies pass lists through optd servers or ``opt`` processes."""
 
     # Every compile runs in another process, an optd server or opt, so
-    # threads that wait on them scale with the CPUs this process may use.
-    # Forked workers would start servers that the subcommand never reaps.
-    default_workers = usable_cpus()
+    # threads that wait on them scale with the CPUs this process may use,
+    # and by default there is one per usable CPU. Forked workers would
+    # start servers that the subcommand never reaps.
     in_process = False
 
     def __init__(

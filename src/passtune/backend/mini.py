@@ -32,7 +32,6 @@ from passtune.backend.mini_ir import (
 from passtune.backend.mini_passes import META_PIPELINES, PASSES, expand_flags
 from passtune.backend.passlist import PassList, PassVocabulary
 from passtune.ircore import NormalizedIr, count_instructions
-from passtune.util import usable_cpus
 
 # Not called here: the name stays bound because perfbench's tracer test wraps it.
 from passtune.ircore import normalize  # noqa: F401
@@ -63,9 +62,9 @@ class MiniBackend:
 
     # Pure Python under the GIL, so threads do not overlap its compiles
     # (1.02 s at one thread and 0.99 s at two for the 800-function
-    # mini-corpus autotune on 2 cores) and the stages fork one worker
-    # process per usable CPU instead.
-    default_workers = usable_cpus()
+    # mini-corpus autotune on 2 cores) and the stages fork worker
+    # processes instead, by default one per usable CPU, as each keeps one
+    # busy.
     in_process = True
 
     def __init__(self) -> None:

@@ -12,6 +12,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 OZ_ITEMS = ("-Oz",)  # the baseline every list is scored against
 
@@ -47,6 +48,17 @@ class PassVocabulary:
     def __contains__(self, flag: str) -> bool:
         return flag in self.passes or flag in self.meta_flags
 
+    def problem(self, items: tuple[str, ...]) -> Optional[str]:
+        """Why ``items`` is not a valid list here, or None if it is: the
+        first unknown flag, else the first meta-flag that repeats."""
+        for flag in items:
+            if flag not in self:
+                return f"unknown flag {flag!r}"
+        for meta in self.meta_flags:
+            if items.count(meta) > 1:
+                return f"meta-flag {meta!r} appears more than once"
+        return None
+
 
 @dataclass(frozen=True)
 class PassList:
@@ -59,12 +71,9 @@ class PassList:
     vocabulary: PassVocabulary = field(compare=False, hash=False)
 
     def __post_init__(self) -> None:
-        for flag in self.items:
-            if flag not in self.vocabulary:
-                raise InvalidPassListError(f"unknown flag {flag!r}")
-        for meta in self.vocabulary.meta_flags:
-            if self.items.count(meta) > 1:
-                raise InvalidPassListError(f"meta-flag {meta!r} appears more than once")
+        problem = self.vocabulary.problem(self.items)
+        if problem is not None:
+            raise InvalidPassListError(problem)
 
     def render(self) -> str:
         return " ".join(self.items)
@@ -74,15 +83,12 @@ def sample_items(
     rng: "random.Random", vocabulary: PassVocabulary, length: int
 ) -> tuple[str, ...]:
     """Draw a valid random flag tuple: uniform flags, redrawn until
-    ``PassList`` accepts it (meta-flags at most once each)."""
+    ``vocabulary`` has no problem with it (meta-flags at most once each)."""
     flags = vocabulary.all_flags
     while True:
         items = tuple(rng.choice(flags) for _ in range(length))
-        try:
-            PassList(items, vocabulary)
-        except InvalidPassListError:
-            continue
-        return items
+        if vocabulary.problem(items) is None:
+            return items
 
 
 def llvm10_vocabulary() -> PassVocabulary:

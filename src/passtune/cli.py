@@ -49,6 +49,7 @@ from passtune.util import (
     DEFAULT_TIMEOUT_SECONDS,
     DEFAULT_WALL_CLOCK_SECONDS,
     positive_seconds,
+    usable_cpus,
     worker_count,
     workers_run_as,
 )
@@ -74,11 +75,7 @@ class _IngestRow:
 
 
 def _make_backend(args: argparse.Namespace):
-    """The backend the flags name; an unset ``--workers`` becomes its default.
-
-    The resolved count stays in ``args``, so the manifest records the
-    number of workers actually used. Only the named backend is imported.
-    """
+    """The backend the flags name; only that backend is imported."""
     if args.backend == "mini":
         from passtune.backend.mini import MiniBackend
 
@@ -91,15 +88,15 @@ def _make_backend(args: argparse.Namespace):
             timeout=args.timeout,
             extra_args=tuple(args.opt_arg or ()),
         )
-    if "workers" in args and args.workers is None:
-        args.workers = backend.default_workers
     return backend
 
 
-def _how_compiled(args: argparse.Namespace, backend) -> dict:
-    """The manifest entries that say how ``backend`` compiled: what its
-    workers ran as and, where it can say, its compile path."""
-    how = {"workers_run_as": workers_run_as(args.workers, backend.in_process)}
+def _how_compiled(args: argparse.Namespace, backend, items: int) -> dict:
+    """The manifest entries that say how ``backend`` compiled: what the
+    workers that mapped ``items`` items ran as and, where it can say, its
+    compile path."""
+    workers = min(args.workers, items)
+    how = {"workers_run_as": workers_run_as(workers, backend.in_process)}
     if hasattr(backend, "compile_path"):
         how["compile_path"] = backend.compile_path
     return how
@@ -296,7 +293,7 @@ def _cmd_autotune(args: argparse.Namespace) -> list[str]:
         args,
         results,
         [args.corpus],
-        {"stats": stats, **_how_compiled(args, backend)},
+        {"stats": stats, **_how_compiled(args, backend, len(corpus))},
     )
     print(f"tuned {stats['functions_tuned']} functions -> {args.output}")
     mean_evaluations = stats["mean_evaluations_per_function"]
@@ -329,7 +326,7 @@ def _cmd_dataset(args: argparse.Namespace) -> list[str]:
             "records": len(records),
             "truncated": truncated,
             "record_errors": len(failures),
-            **_how_compiled(args, backend),
+            **_how_compiled(args, backend, len(tune_results)),
         },
     )
     print(f"wrote {len(records)} records to {args.output} ({truncated} truncated)")
@@ -365,7 +362,7 @@ def _cmd_single_pass_dataset(args: argparse.Namespace) -> list[str]:
             "records": len(records),
             "expected_records": expected,
             "truncated": truncated,
-            **_how_compiled(args, backend),
+            **_how_compiled(args, backend, len(passes)),
         },
     )
     print(f"wrote {len(records)} records to {args.output} ({truncated} truncated)")
@@ -458,7 +455,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
         args,
         rows,
         [args.corpus, args.predictions],
-        {"summary": summary, **_how_compiled(args, backend)},
+        {"summary": summary, **_how_compiled(args, backend, len(corpus))},
     )
     for key, value in summary.items():
         print(f"{key} = {value}")
@@ -556,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     compile_flags.add_argument(
         "--workers",
         type=_checked(int, worker_count),
-        default=None,
+        default=usable_cpus(),
         help=(
             "compilations run at once, one item each (default: the usable CPUs); "
             "outputs do not depend on it"

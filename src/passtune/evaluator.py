@@ -22,7 +22,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from passtune.backend import Backend, CompileOutcome, compile_items
 from passtune.backend.classify import ErrorCategory
-from passtune.backend.passlist import OZ_ITEMS, InvalidPassListError
+from passtune.backend.passlist import OZ_ITEMS
 from passtune.ircore import IrFunction, normalize, overall_improvement
 from passtune.predictor import Prediction
 from passtune.util import map_in_order
@@ -128,11 +128,9 @@ def _score_function(
         # The compiler's output for the predicted list; None if it has none.
         compiled: Optional[CompileOutcome] = oz
         if items != OZ_ITEMS:
-            try:
+            compiled = None
+            if backend.vocabulary.problem(items) is None:
                 compiled = compile_items(backend, fn.ir, items)
-            except InvalidPassListError:
-                compiled = None
-            else:
                 additional += int(use_oz_backup)
                 if not compiled.ok:
                     compiled = None

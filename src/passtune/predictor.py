@@ -16,12 +16,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from passtune.backend.passlist import (
-    OZ_ITEMS,
-    InvalidPassListError,
-    PassList,
-    PassVocabulary,
-)
+from passtune.backend.passlist import OZ_ITEMS, PassVocabulary
 from passtune.dataset import AnswerParseError, parse_answer
 from passtune.ircore import IrFunction
 from passtune.util import DEFAULT_TIMEOUT_SECONDS, positive_seconds, read_jsonl, unique_ids
@@ -201,11 +196,7 @@ def _parse_prediction(
             )
     else:
         items = tuple(output) if isinstance(output, list) else ()
-    try:
-        if not (items or claims):
-            raise InvalidPassListError("no flags")
-        PassList(items, vocabulary)
-    except InvalidPassListError:
+    if not (items or claims) or vocabulary.problem(items) is not None:
         return Prediction(function_id=fn.id, pass_list=OZ_LIST, parse_failed=True)
     return Prediction(function_id=fn.id, pass_list=" ".join(items), **claims)
 

@@ -9,8 +9,7 @@ import pytest
 from passtune import __version__
 from passtune.autotuner import SearchBudget, TuneResult, autotune_corpus
 from passtune.backend import BackendUnavailableError
-from passtune.backend.llvm import LlvmBackend, resolve_opt_path
-from passtune.backend.mini import MiniBackend
+from passtune.backend.llvm import resolve_opt_path
 from passtune.cli import main
 from passtune.dataset import parse_answer, render_answer
 from passtune.evaluator import EvalRow
@@ -21,6 +20,7 @@ from passtune.util import (
     file_digest,
     read_jsonl,
     read_records,
+    usable_cpus,
     write_jsonl,
 )
 
@@ -698,9 +698,9 @@ def test_a_bad_worker_count_is_a_usage_error_on_every_compiling_subcommand(
 @pytest.mark.parametrize(
     "flags,workers",
     [
-        ([], MiniBackend.default_workers),
+        ([], usable_cpus()),
         (["--workers", "2"], 2),
-        (["--backend", "llvm"], LlvmBackend.default_workers),
+        (["--backend", "llvm"], usable_cpus()),
         (["--backend", "llvm", "--workers", "1"], 1),
     ],
 )
@@ -718,6 +718,28 @@ def test_the_manifest_records_the_workers_used(
     assert type(manifest["config"]["workers"]) is int
     run_as = "threads" if "llvm" in flags else "forked processes"
     assert manifest["workers_run_as"] == (run_as if workers > 1 else "inline")
+
+
+@pytest.mark.parametrize(
+    "subcommand,flags",
+    [
+        ("autotune", ["--budget-evals", 1, "--max-len", 1]),
+        ("single-pass-dataset", ["--passes=-dce", "--per-pass", 1]),
+    ],
+)
+def test_a_stage_that_maps_one_item_records_that_it_ran_inline(
+    tmp_path, subcommand, flags
+):
+    # map_in_order runs one item here whatever --workers says, and the
+    # manifest says so.
+    corpus, out = tmp_path / "one.jsonl", tmp_path / "out.jsonl"
+    assert run("gen-mini-corpus", "--n", 1, "--output", corpus) == 0
+    assert run(
+        subcommand, "--corpus", corpus, "--output", out, "--workers", 2, *flags
+    ) == 0
+    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+    assert manifest["config"]["workers"] == 2
+    assert manifest["workers_run_as"] == "inline"
 
 
 def test_an_llvm_manifest_says_which_path_compiled_and_why_not_the_server(

@@ -119,18 +119,28 @@ def opt():
         pytest.skip("no optimizer executable on PATH or in PASSTUNE_OPT")
 
 
+def stop_idle_servers(pool):
+    """Stop the servers idle in ``pool`` now, not when the garbage collector
+    frees it, so no server outlives this module."""
+    while not pool._idle.empty():
+        pool._idle.get_nowait().close()
+
+
 @pytest.fixture(scope="module")
 def backend(opt):
     backend = LlvmBackend(opt, extra_args=SERVER_ARGS)
     if backend.compile_path["path"] != "opt-server":
         pytest.skip(f"no optd: {backend.compile_path['fallback_reason']}")
-    return backend
+    yield backend
+    stop_idle_servers(backend._chosen()[1])
 
 
 @pytest.fixture(scope="module")
 def pool(backend):
     binary = server_binary(backend.opt_path, backend.version())
-    return ServerPool(binary, backend.opt_path)
+    pool = ServerPool(binary, backend.opt_path)
+    yield pool
+    stop_idle_servers(pool)
 
 
 @pytest.fixture

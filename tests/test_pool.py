@@ -3,7 +3,6 @@
 order and does not depend on the number of workers or on what they run
 as, threads or forked processes."""
 
-import gc
 import os
 import shutil
 import signal
@@ -54,12 +53,7 @@ def test_map_in_order_raises_the_first_failure_in_input_order():
 
 @pytest.fixture
 def no_child_left():
-    """The test starts and ends with no child process, running or unreaped.
-
-    Earlier tests' optd servers that only the garbage collector frees are
-    reaped first.
-    """
-    gc.collect()
+    """The test starts and ends with no child process, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     yield
