@@ -54,6 +54,10 @@ _LABEL_LINE = re.compile(r"^[\w.$%-]+:$")
 # or a bare `cleanup`) and an invoke's destinations. No instruction opens
 # with these words.
 _CONTINUATION = ("catch ", "filter ", "to ")
+# What a stripped line must hold for normalize to change more than its ends:
+# a string or comment, metadata, an attribute reference or group, or a run
+# of horizontal whitespace.
+_NOT_CANONICAL = re.compile(r'[";!#\t]|  ')
 
 
 def normalize(raw: str) -> NormalizedIr:
@@ -65,9 +69,19 @@ def normalize(raw: str) -> NormalizedIr:
     verbatim). Newlines are kept; lines left empty by deletion are
     dropped. Total on any text: unparseable fragments just get the
     whitespace treatment.
+
+    A line is canonical once stripped when it holds none of ``"``, ``;``,
+    ``!``, ``#``, a tab or two spaces in a row: then it has no string,
+    comment, metadata or attribute to remove and no run to collapse, so it
+    is kept as it is, stripped, and only the other lines get the full work.
     """
     out_lines: list[str] = []
     for line in raw.splitlines():
+        stripped = line.strip()
+        if not _NOT_CANONICAL.search(stripped):
+            if stripped:
+                out_lines.append(stripped)
+            continue
         line = _CODE.match(line).group()
         stripped = line.strip()
         if not stripped or stripped.startswith(("!", "attributes #")):

@@ -247,17 +247,23 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[str, dict[str, Any]]]:
 
 
 def write_records(records: Iterable[Any], path: str | Path) -> int:
-    """Write dataclass records as JSON Lines; returns the number written."""
-    return write_jsonl((dataclasses.asdict(r) for r in records), path)
+    """Write dataclass records as JSON Lines; returns the number written.
+
+    Records are flat: every field holds a JSON scalar (str, int, bool or
+    None), so each row is read off the record's fields as they are.
+    """
+    return write_jsonl(
+        ({f.name: getattr(r, f.name) for f in dataclasses.fields(r)} for r in records),
+        path,
+    )
 
 
-def _has_type(value: Any, hint: Any) -> bool:
-    """Whether a JSON value fits a field's type (JSON true is not an int)."""
+def _json_types(hint: Any) -> frozenset[type]:
+    """The types of the JSON values that fit a field's type: each member of
+    a union, flattened. JSON true is a bool, so it fits only a bool field."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        return any(_has_type(value, arg) for arg in typing.get_args(hint))
-    if hint is int and isinstance(value, bool):
-        return False
-    return isinstance(value, hint)
+        return frozenset().union(*map(_json_types, typing.get_args(hint)))
+    return frozenset({hint})
 
 
 def read_records(
@@ -265,10 +271,11 @@ def read_records(
 ) -> list[_T]:
     """Read JSON Lines written by :func:`write_records` back into ``cls``.
 
-    A row that is not a JSON object, lacks a field without a default,
-    has a field ``cls`` does not know, holds a value of the wrong JSON
-    type, or fails the record's own checks or ``check`` is a ValueError
-    naming ``path:line``.
+    Records are flat: each field holds a JSON scalar (str, int, bool or
+    None). A row that is not a JSON object, lacks a field without a
+    default, has a field ``cls`` does not know, holds a value of the wrong
+    JSON type, or fails the record's own checks or ``check`` is a
+    ValueError naming ``path:line``.
     """
     hints = typing.get_type_hints(cls)
     fields = dataclasses.fields(cls)
@@ -278,17 +285,17 @@ def read_records(
         if f.default is dataclasses.MISSING
         and f.default_factory is dataclasses.MISSING
     }
-    known = {f.name for f in fields}
+    accepts = {f.name: _json_types(hints[f.name]) for f in fields}
     out = []
     for where, row in read_jsonl(path):
         missing = sorted(required - row.keys())
         if missing:
             raise ValueError(f"{where}: missing field(s) {', '.join(missing)}")
-        unknown = sorted(row.keys() - known)
+        unknown = sorted(row.keys() - accepts.keys())
         if unknown:
             raise ValueError(f"{where}: unknown field(s) {', '.join(unknown)}")
         for name, value in row.items():
-            if not _has_type(value, hints[name]):
+            if type(value) not in accepts[name]:
                 raise ValueError(
                     f"{where}: field {name} has the wrong type: {json.dumps(value)}"
                 )

@@ -851,6 +851,13 @@ def _with(field, value):
     return lambda row: json.dumps({**row, field: value})
 
 
+def _next_function_with(field, value):
+    """The row for the corpus's second function with ``field`` set to
+    ``value``, so that no check but the value's type rejects it (a row that
+    repeats the first row's id fails on the repeat too)."""
+    return lambda row: json.dumps({**row, "function_id": "mini-00001", field: value})
+
+
 def run_with_a_second_row(tmp_path, input_files, kind, bad_row, argv):
     """Run ``argv`` with input ``kind`` cut to its first row followed by
     ``bad_row`` of it; returns the exit status and the file written."""
@@ -916,6 +923,10 @@ MALFORMED_ROWS = {
         "report --rows {rows} --predictions {preds} --tune-results {tuned}"
         " --output-dir {out}",
     ),
+    "evaluate-parse-failed-int": (
+        "preds", _next_function_with("parse_failed", 1),
+        "evaluate --corpus {corpus} --predictions {preds} --output {out}",
+    ),
 }
 
 
@@ -947,6 +958,10 @@ TRUE_IN_AN_INT_FIELD = {
         "rows", "delta",
         "report --rows {rows} --predictions {preds} --tune-results {tuned}"
         " --output-dir {out}",
+    ),
+    "preds-predicted-input-count": (  # an Optional[int]
+        "preds", "predicted_input_count",
+        "evaluate --corpus {corpus} --predictions {preds} --output {out}",
     ),
 }
 

@@ -68,10 +68,13 @@ def test_normalize_idempotent_on_arbitrary_text(raw):
     assert normalize(once).text == once
 
 
-# What normalize treats specially, as whole pieces, plus plain text.
+# What normalize treats specially, as whole pieces, plus plain text, plus
+# whitespace that str.strip and str.splitlines see and [ \t]+ does not: the
+# edge between canonical lines and the others.
 IR_PIECES = [
     '"', ";", "#0", "!", ", !dbg !7", "attributes #0",
-    " ", "\t", "\r", "\n", "\x0b", "a", "b", "x",
+    " ", "  ", "\t", "\r", "\n", "\x0b", "a", "b", "x",
+    "\xa0", "\x0c", "\x85", "\u2028", "\x1c",
 ]
 
 
