@@ -121,8 +121,10 @@ def _keep_better(
     outcome = compile_items(backend, ir, items)
     if not outcome.ok:
         return best
-    new = (outcome.instruction_count, items)
-    return min(best, new, key=lambda kept: (kept[0], len(kept[1]), kept[1]))
+    count = outcome.instruction_count
+    if (count, len(items), items) < (best[0], len(best[1]), best[1]):
+        return count, items
+    return best
 
 
 def random_search(

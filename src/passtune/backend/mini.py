@@ -2,15 +2,20 @@
 
 Applies a pass list in-process as a walk over (state, pass) steps, where a
 state is the rendered text of the function. Each backend memoizes the
-steps it has taken and the instruction count of each state it has
+steps it has taken and the success outcome of each state it has
 verified, both bounded at :data:`MEMO_ENTRIES` and cleared when full.
 Every step follows one rule: a step in the memo moves to the state it
-gives and drops any live ``Function``; a step not in it runs the pass on
-the live function, parsing the current state only when there is none,
-and renders the result to key the step. An input not yet verified is
-parsed and verified once, and that parse is the first live function. The
-final state is verified once, unless the count memo already holds it, so
-every output returned has passed ``verify_function``.
+gives, keeping the live ``Function`` only when that state is the current
+one; a step not in it runs the pass on the live function, parsing the
+current state only when there is none. A pass that reports no change
+leaves the state text as it was, and any other result is rendered to
+give the next state. The first step from the input always renders, since
+the input need not be in the renderer's form (``br i1 true`` renders as
+``br i1 1``). An input not yet verified is parsed and verified once, and
+that parse is the first live function. The final state is verified once,
+unless the outcome memo already holds it, and its outcome is built then
+and shared by every later compile that ends there, so every output
+returned has passed ``verify_function``.
 
 The input is already normalized (``NormalizedIr`` is made once, where a
 corpus enters the program) and the renderer writes the canonical form, so
@@ -54,6 +59,11 @@ def _remember(memo: dict, key, value) -> None:
 class MiniBackend:
     """In-process compiler for the small IR subset.
 
+    A compile pays for the passes of steps its memo lacks, a render for
+    each such step that changed the function, and a verify for a final
+    state it has not verified; one that ends on a verified state returns
+    that state's outcome object as it is (outcomes are frozen).
+
     Threads may share one backend: an entry lost to another thread's
     clear costs one recompute and changes no output. A forked worker
     process gets a copy of the memos as they stood at the fork, and what
@@ -70,40 +80,49 @@ class MiniBackend:
     def __init__(self) -> None:
         self._vocabulary = mini_vocabulary()
         self._steps: dict[tuple[str, str], str] = {}  # (state, flag) -> state
-        self._counts: dict[str, int] = {}  # verified state -> count
+        self._outcomes: dict[str, CompileOutcome] = {}  # verified state -> outcome
 
     @property
     def vocabulary(self) -> PassVocabulary:
         return self._vocabulary
 
     def apply(self, ir: NormalizedIr, passes: PassList) -> CompileOutcome:
-        text, live = ir.text, None
-        if text not in self._counts:
+        # ``rendered``: ``text`` came from the renderer, directly or through
+        # the step memo, so a pass that changed nothing keeps it
+        text, live, rendered = ir.text, None, False
+        if text not in self._outcomes:
             try:
                 live = parse_function(text)
                 verify_function(live)
             except MiniIrError as err:
                 return CompileOutcome.failure(diagnostic_from_message(str(err)))
-            _remember(self._counts, text, count_instructions(text))
+            outcome = CompileOutcome.success(ir, count_instructions(text))
+            _remember(self._outcomes, text, outcome)
         for flag in expand_flags(passes.items):
             reached = self._steps.get((text, flag))
             if reached is not None:
-                text, live = reached, None
+                if reached != text:
+                    live = None
+                text, rendered = reached, True
                 continue
             if live is None:
                 live = parse_function(text)
-            PASSES[flag](live)
-            state = render_function(live)
+            if PASSES[flag](live) is False and rendered:
+                state = text
+            else:
+                state = render_function(live)
             _remember(self._steps, (text, flag), state)
-            text = state
-        count = self._counts.get(text)
-        if count is None:
+            text, rendered = state, True
+        outcome = self._outcomes.get(text)
+        if outcome is None:
             try:
                 verify_function(parse_function(text) if live is None else live)
             except MiniIrError as err:
                 raise RuntimeError(
                     f"pipeline {passes.render()!r} produced invalid IR: {err}"
                 ) from err
-            count = count_instructions(text)
-            _remember(self._counts, text, count)
-        return CompileOutcome.success(NormalizedIr(text), count)
+            outcome = CompileOutcome.success(
+                NormalizedIr(text), count_instructions(text)
+            )
+            _remember(self._outcomes, text, outcome)
+        return outcome

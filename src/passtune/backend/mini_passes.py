@@ -1,8 +1,10 @@
 """Optimization passes for the small IR.
 
-Six deterministic passes, each a function Function -> None mutating in
-place. The ``-Oz`` meta-flag expands to the fixed size pipeline
-[mem2reg, constfold, instcombine, gvn, dce, simplifycfg] applied twice.
+Six deterministic passes, each a function Function -> bool that mutates
+in place and returns whether it changed the function: ``False`` means
+``render_function`` gives the same text as before the pass. The ``-Oz``
+meta-flag expands to the fixed size pipeline [mem2reg, constfold,
+instcombine, gvn, dce, simplifycfg] applied twice.
 
 Passes compare operands directly (a register name is a ``str``, a literal
 an ``int``), fold through one ``_fold``, and order a definition against a
@@ -58,12 +60,13 @@ def _fold(instr: Instr, a: int, b: int) -> int:
     return wrap(_BINOP_FOLDS[instr.opcode](a, b), bits)
 
 
-def constfold(fn: Function) -> None:
+def constfold(fn: Function) -> bool:
     """Fold literal-only binops/icmps and literal-condition branches.
 
     Folded results propagate into uses, which can expose further folds;
     runs to a fixed point.
     """
+    folded = False
     changed = True
     while changed:
         changed = False
@@ -86,14 +89,17 @@ def constfold(fn: Function) -> None:
                     continue
                 kept.append(instr)
             block.instrs = kept
+        folded |= changed
+    return folded
 
 
-def dce(fn: Function) -> None:
+def dce(fn: Function) -> bool:
     """Delete value-producing instructions whose results are unused.
 
     Stores, branches, and rets are roots and never removed. Runs to a
     fixed point, so chains of dead definitions disappear together.
     """
+    deleted = False
     changed = True
     while changed:
         changed = False
@@ -107,9 +113,11 @@ def dce(fn: Function) -> None:
             if len(kept) != len(block.instrs):
                 block.instrs = kept
                 changed = True
+        deleted |= changed
+    return deleted
 
 
-def mem2reg(fn: Function) -> None:
+def mem2reg(fn: Function) -> bool:
     """Promote stack cells with exactly one store that dominates all loads.
 
     Loads become the stored value; the store and the alloca disappear.
@@ -118,6 +126,7 @@ def mem2reg(fn: Function) -> None:
     """
     dom = dominators(fn)
     allocas = [i for i in fn.instructions() if i.opcode == "alloca"]
+    promoted = False
     for alloca in allocas:
         ptr = alloca.result
         stores: list[tuple[Site, Instr]] = []
@@ -151,15 +160,18 @@ def mem2reg(fn: Function) -> None:
         dead = {id(store), id(alloca)} | {id(load) for _, load in loads}
         for block in fn.blocks:
             block.instrs = [i for i in block.instrs if id(i) not in dead]
+        promoted = True
+    return promoted
 
 
-def instcombine(fn: Function) -> None:
+def instcombine(fn: Function) -> bool:
     """Peephole identities: x+0, 0+x, x-0, x*1, 1*x, and -(-x).
 
     Rewritten instructions are deleted once their uses are redirected;
     the double-negation rewrite also drops the inner sub when the outer
     use was its last. Runs to a fixed point.
     """
+    rewritten = False
     changed = True
     while changed:
         changed = False
@@ -187,6 +199,8 @@ def instcombine(fn: Function) -> None:
                         if inner in b.instrs:
                             b.instrs.remove(inner)
                             break
+        rewritten |= changed
+    return rewritten
 
 
 def _simplify(instr: Instr, defs: dict[str, Instr]) -> Operand | None:
@@ -221,13 +235,14 @@ def _simplify(instr: Instr, defs: dict[str, Instr]) -> Operand | None:
 _COMMUTATIVE_PREDS = ("eq", "ne")
 
 
-def gvn(fn: Function) -> None:
+def gvn(fn: Function) -> bool:
     """Per-block value numbering over pure binops and icmps.
 
     A repeated computation inside one block is replaced by the first
     occurrence's result. Commutative keys (add, mul, icmp eq/ne) ignore
     operand order.
     """
+    merged = False
     for block in fn.blocks:
         table: dict[tuple, str] = {}
         kept: list[Instr] = []
@@ -237,10 +252,12 @@ def gvn(fn: Function) -> None:
                 prior = table.get(key)
                 if prior is not None:
                     _replace_uses(fn, instr.result, prior)
+                    merged = True
                     continue
                 table[key] = instr.result
             kept.append(instr)
         block.instrs = kept
+    return merged
 
 
 def _value_key(instr: Instr) -> tuple:
@@ -253,14 +270,16 @@ def _value_key(instr: Instr) -> tuple:
     return (instr.opcode, instr.pred, instr.ty, ops)
 
 
-def simplifycfg(fn: Function) -> None:
+def simplifycfg(fn: Function) -> bool:
     """Drop unreachable blocks, then merge straight-line block pairs.
 
     A pair merges when the first ends in an unconditional branch to the
     second and the second has no other predecessor.
     """
     reach = reachable_labels(fn)
-    fn.blocks = [b for b in fn.blocks if b.label in reach]
+    kept = [b for b in fn.blocks if b.label in reach]
+    changed = len(kept) != len(fn.blocks)
+    fn.blocks = kept
     merged = True
     while merged:
         merged = False
@@ -277,11 +296,12 @@ def simplifycfg(fn: Function) -> None:
                 continue
             block.instrs = block.instrs[:-1] + succ.instrs
             fn.blocks.remove(succ)
-            merged = True
+            merged = changed = True
             break
+    return changed
 
 
-PASSES: dict[str, Callable[[Function], None]] = {
+PASSES: dict[str, Callable[[Function], bool]] = {
     "-mem2reg": mem2reg,
     "-constfold": constfold,
     "-instcombine": instcombine,

@@ -31,6 +31,7 @@ class PassVocabulary:
 
     passes: tuple[str, ...]
     meta_flags: tuple[str, ...]
+    _flags: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.passes)) != len(self.passes):
@@ -40,19 +41,21 @@ class PassVocabulary:
         overlap = set(self.passes) & set(self.meta_flags)
         if overlap:
             raise ValueError(f"flags listed as both pass and meta: {sorted(overlap)}")
+        object.__setattr__(self, "_flags", frozenset(self.all_flags))
 
     @property
     def all_flags(self) -> tuple[str, ...]:
         return self.passes + self.meta_flags
 
     def __contains__(self, flag: str) -> bool:
-        return flag in self.passes or flag in self.meta_flags
+        return flag in self._flags
 
     def problem(self, items: tuple[str, ...]) -> Optional[str]:
         """Why ``items`` is not a valid list here, or None if it is: the
         first unknown flag, else the first meta-flag that repeats."""
+        flags = self._flags
         for flag in items:
-            if flag not in self:
+            if flag not in flags:
                 return f"unknown flag {flag!r}"
         for meta in self.meta_flags:
             if items.count(meta) > 1:
@@ -84,9 +87,9 @@ def sample_items(
 ) -> tuple[str, ...]:
     """Draw a valid random flag tuple: uniform flags, redrawn until
     ``vocabulary`` has no problem with it (meta-flags at most once each)."""
-    flags = vocabulary.all_flags
+    flags, choice = vocabulary.all_flags, rng.choice
     while True:
-        items = tuple(rng.choice(flags) for _ in range(length))
+        items = tuple([choice(flags) for _ in range(length)])
         if vocabulary.problem(items) is None:
             return items
 

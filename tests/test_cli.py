@@ -851,13 +851,6 @@ def _with(field, value):
     return lambda row: json.dumps({**row, field: value})
 
 
-def _next_function_with(field, value):
-    """The row for the corpus's second function with ``field`` set to
-    ``value``, so that no check but the value's type rejects it (a row that
-    repeats the first row's id fails on the repeat too)."""
-    return lambda row: json.dumps({**row, "function_id": "mini-00001", field: value})
-
-
 def run_with_a_second_row(tmp_path, input_files, kind, bad_row, argv):
     """Run ``argv`` with input ``kind`` cut to its first row followed by
     ``bad_row`` of it; returns the exit status and the file written."""
@@ -869,78 +862,99 @@ def run_with_a_second_row(tmp_path, input_files, kind, bad_row, argv):
     return run(*(arg.format(**names) for arg in argv.split())), bad
 
 
-# case id -> (input whose second row is malformed, that row, command line)
+# case id -> (input whose second row is malformed, that row, command line,
+# the error the row must get). The message names the check that rejected
+# the row: a row that keeps the first row's id would fail as a repeat too.
 MALFORMED_ROWS = {
-    "ingest-not-json": ("raw", lambda row: "{not json", "ingest {raw} --output {out}"),
-    "ingest-raw-text-number": (
-        "raw", _with("raw_text", 5), "ingest {raw} --output {out}"
+    "ingest-not-json": (
+        "raw", lambda row: "{not json", "ingest {raw} --output {out}", "not JSON: "
     ),
-    "ingest-id-number": ("raw", _with("id", 7), "ingest {raw} --output {out}"),
+    "ingest-raw-text-number": (
+        "raw", _with("raw_text", 5), "ingest {raw} --output {out}",
+        "field raw_text has the wrong type: 5",
+    ),
+    "ingest-id-number": (
+        "raw", _with("id", 7), "ingest {raw} --output {out}",
+        "field id has the wrong type: 7",
+    ),
     "ingest-missing-raw-text": (
-        "raw", _without("raw_text"), "ingest {raw} --output {out}"
+        "raw", _without("raw_text"), "ingest {raw} --output {out}",
+        "missing field(s) raw_text",
     ),
     "dataset-stale-token-estimate": (
         "corpus", _with("token_estimate", 999999),
         "dataset --corpus {corpus} --tune-results {tuned} --output {out}",
+        "mini-00000: token_estimate mismatch",
     ),
     "autotune-missing-field": (
         "corpus", _without("token_estimate"),
         "autotune --corpus {corpus} --output {out} --budget-evals 1",
+        "missing field(s) token_estimate",
     ),
     "single-pass-not-an-object": (
         "corpus", lambda row: "[1, 2]",
         "single-pass-dataset --corpus {corpus} --output {out}",
+        "expected a JSON object",
     ),
     "dataset-wrong-type": (
         "tuned", _with("best_pass_list", 7),
         "dataset --corpus {corpus} --tune-results {tuned} --output {out}",
+        "field best_pass_list has the wrong type: 7",
     ),
     "predict-top-frequency-missing-fields": (
         "tuned", lambda row: json.dumps({"function_id": row["function_id"]}),
         "predict --corpus {corpus} --method top-frequency --tune-results {tuned}"
         " --output {out}",
+        "missing field(s) baseline_count, baseline_pass_list, best_count,"
+        " best_pass_list, evaluations_used",
     ),
     "predict-retrieval-unknown-field": (
         "train", _with("comment", "x"),
         "predict --corpus {corpus} --method retrieval --tune-results {tuned}"
         " --train-corpus {train} --output {out}",
+        "unknown field(s) comment",
     ),
     "predict-file-no-function-id": (
         "preds", _without("function_id"),
         "predict --corpus {corpus} --method file --predictions-file {preds}"
         " --output {out}",
+        "expected a string function_id",
     ),
     "evaluate-missing-pass-list": (
         "preds", _without("pass_list"),
         "evaluate --corpus {corpus} --predictions {preds} --output {out}",
+        "missing field(s) pass_list",
     ),
     "evaluate-pass-list-number": (
         "preds", _with("pass_list", 5),
         "evaluate --corpus {corpus} --predictions {preds} --output {out}",
+        "field pass_list has the wrong type: 5",
     ),
     "report-rows-wrong-type": (
         "rows", _with("delta", "1"),
         "report --rows {rows} --predictions {preds} --tune-results {tuned}"
         " --output-dir {out}",
+        'field delta has the wrong type: "1"',
     ),
     "evaluate-parse-failed-int": (
-        "preds", _next_function_with("parse_failed", 1),
+        "preds", _with("parse_failed", 1),
         "evaluate --corpus {corpus} --predictions {preds} --output {out}",
+        "field parse_failed has the wrong type: 1",
     ),
 }
 
 
 @pytest.mark.parametrize(
-    "kind,bad_row,argv", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS.keys()
+    "kind,bad_row,argv,message", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS.keys()
 )
 def test_a_malformed_input_row_is_a_config_error(
-    tmp_path, input_files, capsys, kind, bad_row, argv
+    tmp_path, input_files, capsys, kind, bad_row, argv, message
 ):
     capsys.readouterr()
     code, bad = run_with_a_second_row(tmp_path, input_files, kind, bad_row, argv)
     assert code == 2
     err = capsys.readouterr().err
-    assert f"{bad}:2: " in err
+    assert f"{bad}:2: {message}" in err
     assert "Traceback" not in err
 
 

@@ -82,6 +82,21 @@ def test_every_step_asks_the_memo(monkeypatch):
     assert (out.output.text, out.instruction_count) == expected
 
 
+def test_an_input_not_in_the_renderers_form_is_rendered_at_its_first_step():
+    # ``-gvn`` changes nothing here, but the output is the renderer's form
+    # of the input (``true`` is the literal 1), never the input text itself
+    ir = NormalizedIr(
+        "define i1 @f() {\nentry:\nbr i1 true, label %t, label %e\n"
+        "t:\nret i1 false\ne:\nret i1 true\n}"
+    )
+    expected = reference_apply(ir, ("-gvn",))
+    assert "br i1 1," in expected[0]
+    backend = MiniBackend()
+    for _ in range(2):  # cold, then from the memo
+        out = compile_items(backend, ir, ("-gvn",))
+        assert (out.output.text, out.instruction_count) == expected
+
+
 def test_verification_is_not_memoized_away(monkeypatch):
     calls = []
 

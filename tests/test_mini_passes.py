@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passtune.backend.mini_interp import run_function
 from passtune.backend.mini_ir import parse_function, render_function, verify_function
@@ -291,6 +293,22 @@ def test_run_pipeline_leaves_input_untouched():
     out = run_pipeline(fn, ("-Oz",))
     assert render_function(fn) == before
     assert render_function(out) != before
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    index=st.integers(0, 199),
+    flags=st.lists(st.sampled_from(sorted(PASSES)), min_size=1, max_size=8),
+)
+def test_a_pass_that_reports_no_change_leaves_the_text_as_it_was(index, flags):
+    # the mini backend keeps a step's state text when its pass returns False
+    fn = parse_function(generate_function(index, seed=7).normalized_text)
+    for flag in flags:
+        before = render_function(fn)
+        changed = PASSES[flag](fn)
+        assert type(changed) is bool, flag
+        if not changed:
+            assert render_function(fn) == before, flag
 
 
 def test_oz_reaches_fixpoint_on_enable_chain():
