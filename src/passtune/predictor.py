@@ -9,12 +9,15 @@ one parser. All predictors are deterministic given their inputs.
 
 from __future__ import annotations
 
+import itertools
 import subprocess
+import sys
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from passtune.backend.passlist import OZ_ITEMS, PassVocabulary
 from passtune.dataset import AnswerParseError, parse_answer
@@ -98,74 +101,146 @@ class RetrievalEntry:
     pass_list: str
 
 
-class RetrievalIndex:
-    """Nearest-neighbor index over tuned functions, kept as an inverted index.
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 
-    Built once from the entries: ``postings`` maps each token to the
-    positions of the entries holding it and their counts of it, as two
-    parallel lists (under half the memory of a tuple per pair); ``totals``
-    holds each entry's token total, and ``order`` the entry positions
-    sorted by ``function_id``. The entries' counters are not kept.
+
+class RetrievalIndex:
+    """Nearest-neighbor index over tuned functions, built in one pass.
+
+    The entries are read one at a time from any iterable, so a caller can
+    make each entry's counter as it is needed and drop it once folded in;
+    none is kept. Entry positions then follow ``function_id`` order (equal
+    ids in input order): ``pass_lists`` and ``totals`` hold each entry's
+    list and token total in that order. Each token is kept one of two ways:
+
+    - A token held by at least 1/8 of the entries becomes ``columns``:
+      level *l* is one int with a ``width``-byte field per entry, in native
+      byte order, holding 1 where that entry holds the token at least *l*
+      times. Adding a query's first min(query count, levels) columns sums
+      min(query count, entry count) for every entry in C. ``width`` is the
+      smallest of 1, 2, 4 and 8 bytes that holds the largest entry total,
+      which bounds every field's sum, so no sum carries into the next field.
+    - Any other token keeps ``postings``: the positions of the entries
+      holding it and their counts of it, as two parallel ``array('I')``.
     """
 
-    def __init__(self, entries: Sequence[RetrievalEntry]) -> None:
-        if not entries:
-            raise ValueError("retrieval index is empty")
-        self.pass_lists = [entry.pass_list for entry in entries]
-        self.totals: list[int] = []
-        self.postings: dict[str, tuple[list[int], list[int]]] = defaultdict(
-            lambda: ([], [])
+    def __init__(self, entries: Iterable[RetrievalEntry]) -> None:
+        ids: list[str] = []
+        pass_lists: list[str] = []
+        totals: list[int] = []
+        postings: dict[str, tuple[array, array]] = defaultdict(
+            lambda: (array("I"), array("I"))
         )
         for position, entry in enumerate(entries):
-            self.totals.append(sum(entry.tokens.values()))
+            ids.append(entry.function_id)
+            pass_lists.append(entry.pass_list)
+            totals.append(sum(entry.tokens.values()))
             for token, count in entry.tokens.items():
-                positions, counts = self.postings[token]
+                positions, counts = postings[token]
                 positions.append(position)
                 counts.append(count)
-        self.order = sorted(range(len(entries)), key=lambda i: entries[i].function_id)
+        if not ids:
+            raise ValueError("retrieval index is empty")
+        self.size = len(ids)
+        # positions in function_id order, so that the scan reads the
+        # per-entry sequences in step
+        order = sorted(range(self.size), key=ids.__getitem__)
+        rank = sorted(range(self.size), key=order.__getitem__)
+        self.pass_lists = list(map(pass_lists.__getitem__, order))
+        self.totals = list(map(totals.__getitem__, order))
+        self.width = next(w for w in (1, 2, 4, 8) if max(totals) < 1 << 8 * w)
+        self.columns: dict[str, list[int]] = {}
+        self.postings: dict[str, tuple[array, array]] = {}
+        for token in list(postings):  # popped, so each is freed once folded in
+            positions, counts = postings.pop(token)
+            positions = array("I", map(rank.__getitem__, positions))
+            if len(positions) * 8 >= self.size:
+                self.columns[token] = self._levels(positions, counts)
+            else:
+                self.postings[token] = (positions, counts)
+
+    def _levels(self, positions: array, counts: array) -> list[int]:
+        """A common token's columns, level 1 first, up to its largest count.
+
+        Levels come in blocks of 255: block *b* is one byte per entry, the
+        entry's count above 255·b capped at 255, and level *l* of the block
+        is that byte mapped to 1 where it is at least *l* and to 0 elsewhere.
+        """
+        width = self.width
+        low = 0 if sys.byteorder == "little" else width - 1
+        levels = []
+        top = max(counts)
+        for base in range(0, top, 255):
+            block = bytearray(self.size)
+            for position, count in zip(positions, counts):
+                if count > base:
+                    count -= base
+                    block[position] = count if count < 255 else 255
+            for level in range(1, min(top - base, 255) + 1):
+                at_least = block.translate(bytes(level) + b"\x01" * (256 - level))
+                if width > 1:
+                    fields = bytearray(self.size * width)
+                    fields[low::width] = at_least
+                    at_least = fields
+                levels.append(int.from_bytes(at_least, sys.byteorder))
+        return levels
+
+    def shared_counts(self, query: Counter) -> array:
+        """Per entry position, the token occurrences it shares with ``query``."""
+        picked = []
+        for token, query_count in query.items():
+            levels = self.columns.get(token)
+            if levels is not None:
+                picked += levels[:query_count]
+        shared = array(_TYPECODES[self.width])
+        shared.frombytes(sum(picked).to_bytes(self.size * self.width, sys.byteorder))
+        for token, query_count in query.items():
+            positions, counts = self.postings.get(token, ((), ()))
+            for position, count in zip(positions, counts):
+                # min(query_count, count), without a call per posting
+                shared[position] += count if count < query_count else query_count
+        return shared
 
     @classmethod
     def build(
         cls, functions: Sequence[IrFunction], tune_results: Iterable
     ) -> "RetrievalIndex":
+        """The index over ``tune_results``, each entry's tokens counted from
+        its function in ``functions`` as the index takes it in."""
         by_id = {fn.id: fn for fn in functions}
-        entries = []
-        for result in tune_results:
-            fn = by_id.get(result.function_id)
-            if fn is None:
-                raise ValueError(
-                    f"tune result for unknown function {result.function_id!r}"
-                )
-            entries.append(
-                RetrievalEntry(
+
+        def entries() -> Iterator[RetrievalEntry]:
+            for result in tune_results:
+                fn = by_id.get(result.function_id)
+                if fn is None:
+                    raise ValueError(
+                        f"tune result for unknown function {result.function_id!r}"
+                    )
+                yield RetrievalEntry(
                     fn.id, _token_counts(fn.normalized_text), result.best_pass_list
                 )
-            )
-        return cls(entries)
+
+        return cls(entries())
 
 
 def predict_retrieval(fn: IrFunction, index: RetrievalIndex) -> Prediction:
     """Copy the tuned list of the most token-similar indexed function.
 
     The score is multiset Jaccard: shared token occurrences over combined
-    ones. The shared occurrences come from the postings of the query's own
-    tokens and the combined ones are |query| + |entry| - shared. The
-    highest score wins and ties go to the smallest ``function_id``; an
-    entry sharing no token (or a query and an entry both empty) scores
-    0.0 and still takes part.
+    ones. The shared occurrences of every entry come from
+    :meth:`RetrievalIndex.shared_counts`, and the combined ones are
+    |query| + |entry| - shared. Entries are then scanned in ``function_id``
+    order: the highest score wins and ties go to the smallest
+    ``function_id``; an entry sharing no token (or a query and an entry
+    both empty) scores 0.0 and still takes part.
     """
     query = _token_counts(fn.normalized_text)
     query_total = sum(query.values())
-    shared = [0] * len(index.totals)
-    for token, query_count in query.items():
-        positions, counts = index.postings.get(token, ((), ()))
-        for position, count in zip(positions, counts):
-            # min(query_count, count), without a call per posting
-            shared[position] += count if count < query_count else query_count
-    best, best_score = index.order[0], -1.0
-    for position in index.order:
-        union = query_total + index.totals[position] - shared[position]
-        score = shared[position] / union if union else 0.0
+    shared = index.shared_counts(query)
+    best, best_score = 0, -1.0
+    for position, total, common in zip(itertools.count(), index.totals, shared):
+        union = query_total + total - common
+        score = common / union if union else 0.0
         if score > best_score:
             best, best_score = position, score
     return Prediction(function_id=fn.id, pass_list=index.pass_lists[best])

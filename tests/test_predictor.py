@@ -11,6 +11,7 @@ from passtune.autotuner import SearchBudget, TuneResult, autotune_corpus
 from passtune.backend import CompileOutcome
 from passtune.backend.classify import diagnostic_from_message
 from passtune.dataset import render_answer
+from passtune.minigen import generate_corpus
 from passtune.predictor import (
     ExternalPredictorError,
     FilePredictor,
@@ -105,17 +106,40 @@ def test_retrieval_without_shared_tokens_picks_the_smallest_function_id(corpus20
         assert predict_retrieval(query, RetrievalIndex(order)).pass_list == "-dce"
 
 
-# Small alphabets, so that exact score ties, entries sharing no token with
-# the query, repeated tokens, repeated function ids and empty texts all occur.
-TOKEN_LISTS = st.lists(st.sampled_from("wxyz"), max_size=6)
+def brute_force_pick(entries, query_text):
+    """The pass list of the entry with the highest Jaccard score against
+    the query's tokens, ties to the smallest function id."""
+    query = Counter(query_text.split())
+    return min(
+        entries, key=lambda e: (-jaccard_similarity(query, e.tokens), e.function_id)
+    ).pass_list
+
+
+def with_text(fn, text):
+    return dataclasses.replace(fn, normalized_text=text)
+
+
+# Few function ids and four frequent tokens, so that exact score ties,
+# entries sharing no token with the query, repeated function ids and empty
+# texts all occur; tokens repeat up to a few times per list. Sixteen rarer
+# tokens and up to 30 entries make some tokens held by at least 1/8 of the
+# entries (kept as columns) and others by fewer (kept as postings).
+TOKEN_LISTS = st.lists(
+    st.one_of(st.sampled_from("wxyz"), st.sampled_from("abcdefghijklmnop")),
+    max_size=10,
+)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    entries=st.lists(
-        st.tuples(st.sampled_from(["a", "b", "c", "d", "e"]), TOKEN_LISTS),
-        min_size=1,
-        max_size=8,
+    # the size drawn first, so that sizes spread over 1..30 rather than
+    # staying near a list strategy's small average
+    entries=st.integers(1, 30).flatmap(
+        lambda size: st.lists(
+            st.tuples(st.sampled_from(["a", "b", "c", "d", "e"]), TOKEN_LISTS),
+            min_size=size,
+            max_size=size,
+        )
     ),
     query_tokens=TOKEN_LISTS,
 )
@@ -125,19 +149,65 @@ def test_retrieval_picks_what_brute_force_jaccard_picks(corpus20, entries, query
         RetrievalEntry(function_id, Counter(tokens), f"-list{i}")
         for i, (function_id, tokens) in enumerate(entries)
     ]
-    query = Counter(query_tokens)
-    expected = min(
-        indexed, key=lambda e: (-jaccard_similarity(query, e.tokens), e.function_id)
+    fn = with_text(corpus20[0], " ".join(query_tokens))
+    assert predict_retrieval(fn, RetrievalIndex(indexed)).pass_list == brute_force_pick(
+        indexed, fn.normalized_text
     )
-    fn = dataclasses.replace(corpus20[0], normalized_text=" ".join(query_tokens))
-    assert predict_retrieval(fn, RetrievalIndex(indexed)).pass_list == expected.pass_list
+
+
+def test_retrieval_counts_past_one_byte(corpus20):
+    # Entry totals over 255 need two-byte fields, and "a" holding the token
+    # 300 times needs levels past 255: "a" shares 260 of 300 (0.867) and
+    # beats "b"'s 222 of 260 (0.854), which 255 levels would make 255 of 305
+    # (0.836).
+    entries = [
+        RetrievalEntry("a", Counter({"t": 300}), "-gvn"),
+        RetrievalEntry("b", Counter({"t": 222}), "-dce"),
+    ]
+    query = with_text(corpus20[0], " ".join(["t"] * 260))
+    assert brute_force_pick(entries, query.normalized_text) == "-gvn"
+    assert predict_retrieval(query, RetrievalIndex(entries)).pass_list == "-gvn"
+
+
+def test_retrieval_index_reads_a_one_shot_iterator(corpus20):
+    entries = [
+        RetrievalEntry(fn.id, Counter(fn.normalized_text.split()), f"-list{i}")
+        for i, fn in enumerate(corpus20[:12])
+    ]
+    from_list = RetrievalIndex(entries)
+    from_generator = RetrievalIndex(entry for entry in entries)
+    for fn in corpus20[12:]:
+        expected = brute_force_pick(entries, fn.normalized_text)
+        assert predict_retrieval(fn, from_list).pass_list == expected
+        assert predict_retrieval(fn, from_generator).pass_list == expected
+
+
+def test_retrieval_at_corpus_scale_picks_what_brute_force_picks():
+    # Real IR token counts: common tokens such as "i32" and "=" reach many
+    # levels, and constants stay rare.
+    functions = generate_corpus(1050, seed=29)
+    entries = [
+        RetrievalEntry(fn.id, Counter(fn.normalized_text.split()), f"-list{i}")
+        for i, fn in enumerate(functions[:1000])
+    ]
+    index = RetrievalIndex(iter(entries))
+    assert index.columns and index.postings
+    assert max(map(len, index.columns.values())) > 8
+    for fn in functions[1000:]:
+        expected = brute_force_pick(entries, fn.normalized_text)
+        assert predict_retrieval(fn, index).pass_list == expected
+
+
+def test_retrieval_index_from_an_empty_iterator_is_an_error():
+    with pytest.raises(ValueError, match="retrieval index is empty"):
+        RetrievalIndex(iter(()))
 
 
 def test_retrieval_index_validates(corpus20, tuned):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="retrieval index is empty"):
         RetrievalIndex([])
     stray = dataclasses.replace(tuned[0], function_id="nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown function 'nope'"):
         RetrievalIndex.build(corpus20, [stray])
 
 

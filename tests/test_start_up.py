@@ -117,6 +117,29 @@ def test_mini_workers_fork_no_multiprocessing_and_leave_no_child(
     assert not left
 
 
+def test_retrieval_loads_no_backend_evaluator_or_generator(tmp_path, corpus):
+    # predict --method retrieval only reads files and scores tokens; it is
+    # the largest process of a mini-corpus chain, so what it loads counts.
+    tuned = tmp_path / "tuned.jsonl"
+    assert main([
+        "autotune", "--corpus", str(corpus), "--output", str(tuned),
+        "--budget-evals", "2",
+    ]) == 0
+    code, loaded = run_fresh(
+        tmp_path, "predict", "--corpus", corpus, "--method", "retrieval",
+        "--tune-results", tuned, "--train-corpus", corpus,
+        "--output", tmp_path / "preds.jsonl",
+    )
+    assert code == 0
+    assert not loaded & {
+        "passtune.backend.mini",
+        "passtune.backend.llvm",
+        "passtune.backend.optd",
+        "passtune.evaluator",
+        "passtune.minigen",
+    }
+
+
 def test_an_llvm_subcommand_loads_no_mini_backend(tmp_path, private_cache, corpus):
     code, loaded = run_fresh(
         tmp_path, "autotune", "--corpus", corpus, "--output", tmp_path / "tuned.jsonl",
