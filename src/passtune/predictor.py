@@ -9,7 +9,6 @@ one parser. All predictors are deterministic given their inputs.
 
 from __future__ import annotations
 
-import itertools
 import subprocess
 import sys
 from array import array
@@ -101,7 +100,7 @@ class RetrievalEntry:
     pass_list: str
 
 
-_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+_TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class RetrievalIndex:
@@ -111,17 +110,24 @@ class RetrievalIndex:
     make each entry's counter as it is needed and drop it once folded in;
     none is kept. Entry positions then follow ``function_id`` order (equal
     ids in input order): ``pass_lists`` and ``totals`` hold each entry's
-    list and token total in that order. Each token is kept one of two ways:
+    list and token total in that order. A token's counts are kept in
+    ``columns``, in ``postings``, or split between the two:
 
-    - A token held by at least 1/8 of the entries becomes ``columns``:
-      level *l* is one int with a ``width``-byte field per entry, in native
-      byte order, holding 1 where that entry holds the token at least *l*
-      times. Adding a query's first min(query count, levels) columns sums
-      min(query count, entry count) for every entry in C. ``width`` is the
-      smallest of 1, 2, 4 and 8 bytes that holds the largest entry total,
-      which bounds every field's sum, so no sum carries into the next field.
-    - Any other token keeps ``postings``: the positions of the entries
-      holding it and their counts of it, as two parallel ``array('I')``.
+    - ``columns`` holds a token's first levels: level *l* is one int with a
+      ``width``-byte field per entry, in native byte order, holding 1 where
+      that entry holds the token at least *l* times. Adding a query's first
+      min(query count, levels) columns sums min(query count, entry count,
+      levels) for every entry in C. A level costs ``width`` bytes per entry
+      and a posting 8, so a token gets as many levels as fit in the bytes
+      of its postings, up to its largest count: at one-byte width, a token
+      held by at least 1/8 of the entries gets at least one, and none gets
+      more than eight. No field can sum past the number of columns, and
+      ``width`` is the smallest of 1, 2, 4 and 8 bytes that holds it, so no
+      sum carries into the next field.
+    - ``postings`` holds, as two parallel ``array('I')``, the positions of
+      the entries holding a token above its levels and their counts above
+      them: every holder of a token without columns, and the few entries
+      that hold a column token more often than its levels.
     """
 
     def __init__(self, entries: Iterable[RetrievalEntry]) -> None:
@@ -141,64 +147,78 @@ class RetrievalIndex:
                 counts.append(count)
         if not ids:
             raise ValueError("retrieval index is empty")
-        self.size = len(ids)
+        size = len(ids)
         # positions in function_id order, so that the scan reads the
         # per-entry sequences in step
-        order = sorted(range(self.size), key=ids.__getitem__)
-        rank = sorted(range(self.size), key=order.__getitem__)
-        self.pass_lists = list(map(pass_lists.__getitem__, order))
-        self.totals = list(map(totals.__getitem__, order))
-        self.width = next(w for w in (1, 2, 4, 8) if max(totals) < 1 << 8 * w)
+        order = sorted(range(size), key=ids.__getitem__)
+        rank = [0] * size
+        for position, old in enumerate(order):
+            rank[old] = position
+        self.pass_lists = [pass_lists[old] for old in order]
+        self.totals = [totals[old] for old in order]
+        for width in (1, 2, 4, 8):
+            levels = {
+                token: min(8 * len(positions) // (size * width), max(counts))
+                for token, (positions, counts) in postings.items()
+            }
+            if sum(levels.values()) < 1 << 8 * width:
+                break
+        self.width = width
         self.columns: dict[str, list[int]] = {}
         self.postings: dict[str, tuple[array, array]] = {}
         for token in list(postings):  # popped, so each is freed once folded in
             positions, counts = postings.pop(token)
             positions = array("I", map(rank.__getitem__, positions))
-            if len(positions) * 8 >= self.size:
-                self.columns[token] = self._levels(positions, counts)
-            else:
+            if levels[token]:
+                self.columns[token], positions, counts = self._split(
+                    positions, counts, levels[token]
+                )
+            if positions:
                 self.postings[token] = (positions, counts)
 
-    def _levels(self, positions: array, counts: array) -> list[int]:
-        """A common token's columns, level 1 first, up to its largest count.
-
-        Levels come in blocks of 255: block *b* is one byte per entry, the
-        entry's count above 255·b capped at 255, and level *l* of the block
-        is that byte mapped to 1 where it is at least *l* and to 0 elsewhere.
-        """
+    def _split(
+        self, positions: array, counts: array, top: int
+    ) -> tuple[list[int], array, array]:
+        """A token's first ``top`` columns, level 1 first, and the postings
+        of its counts above ``top``."""
+        capped = bytearray(len(self.totals))
+        above_positions, above_counts = array("I"), array("I")
+        for position, count in zip(positions, counts):
+            if count > top:
+                capped[position] = top
+                above_positions.append(position)
+                above_counts.append(count - top)
+            else:
+                capped[position] = count
         width = self.width
         low = 0 if sys.byteorder == "little" else width - 1
         levels = []
-        top = max(counts)
-        for base in range(0, top, 255):
-            block = bytearray(self.size)
-            for position, count in zip(positions, counts):
-                if count > base:
-                    count -= base
-                    block[position] = count if count < 255 else 255
-            for level in range(1, min(top - base, 255) + 1):
-                at_least = block.translate(bytes(level) + b"\x01" * (256 - level))
-                if width > 1:
-                    fields = bytearray(self.size * width)
-                    fields[low::width] = at_least
-                    at_least = fields
-                levels.append(int.from_bytes(at_least, sys.byteorder))
-        return levels
+        for level in range(1, top + 1):
+            at_least = capped.translate(bytes(level) + b"\x01" * (256 - level))
+            if width > 1:
+                fields = bytearray(len(capped) * width)
+                fields[low::width] = at_least
+                at_least = fields
+            levels.append(int.from_bytes(at_least, sys.byteorder))
+        return levels, above_positions, above_counts
 
-    def shared_counts(self, query: Counter) -> array:
+    def shared_counts(self, query: Counter) -> list[int]:
         """Per entry position, the token occurrences it shares with ``query``."""
-        picked = []
+        picked: list[int] = []
         for token, query_count in query.items():
-            levels = self.columns.get(token)
-            if levels is not None:
-                picked += levels[:query_count]
-        shared = array(_TYPECODES[self.width])
-        shared.frombytes(sum(picked).to_bytes(self.size * self.width, sys.byteorder))
+            picked += self.columns.get(token, ())[:query_count]
+        fields = sum(picked).to_bytes(len(self.totals) * self.width, sys.byteorder)
+        shared = memoryview(fields).cast(_TYPECODES[self.width]).tolist()
         for token, query_count in query.items():
-            positions, counts = self.postings.get(token, ((), ()))
-            for position, count in zip(positions, counts):
-                # min(query_count, count), without a call per posting
-                shared[position] += count if count < query_count else query_count
+            # the columns summed min(query_count, count, levels); the rest of
+            # min(query_count, count) is min(query_count - levels, count -
+            # levels), from the postings of the counts above the levels
+            query_count -= len(self.columns.get(token, ()))
+            if query_count > 0:
+                positions, counts = self.postings.get(token, ((), ()))
+                for position, count in zip(positions, counts):
+                    # min(query_count, count), without a call per posting
+                    shared[position] += count if count < query_count else query_count
         return shared
 
     @classmethod
@@ -238,7 +258,7 @@ def predict_retrieval(fn: IrFunction, index: RetrievalIndex) -> Prediction:
     query_total = sum(query.values())
     shared = index.shared_counts(query)
     best, best_score = 0, -1.0
-    for position, total, common in zip(itertools.count(), index.totals, shared):
+    for position, (total, common) in enumerate(zip(index.totals, shared)):
         union = query_total + total - common
         score = common / union if union else 0.0
         if score > best_score:

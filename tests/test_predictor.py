@@ -155,11 +155,11 @@ def test_retrieval_picks_what_brute_force_jaccard_picks(corpus20, entries, query
     )
 
 
-def test_retrieval_counts_past_one_byte(corpus20):
-    # Entry totals over 255 need two-byte fields, and "a" holding the token
-    # 300 times needs levels past 255: "a" shares 260 of 300 (0.867) and
-    # beats "b"'s 222 of 260 (0.854), which 255 levels would make 255 of 305
-    # (0.836).
+def test_retrieval_counts_past_the_levels(corpus20):
+    # A token gets at most eight levels; the counts above them, here past
+    # one byte, are scored from postings: "a" shares 260 of 300 (0.867) and
+    # beats "b"'s 222 of 260 (0.854). Counted up to the levels only, "a"
+    # would share 8 of 552 and lose to "b"'s 8 of 474.
     entries = [
         RetrievalEntry("a", Counter({"t": 300}), "-gvn"),
         RetrievalEntry("b", Counter({"t": 222}), "-dce"),
@@ -167,6 +167,46 @@ def test_retrieval_counts_past_one_byte(corpus20):
     query = with_text(corpus20[0], " ".join(["t"] * 260))
     assert brute_force_pick(entries, query.normalized_text) == "-gvn"
     assert predict_retrieval(query, RetrievalIndex(entries)).pass_list == "-gvn"
+
+
+def test_retrieval_fields_widen_past_255_columns(corpus20):
+    # Forty tokens held by every entry at least eight times would make 320
+    # one-byte columns, and "a"'s field would sum 320 and carry into "b"'s.
+    # Two-byte fields hold 160 columns: "a" shares 320 of 320 and wins.
+    tokens = [f"t{i}" for i in range(40)]
+    entries = [
+        RetrievalEntry("a", Counter(dict.fromkeys(tokens, 8)), "-gvn"),
+        RetrievalEntry("b", Counter(dict.fromkeys(tokens, 5)), "-dce"),
+    ]
+    index = RetrievalIndex(entries)
+    assert index.width == 2
+    query = with_text(corpus20[0], " ".join(tokens * 8))
+    assert brute_force_pick(entries, query.normalized_text) == "-gvn"
+    assert predict_retrieval(query, index).pass_list == "-gvn"
+
+
+def test_retrieval_columns_cost_no_more_than_postings():
+    # One entry holding common tokens thousands of times adds no levels
+    # and does not widen the fields; its counts above the levels stay in
+    # postings, and the picks still match brute force.
+    functions = generate_corpus(210, seed=31)
+    entries = [
+        RetrievalEntry(fn.id, Counter(fn.normalized_text.split()), f"-list{i}")
+        for i, fn in enumerate(functions[:200])
+    ]
+    entries[0].tokens.update({"=": 5000, "i32": 3000})
+    index = RetrievalIndex(entries)
+    holders = Counter(token for entry in entries for token in entry.tokens)
+    assert index.width == 1
+    for token, levels in index.columns.items():
+        assert len(levels) * len(entries) * index.width <= 8 * holders[token]
+    queries = [
+        dataclasses.replace(fn, normalized_text=fn.normalized_text + " =" * 4000)
+        for fn in functions[200:202]
+    ] + functions[202:]
+    for fn in queries:
+        expected = brute_force_pick(entries, fn.normalized_text)
+        assert predict_retrieval(fn, index).pass_list == expected
 
 
 def test_retrieval_index_reads_a_one_shot_iterator(corpus20):
@@ -183,16 +223,16 @@ def test_retrieval_index_reads_a_one_shot_iterator(corpus20):
 
 
 def test_retrieval_at_corpus_scale_picks_what_brute_force_picks():
-    # Real IR token counts: common tokens such as "i32" and "=" reach many
-    # levels, and constants stay rare.
+    # Real IR token counts: common tokens such as "i32" and "=" are held
+    # more often than their levels, and constants stay rare.
     functions = generate_corpus(1050, seed=29)
     entries = [
         RetrievalEntry(fn.id, Counter(fn.normalized_text.split()), f"-list{i}")
         for i, fn in enumerate(functions[:1000])
     ]
     index = RetrievalIndex(iter(entries))
-    assert index.columns and index.postings
-    assert max(map(len, index.columns.values())) > 8
+    assert index.columns.keys() & index.postings.keys()
+    assert index.postings.keys() - index.columns.keys()
     for fn in functions[1000:]:
         expected = brute_force_pick(entries, fn.normalized_text)
         assert predict_retrieval(fn, index).pass_list == expected
