@@ -70,19 +70,19 @@ class CompileOutcome:
 class Backend(Protocol):
     """Anything that can apply a pass list to normalized IR.
 
-    ``passes`` arrives already checked against ``vocabulary``. How the
-    stages run ``apply`` follows from how the backend compiles:
-    ``in_process`` says whether a compile is Python code in this process,
-    which only forked worker processes overlap, rather than a wait on
-    another process, which threads overlap (see
+    ``in_process`` and ``vocabulary`` are plain attributes, settled when the
+    backend is built. ``passes`` arrives already checked against
+    ``vocabulary``. How the stages run ``apply`` follows from how the
+    backend compiles: ``in_process`` says whether a compile is Python code
+    in this process, which only forked worker processes overlap, rather
+    than a wait on another process, which threads overlap (see
     :func:`passtune.util.map_in_order`). Either way the workers overlap
     compiles up to the usable CPUs, which is what ``--workers`` defaults to.
+    An in-process backend in a process that may not fork compiles inline.
     """
 
     in_process: bool
-
-    @property
-    def vocabulary(self) -> PassVocabulary: ...
+    vocabulary: PassVocabulary
 
     def apply(self, ir: NormalizedIr, passes: PassList) -> CompileOutcome: ...
 

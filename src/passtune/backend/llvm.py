@@ -12,7 +12,8 @@ so the output names its source ``<stdin>``. It runs in one of two ways:
 - ``opt``: one ``opt`` process per compile, the reference and the
   fallback.
 
-:attr:`LlvmBackend.compile_path` says which path runs, and why not the
+The path is chosen when the backend is built, and its attribute
+:attr:`LlvmBackend.compile_path` says which one runs, and why not the
 server when it does not. Either way the output is re-normalized. A
 failure, unparseable output and a time-limit hit each become a classified
 failure outcome, so a crash or hang costs one failed compilation and
@@ -38,7 +39,6 @@ import os
 import re
 import shutil
 import subprocess
-import threading
 from typing import Optional, Sequence
 
 from passtune.backend import BackendUnavailableError, CompileOutcome
@@ -94,13 +94,10 @@ class LlvmBackend:
         self.timeout = positive_seconds(timeout, "timeout")
         self.opt_path = resolve_opt_path(opt_path)
         self.extra_args = tuple(extra_args)
-        self._vocabulary = self._listed_only(llvm10_vocabulary())
-        self._choice_lock = threading.Lock()
-        self._choice: Optional[tuple[dict, Optional[ServerPool]]] = None
-
-    @property
-    def vocabulary(self) -> PassVocabulary:
-        return self._vocabulary
+        self.vocabulary = self._listed_only(llvm10_vocabulary())
+        # How compiles run: ``path`` (``opt-server`` or ``opt``), the LLVM
+        # version, and under ``opt`` the ``fallback_reason``.
+        self.compile_path, self._servers = self._choose_path()
 
     def _query(self, option: str) -> subprocess.CompletedProcess:
         """``opt <option>``: cached per ``opt`` file (see ``optd.cached_run``),
@@ -142,19 +139,6 @@ class LlvmBackend:
         proc = self._query("--version")
         return " ".join(proc.stdout.split()) or f"opt at {self.opt_path}"
 
-    @property
-    def compile_path(self) -> dict:
-        """How compiles run: ``path`` (``opt-server`` or ``opt``), the LLVM
-        version, and under ``opt`` the ``fallback_reason``."""
-        return self._chosen()[0]
-
-    def _chosen(self) -> tuple[dict, Optional[ServerPool]]:
-        """The compile path and its servers, chosen on first use."""
-        with self._choice_lock:
-            if self._choice is None:
-                self._choice = self._choose_path()
-            return self._choice
-
     def _choose_path(self) -> tuple[dict, Optional[ServerPool]]:
         version = self.version()
         path = {"path": "opt", "llvm_version": llvm_version_of(version)}
@@ -189,11 +173,10 @@ class LlvmBackend:
     def apply(self, ir: NormalizedIr, passes: PassList) -> CompileOutcome:
         cmd = [self.opt_path, "-S", *self.extra_args, *passes.items]
         text = ir.text + "\n"
-        servers = self._chosen()[1]
         try:
             reply = None
-            if servers is not None:
-                reply = servers.compile(passes.items, text, self.timeout)
+            if self._servers is not None:
+                reply = self._servers.compile(passes.items, text, self.timeout)
             ok, out = self._run_opt(cmd, text) if reply is None else reply
         except subprocess.TimeoutExpired:
             message = f"{' '.join(cmd)} exceeded {self.timeout:g}s"

@@ -74,17 +74,14 @@ class MiniBackend:
     # (1.02 s at one thread and 0.99 s at two for the 800-function
     # mini-corpus autotune on 2 cores) and the stages fork worker
     # processes instead, by default one per usable CPU, as each keeps one
-    # busy.
+    # busy. A process with other threads alive may not fork, and compiles
+    # inline, in the calling thread.
     in_process = True
 
     def __init__(self) -> None:
-        self._vocabulary = mini_vocabulary()
+        self.vocabulary = mini_vocabulary()
         self._steps: dict[tuple[str, str], str] = {}  # (state, flag) -> state
         self._outcomes: dict[str, CompileOutcome] = {}  # verified state -> outcome
-
-    @property
-    def vocabulary(self) -> PassVocabulary:
-        return self._vocabulary
 
     def apply(self, ir: NormalizedIr, passes: PassList) -> CompileOutcome:
         # ``rendered``: ``text`` came from the renderer, directly or through

@@ -6,7 +6,9 @@ It is compiled once with g++ against the LLVM that ``llvm-config``
 describes: the ``llvm-config`` beside ``opt``, else the one on PATH. The
 binary is cached under ``${XDG_CACHE_HOME:-~/.cache}/passtune/`` (or the
 temporary directory if that is not writable), keyed by the sha256 of the
-source, ``llvm-config --version`` and ``opt --version``.
+source, ``llvm-config --version`` and ``opt --version``. That cache is the
+only one: a build runs in its own temporary directory and renames the
+binary into place, so builds that race each other are safe.
 
 The same directory keeps the answers of the start-up queries
 (``opt --help-hidden``, ``opt --version``, ``llvm-config --version``):
@@ -34,7 +36,6 @@ import shlex
 import shutil
 import subprocess
 import tempfile
-import threading
 import time
 import weakref
 from pathlib import Path
@@ -57,34 +58,15 @@ class OptdUnavailable(RuntimeError):
     """optd cannot be built here; the message says why."""
 
 
-_build_lock = threading.Lock()
-_builds: dict[str, "str | OptdUnavailable"] = {}
-
-
-def server_binary(opt_path: str, opt_version: str) -> str:
-    """The optd built for ``opt_path`` (whose ``--version`` is ``opt_version``).
-
-    Builds at most once per process; raises :class:`OptdUnavailable`.
-    """
-    with _build_lock:
-        if opt_path not in _builds:
-            try:
-                _builds[opt_path] = _build(opt_path, opt_version)
-            except OptdUnavailable as err:
-                _builds[opt_path] = err
-        built = _builds[opt_path]
-    if isinstance(built, OptdUnavailable):
-        raise built
-    return built
-
-
 def find_llvm_config(opt_path: str) -> Optional[str]:
     """The ``llvm-config`` beside ``opt_path`` (links resolved), else on PATH."""
     beside = Path(os.path.realpath(opt_path)).with_name("llvm-config")
     return str(beside) if os.access(beside, os.X_OK) else shutil.which("llvm-config")
 
 
-def _build(opt_path: str, opt_version: str) -> str:
+def server_binary(opt_path: str, opt_version: str) -> str:
+    """The optd built for ``opt_path`` (whose ``--version`` is ``opt_version``),
+    from the cache or built now; raises :class:`OptdUnavailable`."""
     gxx = shutil.which("g++")
     if gxx is None:
         raise OptdUnavailable("no g++ on PATH")

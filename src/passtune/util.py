@@ -72,9 +72,9 @@ def workers_run_as(workers: int, fork: bool) -> str:
     ``"inline"``, ``"forked processes"`` or ``"threads"``."""
     if workers < 2:
         return "inline"
-    if fork and threading.active_count() == 1:
-        return "forked processes"
-    return "threads"
+    if not fork:
+        return "threads"
+    return "forked processes" if threading.active_count() == 1 else "inline"
 
 
 def map_in_order(
@@ -90,10 +90,11 @@ def map_in_order(
     The workers are threads, or with ``fork`` forked processes: a backend
     whose compiles are Python code in this process says so, since only
     processes overlap those. Threads overlap compiles that wait on another
-    process. A process with other threads alive is never forked, and uses
-    threads instead. On threads the first exception is raised once the
-    items already started have finished, and the items not yet started
-    are cancelled; on processes see :func:`_map_on_forks`.
+    process. A process with other threads alive is never forked; with
+    ``fork`` it runs the items inline, since threads would not overlap
+    them. On threads the first exception is raised once the items already
+    started have finished, and the items not yet started are cancelled;
+    on processes see :func:`_map_on_forks`.
     """
     items = list(items)
     workers = min(worker_count(workers), len(items))

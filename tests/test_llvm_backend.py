@@ -1,3 +1,4 @@
+import json
 import logging
 import os
 import shutil
@@ -265,6 +266,16 @@ def _queries(log):
     return [line for line in lines if line in ("--help-hidden", "--version")]
 
 
+def test_a_backend_asks_opt_everything_it_needs_when_it_is_built(
+    tmp_path, private_cache
+):
+    log = tmp_path / "opt.log"
+    backend = LlvmBackend(write_stub(tmp_path, log=log))
+    assert log.read_text().splitlines() == ["--help-hidden", "--version"]
+    assert backend.compile_path["path"] == "opt"
+    assert log.read_text().splitlines() == ["--help-hidden", "--version"]
+
+
 def test_a_second_backend_on_the_same_opt_runs_no_query(tmp_path, private_cache):
     log = tmp_path / "opt.log"
     stub = write_stub(tmp_path, omit=("-die",), log=log)
@@ -287,7 +298,7 @@ def test_a_rewritten_opt_is_asked_again(tmp_path, private_cache):
     st = os.stat(stub)
     os.utime(stub, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
     assert "-die" not in LlvmBackend(stub).vocabulary
-    assert _queries(log) == ["--help-hidden"] * 3
+    assert _queries(log) == ["--help-hidden", "--version"] * 3
 
 
 @pytest.mark.parametrize(
@@ -297,11 +308,15 @@ def test_a_corrupt_cache_entry_is_asked_again(tmp_path, private_cache, garbage):
     log = tmp_path / "opt.log"
     stub = write_stub(tmp_path, omit=("-die",), log=log)
     vocabulary = LlvmBackend(stub).vocabulary
-    [entry] = private_cache.glob("query-*")
+    [entry] = [
+        entry
+        for entry in private_cache.glob("query-*")
+        if json.loads(entry.read_text())["key"][-1] == "--help-hidden"
+    ]
     entry.write_text(garbage)
     assert LlvmBackend(stub).vocabulary == vocabulary
     assert LlvmBackend(stub).vocabulary == vocabulary  # the entry was rewritten
-    assert _queries(log) == ["--help-hidden"] * 2
+    assert _queries(log) == ["--help-hidden", "--version", "--help-hidden"]
 
 
 def test_without_a_writable_cache_every_backend_asks(

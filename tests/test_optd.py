@@ -132,7 +132,7 @@ def backend(opt):
     if backend.compile_path["path"] != "opt-server":
         pytest.skip(f"no optd: {backend.compile_path['fallback_reason']}")
     yield backend
-    stop_idle_servers(backend._chosen()[1])
+    stop_idle_servers(backend._servers)
 
 
 @pytest.fixture(scope="module")

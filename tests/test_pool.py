@@ -20,7 +20,7 @@ from passtune.cli import main
 from passtune.dataset import build_pass_dataset, build_single_pass_dataset
 from passtune.evaluator import evaluate_predictions
 from passtune.predictor import Prediction
-from passtune.util import WorkerError, map_in_order
+from passtune.util import WorkerError, map_in_order, workers_run_as
 
 from test_evaluator import DATA_TYPE_ERROR, claiming
 
@@ -130,17 +130,21 @@ def test_an_interrupt_kills_and_reaps_the_forked_workers(no_child_left):
     assert time.monotonic() - start < 30
 
 
-def test_a_process_with_other_threads_maps_on_threads(no_child_left, forks):
+def test_a_process_with_other_threads_maps_forked_items_inline(no_child_left, forks):
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(10,))
     other.start()
     try:
-        pids = map_in_order(lambda _: os.getpid(), range(4), 2, fork=True)
+        assert workers_run_as(2, True) == "inline"
+        assert workers_run_as(2, False) == "threads"
+        ran = map_in_order(
+            lambda _: (os.getpid(), threading.current_thread()), range(4), 2, fork=True
+        )
     finally:
         release.set()
         other.join(10)
     assert not other.is_alive()
-    assert pids == [os.getpid()] * 4 and forks == []
+    assert ran == [(os.getpid(), threading.main_thread())] * 4 and forks == []
 
 
 # --- the stages on threads ------------------------------------------------------
