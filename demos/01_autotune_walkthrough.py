@@ -78,7 +78,7 @@ print()
 
 # ---------------------------------------------------------------------------
 # The whole pipeline in one call. Per-function seeds derive from the run
-# seed and the function id, so results are order- and thread-independent.
+# seed and the function id, so results are order- and worker-independent.
 
 results, stats = autotune_corpus(
     backend, corpus, SearchBudget.evaluation_count(50), seed=3, max_len=3

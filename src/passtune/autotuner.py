@@ -238,7 +238,7 @@ def broadcast_best_lists(
             evaluations_used=result.evaluations_used + len(others),
         )
 
-    updated = map_in_order(broadcast_to, functions, workers, backend.in_process)
+    updated = map_in_order(broadcast_to, functions, workers)
     return {result.function_id: result for result in updated}
 
 
@@ -300,7 +300,6 @@ def autotune_corpus(
         lambda fn: _tune_one(backend, fn, budget, seed, max_len, minimize),
         functions,
         workers,
-        backend.in_process,
     )
     for fn, result in zip(functions, tuned):
         if result is None:

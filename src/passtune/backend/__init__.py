@@ -70,18 +70,15 @@ class CompileOutcome:
 class Backend(Protocol):
     """Anything that can apply a pass list to normalized IR.
 
-    ``in_process`` and ``vocabulary`` are plain attributes, settled when the
-    backend is built. ``passes`` arrives already checked against
-    ``vocabulary``. How the stages run ``apply`` follows from how the
-    backend compiles: ``in_process`` says whether a compile is Python code
-    in this process, which only forked worker processes overlap, rather
-    than a wait on another process, which threads overlap (see
-    :func:`passtune.util.map_in_order`). Either way the workers overlap
-    compiles up to the usable CPUs, which is what ``--workers`` defaults to.
-    An in-process backend in a process that may not fork compiles inline.
+    ``vocabulary`` is a plain attribute, settled when the backend is built,
+    and ``passes`` arrives already checked against it. The stages call
+    ``apply`` on forked worker processes, up to the usable CPUs by default
+    (see :func:`passtune.util.map_in_order`), so a backend that starts
+    something in a worker stops it there when the worker exits (see
+    :func:`passtune.util.at_worker_exit`). A process that already runs
+    other threads calls ``apply`` inline.
     """
 
-    in_process: bool
     vocabulary: PassVocabulary
 
     def apply(self, ir: NormalizedIr, passes: PassList) -> CompileOutcome: ...

@@ -77,13 +77,11 @@ def resolve_opt_path(explicit: Optional[str] = None) -> str:
 
 
 class LlvmBackend:
-    """Applies pass lists through optd servers or ``opt`` processes."""
+    """Applies pass lists through optd servers or ``opt`` processes.
 
-    # Every compile runs in another process, an optd server or opt, so
-    # threads that wait on them scale with the CPUs this process may use,
-    # and by default there is one per usable CPU. Forked workers would
-    # start servers that the subcommand never reaps.
-    in_process = False
+    Each process that compiles, the caller's or a forked worker, has its
+    own optd server (see :class:`~passtune.backend.optd.ServerPool`).
+    """
 
     def __init__(
         self,

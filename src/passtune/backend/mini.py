@@ -64,19 +64,11 @@ class MiniBackend:
     state it has not verified; one that ends on a verified state returns
     that state's outcome object as it is (outcomes are frozen).
 
-    Threads may share one backend: an entry lost to another thread's
-    clear costs one recompute and changes no output. A forked worker
-    process gets a copy of the memos as they stood at the fork, and what
+    A compile is pure Python, which only processes overlap, so the
+    stages run it on forked workers, by default one per usable CPU. Each
+    worker gets a copy of the memos as they stood at the fork, and what
     it adds stays in that worker.
     """
-
-    # Pure Python under the GIL, so threads do not overlap its compiles
-    # (1.02 s at one thread and 0.99 s at two for the 800-function
-    # mini-corpus autotune on 2 cores) and the stages fork worker
-    # processes instead, by default one per usable CPU, as each keeps one
-    # busy. A process with other threads alive may not fork, and compiles
-    # inline, in the calling thread.
-    in_process = True
 
     def __init__(self) -> None:
         self.vocabulary = mini_vocabulary()

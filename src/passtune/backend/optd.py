@@ -16,12 +16,14 @@ The same directory keeps the answers of the start-up queries
 inode, size and modification time, and on its arguments, so a subcommand
 on a warm cache starts no process before its first compile.
 
-A :class:`ServerPool` hands each compile an idle server or starts one, so
-there are at most as many servers as threads compiling at once. A compile
-that hits its time limit kills its server; a server that dies costs only
-the compile it was running, and one found dead while idle is replaced.
-Servers exit when their standard input closes: a ``weakref.finalize``
-closes it and reaps the server when the pool is dropped or Python exits.
+A :class:`ServerPool` keeps one server per process, keyed by its pid and
+started by its first compile, so a forked worker never writes to its
+parent's server. A compile that hits its time limit kills its server; a
+server that dies costs only the compile it was running, and the next
+compile replaces it. Servers exit when their standard input closes: a
+``weakref.finalize`` closes it and reaps the server when the pool is
+dropped, when Python exits, or when a forked worker does (see
+:func:`passtune.util.at_worker_exit`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import contextlib
 import hashlib
 import json
 import os
-import queue
 import select
 import shlex
 import shutil
@@ -42,7 +43,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from passtune.backend import BackendUnavailableError
-from passtune.util import DEFAULT_TIMEOUT_SECONDS
+from passtune.util import DEFAULT_TIMEOUT_SECONDS, at_worker_exit
 
 SOURCE = Path(__file__).with_name("optd.cpp")
 
@@ -210,7 +211,7 @@ def _stop(proc: subprocess.Popen, stderr) -> None:
 
 
 class _Server:
-    """One optd process; one thread at a time talks to it."""
+    """One optd process; only the process that started it talks to it."""
 
     def __init__(self, command: list[str]) -> None:
         self._stderr = tempfile.TemporaryFile()
@@ -267,21 +268,23 @@ class _Server:
 
 
 class ServerPool:
-    """Idle optd servers, each taken by one compile at a time."""
+    """The optd server of each process that compiles, at most one each."""
 
     def __init__(self, binary: str, opt_path: str) -> None:
         self._command = [binary, opt_path]
-        self._idle: queue.SimpleQueue[_Server] = queue.SimpleQueue()
+        self._servers: dict[int, _Server] = {}  # by the pid that started it
 
-    def _take(self) -> _Server:
-        while True:
-            try:
-                server = self._idle.get_nowait()
-            except queue.Empty:
-                return _Server(self._command)
+    def _server(self) -> _Server:
+        """This process's live server, started now if it has none."""
+        pid = os.getpid()
+        server = self._servers.get(pid)
+        if server is not None:
             if server.proc.poll() is None:
                 return server
-            server.close()  # died while idle: reap it, try the next
+            server.close()  # killed at its time limit, or died: reap it
+        server = self._servers[pid] = _Server(self._command)
+        at_worker_exit(server.close)
+        return server
 
     def compile(
         self, items: tuple[str, ...], text: str, timeout: float
@@ -292,7 +295,7 @@ class ServerPool:
         compile past ``timeout`` seconds kills its server and raises
         ``subprocess.TimeoutExpired``.
         """
-        server = self._take()
+        server = self._server()
         data = text.encode()
         request = f"{len(data)} {' '.join(items)}\n".encode() + data
         try:
@@ -304,7 +307,6 @@ class ServerPool:
             message = server.last_stderr().strip()
             server.close()
             return False, message or f"exit code {server.proc.returncode}"
-        self._idle.put(server)
         if status == _UNSUPPORTED:
             return None
         if status == _PRINTED:

@@ -96,7 +96,7 @@ def _how_compiled(args: argparse.Namespace, backend, items: int) -> dict:
     workers that mapped ``items`` items ran as and, where it can say, its
     compile path."""
     workers = min(args.workers, items)
-    how = {"workers_run_as": workers_run_as(workers, backend.in_process)}
+    how = {"workers_run_as": workers_run_as(workers)}
     if hasattr(backend, "compile_path"):
         how["compile_path"] = backend.compile_path
     return how

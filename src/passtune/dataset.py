@@ -158,7 +158,7 @@ def build_pass_dataset(
             truncated=_is_truncated(prompt, answer, token_limit),
         )
 
-    rendered = map_in_order(render, tune_results, workers, backend.in_process)
+    rendered = map_in_order(render, tune_results, workers)
     records = [r for r in rendered if isinstance(r, PassOrderingRecord)]
     return records, [r for r in rendered if isinstance(r, str)]
 
@@ -250,6 +250,5 @@ def build_single_pass_dataset(
         ),
         passes,
         workers,
-        backend.in_process,
     )
     return [record for records in per_target for record in records]

@@ -211,7 +211,6 @@ def evaluate_predictions(
         lambda fn: _score_function(backend, fn, by_id.get(fn.id), use_oz_backup),
         corpus,
         workers,
-        backend.in_process,
     )
     rows: list[EvalRow] = []
     additional = 0

@@ -1,8 +1,7 @@
 """Small shared helpers: seeding, time limits, the usable CPUs, the compile
-pool (workers on threads, or on forked processes for a backend that
-compiles in this process), JSON Lines IO, file digests, and the defaults
-that the command line's help shows, so that building the parser loads no
-stage module."""
+pool (workers on forked processes), JSON Lines IO, file digests, and the
+defaults that the command line's help shows, so that building the parser
+loads no stage module."""
 
 from __future__ import annotations
 
@@ -67,19 +66,15 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def workers_run_as(workers: int, fork: bool) -> str:
+def workers_run_as(workers: int) -> str:
     """What :func:`map_in_order` runs ``workers`` workers as, at this moment:
-    ``"inline"``, ``"forked processes"`` or ``"threads"``."""
-    if workers < 2:
+    ``"inline"`` or ``"forked processes"``."""
+    if workers < 2 or threading.active_count() > 1:
         return "inline"
-    if not fork:
-        return "threads"
-    return "forked processes" if threading.active_count() == 1 else "inline"
+    return "forked processes"
 
 
-def map_in_order(
-    fn: Callable[[_T], _R], items: Iterable[_T], workers: int, fork: bool = False
-) -> list[_R]:
+def map_in_order(fn: Callable[[_T], _R], items: Iterable[_T], workers: int) -> list[_R]:
     """``[fn(item) for item in items]``, run by ``workers`` workers at once.
 
     Every stage that compiles item by item maps through here. Results come
@@ -87,31 +82,28 @@ def map_in_order(
     exception in input order is raised, so the output does not depend on
     ``workers``. One worker, or fewer than two items, runs here, inline.
 
-    The workers are threads, or with ``fork`` forked processes: a backend
-    whose compiles are Python code in this process says so, since only
-    processes overlap those. Threads overlap compiles that wait on another
-    process. A process with other threads alive is never forked; with
-    ``fork`` it runs the items inline, since threads would not overlap
-    them. On threads the first exception is raised once the items already
-    started have finished, and the items not yet started are cancelled;
-    on processes see :func:`_map_on_forks`.
+    The workers are forked processes (see :func:`_map_on_forks`), so they
+    overlap a backend's Python code and its waits on other processes
+    alike. A process with other threads alive is never forked: it runs
+    the items inline, in the calling thread.
     """
     items = list(items)
     workers = min(worker_count(workers), len(items))
-    run_as = workers_run_as(workers, fork)
-    if run_as == "inline":
+    if workers_run_as(workers) == "inline":
         return [fn(item) for item in items]
-    if run_as == "forked processes":
-        return _map_on_forks(fn, items, workers)
-    # Imported here: it loads logging too, which a stage that compiles
-    # nothing does not need.
-    from concurrent.futures import ThreadPoolExecutor
+    return _map_on_forks(fn, items, workers)
 
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        return list(pool.map(fn, items))
-    finally:
-        pool.shutdown(cancel_futures=True)
+
+# What a forked worker runs before it exits; None in any other process.
+_exit_hooks: Optional[list[Callable[[], Any]]] = None
+
+
+def at_worker_exit(hook: Callable[[], Any]) -> None:
+    """Run ``hook`` when this forked worker of :func:`map_in_order` exits,
+    which it does by ``os._exit``, running no finalizer or ``atexit`` hook;
+    in any other process, do nothing."""
+    if _exit_hooks is not None:
+        _exit_hooks.append(hook)
 
 
 class WorkerError(RuntimeError):
@@ -186,7 +178,10 @@ def _serve(
     write_end: int,
     inherited: list[BinaryIO],
 ) -> NoReturn:
-    """A forked worker: map ``items`` at ``indices``, reply, and exit."""
+    """A forked worker: map ``items`` at ``indices``, reply, run the hooks
+    registered by :func:`at_worker_exit`, and exit."""
+    global _exit_hooks
+    _exit_hooks = []
     status = 1
     try:
         import pickle
@@ -211,7 +206,11 @@ def _serve(
             pipe.write(reply)
         status = 0
     finally:
-        os._exit(status)
+        try:
+            for hook in _exit_hooks:
+                hook()
+        finally:
+            os._exit(status)
 
 
 def write_jsonl(rows: Iterable[dict[str, Any]], path: str | Path) -> int:

@@ -716,8 +716,7 @@ def test_the_manifest_records_the_workers_used(
     manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
     assert manifest["config"]["workers"] == workers
     assert type(manifest["config"]["workers"]) is int
-    run_as = "threads" if "llvm" in flags else "forked processes"
-    assert manifest["workers_run_as"] == (run_as if workers > 1 else "inline")
+    assert manifest["workers_run_as"] == ("forked processes" if workers > 1 else "inline")
 
 
 @pytest.mark.parametrize(

@@ -267,9 +267,11 @@ def test_backup_never_regresses(backend, corpus20):
 
 
 class CountingBackend:
-    """Counts each (function text, flags) compilation it passes on."""
+    """Counts each (function text, flags) compilation it passes on.
 
-    in_process = False  # the counts live in this process, so stages use threads
+    The counts live in this process, so they see every compile at one
+    worker, which compiles inline; a forked worker counts in its own copy.
+    """
 
     def __init__(self, inner):
         self._inner = inner

@@ -12,6 +12,8 @@ import os
 import shutil
 import signal
 import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,13 +22,18 @@ from hypothesis import strategies as st
 
 from oracles import llvm_instruction_counter
 from passtune.backend import BackendUnavailableError, compile_items
-from passtune.backend import optd
+from passtune.backend import llvm, optd
 from passtune.backend.classify import diagnostic_from_message
 from passtune.backend.llvm import SERVER_ARGS, LlvmBackend, resolve_opt_path
 from passtune.backend.optd import ServerPool, server_binary
 from passtune.cli import main
+from passtune.evaluator import EvalRow
 from passtune.ircore import count_instructions, normalize
 from passtune.minigen import generate_corpus
+from passtune.predictor import Prediction
+from passtune.util import map_in_order, read_records, write_records
+
+from test_llvm_backend import write_stub
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
@@ -119,11 +126,11 @@ def opt():
         pytest.skip("no optimizer executable on PATH or in PASSTUNE_OPT")
 
 
-def stop_idle_servers(pool):
-    """Stop the servers idle in ``pool`` now, not when the garbage collector
+def stop_servers(pool):
+    """Stop the servers of ``pool`` now, not when the garbage collector
     frees it, so no server outlives this module."""
-    while not pool._idle.empty():
-        pool._idle.get_nowait().close()
+    for server in pool._servers.values():
+        server.close()
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +139,7 @@ def backend(opt):
     if backend.compile_path["path"] != "opt-server":
         pytest.skip(f"no optd: {backend.compile_path['fallback_reason']}")
     yield backend
-    stop_idle_servers(backend._servers)
+    stop_servers(backend._servers)
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +147,7 @@ def pool(backend):
     binary = server_binary(backend.opt_path, backend.version())
     pool = ServerPool(binary, backend.opt_path)
     yield pool
-    stop_idle_servers(pool)
+    stop_servers(pool)
 
 
 @pytest.fixture
@@ -155,6 +162,44 @@ def started(monkeypatch):
 
     monkeypatch.setattr(optd, "_Server", Recorded)
     return procs
+
+
+@pytest.fixture
+def servers(tmp_path, monkeypatch):
+    """Reads what became of every optd server started while the test runs,
+    in this process or in a forked worker: ``{server pid: (pid of the
+    process that started it, pid of the one that reaped it or None)}``."""
+    log = tmp_path / "servers.log"
+    stop = optd._stop
+
+    def note(event, server_pid):
+        line = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:  # one write, so the lines of two workers do not interleave
+            os.write(line, f"{event} {server_pid} {os.getpid()}\n".encode())
+        finally:
+            os.close(line)
+
+    class Logged(optd._Server):
+        def __init__(self, command):
+            super().__init__(command)
+            note("start", self.proc.pid)
+
+    def logged_stop(proc, stderr):
+        stop(proc, stderr)
+        note("reap", proc.pid)
+
+    monkeypatch.setattr(optd, "_Server", Logged)
+    monkeypatch.setattr(optd, "_stop", logged_stop)
+
+    def read():
+        fates = {}
+        for line in log.read_text().splitlines() if log.exists() else []:
+            event, server, pid = line.split()
+            starter = int(pid) if event == "start" else fates[int(server)][0]
+            fates[int(server)] = (starter, int(pid) if event == "reap" else None)
+        return fates
+
+    return read
 
 
 def opt_reply(opt, items, text):
@@ -352,18 +397,117 @@ def test_a_server_that_dies_costs_one_compile_and_its_stderr_is_the_message(
     )
 
 
+def write_corpus_and_predictions(tmp_path, lists):
+    """A corpus of ``len(lists)`` mini functions, and predictions that give
+    function *i* the pass list ``lists[i]``."""
+    corpus, predictions = tmp_path / "corpus.jsonl", tmp_path / "predictions.jsonl"
+    assert main(["gen-mini-corpus", "--n", str(len(lists)), "--output", str(corpus)]) == 0
+    ids = [json.loads(line)["id"] for line in corpus.read_text().splitlines()]
+    write_records([Prediction(id_, items) for id_, items in zip(ids, lists)], predictions)
+    return corpus, predictions
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("subcommand", ["autotune", "evaluate"])
 def test_every_server_a_subcommand_starts_is_reaped_when_it_returns(
-    backend, started, tmp_path
+    backend, servers, tmp_path, subcommand, workers
 ):
-    corpus = tmp_path / "corpus.jsonl"
-    assert main(["gen-mini-corpus", "--n", "4", "--output", str(corpus)]) == 0
-    out = tmp_path / "tuned.jsonl"
+    corpus, predictions = write_corpus_and_predictions(tmp_path, ["-dce"] * 4)
+    out = tmp_path / "out.jsonl"
+    if subcommand == "autotune":
+        flags = ["--budget-evals", "4", "--seed", "1"]
+    else:
+        flags = ["--predictions", str(predictions)]
     code = main([
-        "autotune", "--corpus", str(corpus), "--output", str(out),
-        "--budget-evals", "4", "--workers", "2", "--seed", "1",
+        subcommand, "--corpus", str(corpus), "--output", str(out), *flags,
+        "--workers", str(workers),
         "--backend", "llvm", "--opt-path", backend.opt_path, "--opt-arg=-enable-new-pm=0",
     ])
     assert code == 0
-    assert started and all(proc.poll() is not None for proc in started)
+    fates = servers()
+    # each worker compiles, and stops and reaps the server it started itself
+    assert fates and all(reaper == starter for starter, reaper in fates.values())
+    starters = Counter(starter for starter, _ in fates.values())
+    if workers == 1:
+        assert starters == {os.getpid(): 1}
+    else:
+        assert sorted(starters.values()) == [1, 1] and os.getpid() not in starters
     manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
     assert manifest["compile_path"] == backend.compile_path
+    assert manifest["workers_run_as"] == ("inline", "forked processes")[workers - 1]
+
+
+def test_forked_workers_start_their_own_servers_and_leave_the_parents_up(
+    backend, servers
+):
+    fresh = LlvmBackend(backend.opt_path, extra_args=SERVER_ARGS)
+    ir = normalize((DATA / "sample.ll").read_text())
+    first = compile_items(fresh, ir, ("-dce",))
+    assert first.ok and list(servers().values()) == [(os.getpid(), None)]
+    (parents,) = servers()
+    lists = [("-dce",), ("-gvn",), ("-instcombine",), ("-Oz",)]
+    outcomes = map_in_order(lambda items: compile_items(fresh, ir, items), lists, 2)
+    assert outcomes[0] == first and all(outcome.ok for outcome in outcomes)
+    assert compile_items(fresh, ir, ("-dce",)) == first  # on the parent's server
+    fates = servers()
+    assert fates.pop(parents) == (os.getpid(), None)
+    assert len({starter for starter, _ in fates.values()}) == len(fates) == 2
+    assert all(starter == reaper != os.getpid() for starter, reaper in fates.values())
+    del fresh
+    assert servers()[parents] == (os.getpid(), os.getpid())
+
+
+# A stand-in for optd: answers each request with its input unchanged, as a
+# server that ran no pass would, but sleeps on a request whose list holds -gvn.
+SLEEPY_OPTD = """#!{python}
+import sys, time
+
+while True:
+    head = sys.stdin.buffer.readline()
+    if not head:
+        break
+    size, *flags = head.split()
+    text = sys.stdin.buffer.read(int(size))
+    if b"-gvn" in flags:
+        time.sleep(60)
+    sys.stdout.buffer.write(b"%d %d\\n%s" % (0, len(text), text))
+    sys.stdout.buffer.flush()
+"""
+
+
+def test_a_compile_that_times_out_on_a_forked_worker_costs_only_that_compile(
+    tmp_path, private_cache, monkeypatch, servers
+):
+    sleepy = tmp_path / "sleepy-optd"
+    sleepy.write_text(SLEEPY_OPTD.replace("{python}", sys.executable))
+    sleepy.chmod(0o755)
+    monkeypatch.setattr(llvm, "server_binary", lambda opt_path, version: str(sleepy))
+    opt, timeout = write_stub(tmp_path), "1"
+    # worker 0 scores functions 0 and 2, worker 1 functions 1 and 3
+    corpus, predictions = write_corpus_and_predictions(
+        tmp_path, ["-gvn", "-dce", "-dce", "-dce"]
+    )
+    rows = tmp_path / "rows.jsonl"
+    code = main([
+        "evaluate", "--corpus", str(corpus), "--predictions", str(predictions),
+        "--output", str(rows), "--workers", "2", "--timeout", timeout,
+        "--backend", "llvm", "--opt-path", opt, "--opt-arg=-enable-new-pm=0",
+    ])
+    assert code == 0
+    scored = read_records(EvalRow, rows)
+    assert [row.prediction_failed for row in scored] == [True, False, False, False]
+    assert all(row.predicted_count == row.oz_count for row in scored)
+    fates = servers()
+    # worker 0's server was killed at -gvn, and its next compile started one
+    assert sorted(Counter(starter for starter, _ in fates.values()).values()) == [1, 2]
+    assert all(starter == reaper != os.getpid() for starter, reaper in fates.values())
+    # the failure is a classified outcome with the time limit's message
+    timed = LlvmBackend(opt, timeout=float(timeout), extra_args=SERVER_ARGS)
+    assert timed.compile_path["path"] == "opt-server"
+    ir = normalize((DATA / "sample.ll").read_text())
+    lists = [("-gvn",), ("-dce",), ("-dce",)]  # worker 0 compiles the first and last
+    outcomes = map_in_order(lambda items: compile_items(timed, ir, items), lists, 2)
+    assert outcomes[0].diagnostic == diagnostic_from_message(
+        f"{opt} -S -enable-new-pm=0 -gvn exceeded {timeout}s"
+    )
+    assert outcomes[1] == outcomes[2] and outcomes[2].ok
