@@ -4,7 +4,8 @@ The tuner treats the backend as a black box. For one function:
 
 1. evaluate the ``-Oz`` baseline;
 2. sample random pass lists (uniform length, uniform flags, meta-flags
-   at most once each) and keep the best instruction count;
+   and ``-attributor`` at most once each) and keep the best instruction
+   count;
 3. optionally minimize the winner by removing passes that do not help;
 4. optionally, at corpus level, try every function's winner on every
    other function (one broadcast round, no re-minimization).
@@ -28,7 +29,12 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from passtune.backend import Backend, compile_items
-from passtune.backend.passlist import OZ_ITEMS, PassVocabulary, sample_items
+from passtune.backend.passlist import (
+    ONCE_PER_LIST,
+    OZ_ITEMS,
+    PassVocabulary,
+    sample_items,
+)
 from passtune.ircore import IrFunction, NormalizedIr, overall_improvement
 from passtune.util import (
     DEFAULT_MAX_LEN,
@@ -90,17 +96,19 @@ class TuneResult:
 def count_valid_pass_lists(vocabulary: PassVocabulary, max_len: int) -> int:
     """Number of distinct valid lists with length in [1, max_len].
 
-    Valid means every item is in the vocabulary and no meta-flag
-    repeats. Counted by choosing k meta-flags, placing them in order
-    among the slots, and filling the rest with ordinary passes.
+    Valid means every item is in the vocabulary and no meta-flag, nor
+    pass of ``ONCE_PER_LIST``, repeats. Counted by choosing k of those
+    once-only flags, placing them in order among the slots, and filling
+    the rest with the other passes.
     """
-    n_passes = len(vocabulary.passes)
-    n_meta = len(vocabulary.meta_flags)
+    once = [f for f in vocabulary.passes if f in ONCE_PER_LIST]
+    n_passes = len(vocabulary.passes) - len(once)
+    n_once = len(vocabulary.meta_flags) + len(once)
     total = 0
     for length in range(1, max_len + 1):
-        for k in range(0, min(n_meta, length) + 1):
+        for k in range(0, min(n_once, length) + 1):
             total += (
-                math.comb(n_meta, k)
+                math.comb(n_once, k)
                 * math.perm(length, k)
                 * n_passes ** (length - k)
             )

@@ -3,8 +3,8 @@
 Two backends implement :class:`Backend`:
 
 - :class:`~passtune.backend.llvm.LlvmBackend` compiles with LLVM's
-  ``opt``: in long-lived optd servers when they build and run the list as
-  ``opt`` does, else one ``opt`` process per compile.
+  ``opt``: in long-lived optd servers where they build (LLVM 14), else
+  one ``opt`` process per compile; the route is fixed when it is built.
 - :class:`~passtune.backend.mini.MiniBackend` is a small hermetic
   compiler for an LLVM-shaped subset, used for fast deterministic tests
   and demos.

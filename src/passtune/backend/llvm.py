@@ -7,14 +7,12 @@ so the output names its source ``<stdin>``. It runs in one of two ways:
   a long-lived process that runs LLVM 14's legacy passes by name exactly
   as ``opt -enable-new-pm=0`` does, without starting a process each time.
   This is the path when optd builds, the only extra argument is
-  ``-enable-new-pm=0`` and ``opt`` is the LLVM that ``llvm-config`` names.
-  A list optd does not run the way ``opt`` does goes to ``opt``.
-- ``opt``: one ``opt`` process per compile, the reference and the
-  fallback.
+  ``-enable-new-pm=0`` and ``opt`` is the LLVM 14 that ``llvm-config`` names.
+- ``opt``: the reference, one ``opt`` process per compile, where optd cannot run.
 
-The path is chosen when the backend is built, and its attribute
-:attr:`LlvmBackend.compile_path` says which one runs, and why not the
-server when it does not. Either way the output is re-normalized. A
+The path is chosen when the backend is built, and every compile takes it:
+its attribute :attr:`LlvmBackend.compile_path` says which one, and why not
+the server when it is not. Either way the output is re-normalized. A
 failure, unparseable output and a time-limit hit each become a classified
 failure outcome, so a crash or hang costs one failed compilation and
 nothing more.
@@ -39,7 +37,7 @@ import os
 import re
 import shutil
 import subprocess
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from passtune.backend import BackendUnavailableError, CompileOutcome
 from passtune.backend.classify import diagnostic_from_message
@@ -93,9 +91,9 @@ class LlvmBackend:
         self.opt_path = resolve_opt_path(opt_path)
         self.extra_args = tuple(extra_args)
         self.vocabulary = self._listed_only(llvm10_vocabulary())
-        # How compiles run: ``path`` (``opt-server`` or ``opt``), the LLVM
-        # version, and under ``opt`` the ``fallback_reason``.
-        self.compile_path, self._servers = self._choose_path()
+        # How every compile runs: ``path`` (``opt-server`` or ``opt``), the LLVM
+        # version and under ``opt`` the ``fallback_reason``; and its function.
+        self.compile_path, self._compile = self._choose_path()
 
     def _query(self, option: str) -> subprocess.CompletedProcess:
         """``opt <option>``: cached per ``opt`` file (see ``optd.cached_run``),
@@ -137,7 +135,7 @@ class LlvmBackend:
         proc = self._query("--version")
         return " ".join(proc.stdout.split()) or f"opt at {self.opt_path}"
 
-    def _choose_path(self) -> tuple[dict, Optional[ServerPool]]:
+    def _choose_path(self) -> tuple[dict, Callable[..., tuple[bool, str]]]:
         version = self.version()
         path = {"path": "opt", "llvm_version": llvm_version_of(version)}
         if self.extra_args != SERVER_ARGS:
@@ -145,20 +143,26 @@ class LlvmBackend:
             path["fallback_reason"] = (
                 f"extra opt arguments are {given}, not {' '.join(SERVER_ARGS)}"
             )
-            return path, None
+            return path, self._run_opt
         try:
             binary = server_binary(self.opt_path, version)
         except OptdUnavailable as err:
             path["fallback_reason"] = str(err)
-            return path, None
+            return path, self._run_opt
         path["path"] = "opt-server"
-        return path, ServerPool(binary, self.opt_path)
+        return path, ServerPool(binary, self.opt_path).compile
 
-    def _run_opt(self, cmd: list[str], text: str) -> tuple[bool, str]:
+    def _command(self, items: tuple[str, ...]) -> list[str]:
+        return [self.opt_path, "-S", *self.extra_args, *items]
+
+    def _run_opt(
+        self, items: tuple[str, ...], text: str, timeout: float
+    ) -> tuple[bool, str]:
         """(True, output) or (False, failure message) of one ``opt`` process."""
+        cmd = self._command(items)
         try:
             proc = subprocess.run(
-                cmd, input=text, capture_output=True, text=True, timeout=self.timeout
+                cmd, input=text, capture_output=True, text=True, timeout=timeout
             )
         except OSError as err:
             raise BackendUnavailableError(
@@ -169,15 +173,11 @@ class LlvmBackend:
         return True, proc.stdout
 
     def apply(self, ir: NormalizedIr, passes: PassList) -> CompileOutcome:
-        cmd = [self.opt_path, "-S", *self.extra_args, *passes.items]
-        text = ir.text + "\n"
         try:
-            reply = None
-            if self._servers is not None:
-                reply = self._servers.compile(passes.items, text, self.timeout)
-            ok, out = self._run_opt(cmd, text) if reply is None else reply
+            ok, out = self._compile(passes.items, ir.text + "\n", self.timeout)
         except subprocess.TimeoutExpired:
-            message = f"{' '.join(cmd)} exceeded {self.timeout:g}s"
+            cmd = " ".join(self._command(passes.items))
+            message = f"{cmd} exceeded {self.timeout:g}s"
             return CompileOutcome.failure(diagnostic_from_message(message))
         if not ok:
             return CompileOutcome.failure(diagnostic_from_message(out))

@@ -11,11 +11,11 @@
 //
 //   <status> <byte count>\n  <bytes>
 //
-// with status 0 (the printed module), 1 (the text `opt` would write to
-// standard error before exiting with 1) or 2 (a flag list this program
-// does not run the way `opt` would; the caller runs `opt` instead). The
-// program exits at the end of its input. A compile runs the legacy pass
-// manager as LLVM 14's tools/opt/opt.cpp does, in a fresh LLVMContext.
+// with status 0 (the printed module) or 1 (the text `opt` would write to
+// standard error before exiting with 1, or a line naming a repeated -O
+// level or a flag that is not a pass). The program exits at the end of its
+// input. A compile runs the legacy pass manager as LLVM 14's
+// tools/opt/opt.cpp does, in a fresh LLVMContext.
 
 #include "llvm/ADT/Triple.h"
 #include "llvm/Analysis/TargetLibraryInfo.h"
@@ -62,7 +62,7 @@ const Level Levels[] = {{"-O0", 0, 0}, {"-O1", 1, 0}, {"-O2", 2, 0},
                         {"-Os", 2, 1}, {"-Oz", 2, 2}, {"-O3", 3, 0}};
 const int NumLevels = sizeof(Levels) / sizeof(Levels[0]);
 
-enum Status { Printed = 0, Failed = 1, Unsupported = 2 };
+enum Status { Printed = 0, Failed = 1 };
 
 // opt.cpp's AddOptimizationPasses with its options at their defaults.
 void addOptimizationPasses(legacy::PassManagerBase &MPM,
@@ -124,8 +124,8 @@ Status compile(const char *Argv0, const std::vector<std::string> &Flags,
       ++L;
     if (L != NumLevels) {
       if (Given[L]) {
-        OS << "repeated " << Flags[I];
-        return Unsupported;
+        OS << Argv0 << ": repeated " << Flags[I] << "\n";
+        return Failed;
       }
       Given[L] = true;
       LevelAt[L] = I;
@@ -135,8 +135,8 @@ Status compile(const char *Argv0, const std::vector<std::string> &Flags,
     if (Flags[I].size() > 1 && Flags[I][0] == '-')
       PI = PassRegistry::getPassRegistry()->getPassInfo(Flags[I].substr(1));
     if (!PI || !PI->getNormalCtor()) {
-      OS << "not a pass: " << Flags[I];
-      return Unsupported;
+      OS << Argv0 << ": not a pass: " << Flags[I] << "\n";
+      return Failed;
     }
     Passes.emplace_back(I, PI);
   }

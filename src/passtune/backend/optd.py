@@ -2,8 +2,8 @@
 
 ``optd.cpp``, next to this file, runs LLVM 14's legacy passes by name the
 way ``opt`` does, one compile per request, and stays up between requests.
-It is compiled once with g++ against the LLVM that ``llvm-config``
-describes: the ``llvm-config`` beside ``opt``, else the one on PATH. The
+Checked against LLVM 14 only, it is built only for an ``opt`` of LLVM 14:
+once, with g++, against the ``llvm-config`` beside ``opt``, else on PATH. The
 binary is cached under ``${XDG_CACHE_HOME:-~/.cache}/passtune/`` (or the
 temporary directory if that is not writable), keyed by the sha256 of the
 source, ``llvm-config --version`` and ``opt --version``. That cache is the
@@ -47,8 +47,7 @@ from passtune.util import DEFAULT_TIMEOUT_SECONDS, at_worker_exit
 
 SOURCE = Path(__file__).with_name("optd.cpp")
 
-# The reply statuses of optd.cpp.
-_PRINTED, _FAILED, _UNSUPPORTED = 0, 1, 2
+_PRINTED = 0  # optd.cpp's reply status for a printed module; 1 is a failure
 # g++ takes seconds on this source; a build that takes this long is stuck.
 _BUILD_SECONDS = 600.0
 # How long a server that was asked to stop may take to exit.
@@ -71,6 +70,9 @@ def server_binary(opt_path: str, opt_version: str) -> str:
     gxx = shutil.which("g++")
     if gxx is None:
         raise OptdUnavailable("no g++ on PATH")
+    opt_llvm = llvm_version_of(opt_version)
+    if not (opt_llvm or "").startswith("14."):
+        raise OptdUnavailable(f"optd runs LLVM 14 only; opt is LLVM {opt_llvm}")
     config = find_llvm_config(opt_path)
     if config is None:
         raise OptdUnavailable("no llvm-config beside opt or on PATH")
@@ -91,7 +93,6 @@ def server_binary(opt_path: str, opt_version: str) -> str:
         return run([config, option]).stdout.strip()
 
     llvm_version = cached_run([config, "--version"], run).stdout.strip()
-    opt_llvm = llvm_version_of(opt_version)
     if opt_llvm != llvm_version:
         raise OptdUnavailable(
             f"opt is LLVM {opt_llvm} but {config} is LLVM {llvm_version}"
@@ -288,12 +289,12 @@ class ServerPool:
 
     def compile(
         self, items: tuple[str, ...], text: str, timeout: float
-    ) -> Optional[tuple[bool, str]]:
+    ) -> tuple[bool, str]:
         """(True, output) or (False, what opt would print) for ``items`` on ``text``.
 
-        ``None`` when optd does not run ``items`` the way ``opt`` does; a
-        compile past ``timeout`` seconds kills its server and raises
-        ``subprocess.TimeoutExpired``.
+        A repeated ``-O`` level or a flag that is not a pass fails with a line
+        naming it. A compile past ``timeout`` seconds kills its server and
+        raises ``subprocess.TimeoutExpired``.
         """
         server = self._server()
         data = text.encode()
@@ -307,8 +308,6 @@ class ServerPool:
             message = server.last_stderr().strip()
             server.close()
             return False, message or f"exit code {server.proc.returncode}"
-        if status == _UNSUPPORTED:
-            return None
         if status == _PRINTED:
             return True, body.decode()
         return False, body.decode().strip() or "exit code 1"

@@ -1,9 +1,9 @@
 """Pass vocabularies and validated pass lists.
 
 A pass list is an ordered sequence of optimizer flags, rendered as a
-space-joined string (``-Oz -mem2reg``). Ordinary passes may repeat;
-meta-flags (``-O0`` .. ``-Oz``), which expand to whole pipelines, may
-each appear at most once per list.
+space-joined string (``-Oz -mem2reg``). Ordinary passes may repeat, but
+those in :data:`ONCE_PER_LIST`; meta-flags (``-O0`` .. ``-Oz``), which
+expand to whole pipelines, may each appear at most once per list too.
 """
 
 from __future__ import annotations
@@ -15,18 +15,22 @@ from pathlib import Path
 from typing import Optional
 
 OZ_ITEMS = ("-Oz",)  # the baseline every list is scored against
+# Passes that may appear at most once per list: on a list that repeats
+# -attributor, LLVM 14's opt gives different outputs from run to run.
+ONCE_PER_LIST = ("-attributor",)
 
 
 class InvalidPassListError(ValueError):
-    """Raised for unknown flags or repeated meta-flags."""
+    """Raised for unknown flags or repeated meta-flags or once-only passes."""
 
 
 @dataclass(frozen=True)
 class PassVocabulary:
     """The flag universe a backend accepts.
 
-    ``passes`` are freely repeatable transform flags; ``meta_flags`` are
-    pipeline aliases restricted to one occurrence per list.
+    ``passes`` are transform flags, repeatable but for
+    :data:`ONCE_PER_LIST`; ``meta_flags`` are pipeline aliases restricted
+    to one occurrence per list.
     """
 
     passes: tuple[str, ...]
@@ -52,7 +56,8 @@ class PassVocabulary:
 
     def problem(self, items: tuple[str, ...]) -> Optional[str]:
         """Why ``items`` is not a valid list here, or None if it is: the
-        first unknown flag, else the first meta-flag that repeats."""
+        first unknown flag, else the first meta-flag that repeats, else the
+        first pass of :data:`ONCE_PER_LIST` that repeats."""
         flags = self._flags
         for flag in items:
             if flag not in flags:
@@ -60,6 +65,9 @@ class PassVocabulary:
         for meta in self.meta_flags:
             if items.count(meta) > 1:
                 return f"meta-flag {meta!r} appears more than once"
+        for flag in ONCE_PER_LIST:
+            if items.count(flag) > 1:
+                return f"flag {flag!r} appears more than once"
         return None
 
 
@@ -86,7 +94,8 @@ def sample_items(
     rng: "random.Random", vocabulary: PassVocabulary, length: int
 ) -> tuple[str, ...]:
     """Draw a valid random flag tuple: uniform flags, redrawn until
-    ``vocabulary`` has no problem with it (meta-flags at most once each)."""
+    ``vocabulary`` has no problem with it (meta-flags and the passes of
+    :data:`ONCE_PER_LIST` at most once each)."""
     flags, choice = vocabulary.all_flags, rng.choice
     while True:
         items = tuple([choice(flags) for _ in range(length)])

@@ -275,7 +275,7 @@ def _parse_prediction(
     and code; any other text is split on whitespace, and a list (a file
     row's array) is taken as it is. No flags at all (a missing field or
     any other JSON value included), an unknown flag or a repeated
-    meta-flag gives -Oz, flagged ``parse_failed``.
+    meta-flag or ``-attributor`` gives -Oz, flagged ``parse_failed``.
     """
     claims: dict = {}
     if isinstance(output, str):

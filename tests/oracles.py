@@ -36,12 +36,13 @@ from passtune.ircore import NormalizedIr, count_instructions
 
 
 def all_valid_lists(vocabulary, max_len):
-    """Every flag tuple of length 1..max_len with each meta-flag at most once."""
-    meta = set(vocabulary.meta_flags)
+    """Every flag tuple of length 1..max_len with each meta-flag, and
+    -attributor, at most once."""
+    once = set(vocabulary.meta_flags) | {"-attributor"}
     for length in range(1, max_len + 1):
         for items in product(vocabulary.all_flags, repeat=length):
-            metas = [f for f in items if f in meta]
-            if len(metas) == len(set(metas)):
+            onces = [f for f in items if f in once]
+            if len(onces) == len(set(onces)):
                 yield items
 
 

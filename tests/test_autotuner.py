@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 
@@ -74,6 +75,18 @@ def test_count_valid_lists_matches_enumeration_small():
         assert count_valid_pass_lists(tiny, max_len) == count_all_valid_lists(
             tiny, max_len
         )
+
+
+def test_count_valid_lists_counts_attributor_once_like_a_meta_flag():
+    small = PassVocabulary(("-a", "-attributor", "-b"), ("-M",))
+    for max_len in (1, 2, 3, 4):
+        brute = sum(
+            small.problem(items) is None
+            for length in range(1, max_len + 1)
+            for items in itertools.product(small.all_flags, repeat=length)
+        )
+        assert count_valid_pass_lists(small, max_len) == brute
+        assert count_all_valid_lists(small, max_len) == brute
 
 
 def test_count_valid_lists_llvm10_length_one():

@@ -2,9 +2,9 @@
 
 The property tests compare optd's output with ``opt``'s byte for byte and
 count instructions through LLVM's C API. The isolation tests time out,
-kill and crash servers. Everything here is skipped without ``opt``, and
-all but the fake-server tests without a built optd (``g++`` and
-``llvm-config``).
+kill and crash servers. The tests that run the installed ``opt`` are
+skipped without it, and those that run optd without a built optd (``g++``,
+``llvm-config`` and LLVM 14).
 """
 
 import json
@@ -139,7 +139,7 @@ def backend(opt):
     if backend.compile_path["path"] != "opt-server":
         pytest.skip(f"no optd: {backend.compile_path['fallback_reason']}")
     yield backend
-    stop_servers(backend._servers)
+    stop_servers(backend._compile.__self__)  # the backend's ServerPool
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +234,8 @@ def assert_opt_can_print(opt, items, text, reply):
 
 @st.composite
 def flag_lists(draw, vocabulary):
-    """1-12 listed flags, each -O level at most once; the levels often adjacent."""
+    """1-12 listed flags that ``vocabulary`` accepts, each -O level at most
+    once; the levels often adjacent."""
     passes = draw(st.lists(st.sampled_from(vocabulary.passes), max_size=12))
     room = 12 - len(passes)
     levels = draw(
@@ -243,16 +244,37 @@ def flag_lists(draw, vocabulary):
     assume(passes or levels)
     if draw(st.booleans()):
         at = draw(st.integers(0, len(passes)))
-        return tuple(passes[:at] + levels + passes[at:])
-    return tuple(draw(st.permutations(passes + levels)))
+        items = tuple(passes[:at] + levels + passes[at:])
+    else:
+        items = tuple(draw(st.permutations(passes + levels)))
+    assume(vocabulary.problem(items) is None)
+    return items
 
 
-def test_the_server_is_chosen_wherever_gxx_and_llvm_config_exist(opt):
+def test_the_server_is_chosen_on_llvm_14_wherever_gxx_and_llvm_config_exist(opt):
     if shutil.which("g++") is None or shutil.which("llvm-config") is None:
         pytest.skip("no g++ or no llvm-config on PATH")
     path = LlvmBackend(opt, extra_args=SERVER_ARGS).compile_path
+    if not path["llvm_version"].startswith("14."):
+        pytest.skip(f"opt is LLVM {path['llvm_version']}, not 14")
     assert path == {"path": "opt-server", "llvm_version": path["llvm_version"]}
-    assert path["llvm_version"][:1].isdigit()
+
+
+def test_an_opt_of_another_llvm_than_14_compiles_without_the_server(
+    tmp_path, private_cache
+):
+    if shutil.which("g++") is None:
+        pytest.skip("no g++ on PATH")
+    opt = Path(write_stub(tmp_path))
+    opt.write_text(opt.read_text().replace("version 10.0.0", "version 15.0.7"))
+    config = tmp_path / "llvm-config"  # beside opt, so the one optd would use
+    config.write_text("#!/bin/sh\necho 15.0.7\n")
+    config.chmod(0o755)
+    assert LlvmBackend(str(opt), extra_args=SERVER_ARGS).compile_path == {
+        "path": "opt",
+        "llvm_version": "15.0.7",
+        "fallback_reason": "optd runs LLVM 14 only; opt is LLVM 15.0.7",
+    }
 
 
 @settings(max_examples=120, deadline=None)
@@ -320,11 +342,40 @@ def test_a_broken_input_fails_with_opts_category_and_message(opt, backend, text)
     assert outcome.diagnostic == diagnostic_from_message(message)
 
 
-def test_a_list_the_server_does_not_run_as_opt_goes_to_opt(pool):
-    text = INPUTS[0]
-    assert pool.compile(("-not-a-pass",), text, LIMIT) is None
-    assert pool.compile(("-Oz", "-dce", "-Oz"), text, LIMIT) is None
-    assert pool.compile(("-dce",), text, LIMIT)[0]
+def test_every_flag_alone_gets_from_the_server_what_opt_prints(opt, backend, pool):
+    text = INPUTS[0]  # an llvm-tune function
+    for flag in backend.vocabulary.all_flags:
+        assert_opt_can_print(opt, (flag,), text, pool.compile((flag,), text, LIMIT))
+
+
+@pytest.mark.parametrize(
+    "items,reason",
+    [
+        (("-not-a-pass",), "not a pass: -not-a-pass"),
+        (("-Oz", "-dce", "-Oz"), "repeated -Oz"),
+    ],
+    ids=["not-a-pass", "repeated-level"],
+)
+def test_a_list_the_server_does_not_run_fails_with_a_line_naming_why(
+    backend, pool, items, reason
+):
+    reply = pool.compile(items, INPUTS[0], LIMIT)
+    assert reply == (False, f"{backend.opt_path}: {reason}")
+
+
+def test_a_backend_on_the_server_path_starts_no_opt_process(backend, monkeypatch):
+    def no_opt(*args):
+        pytest.fail(f"an opt process was started: {args}")
+
+    monkeypatch.setattr(LlvmBackend, "_run_opt", no_opt)
+    fresh = LlvmBackend(backend.opt_path, extra_args=SERVER_ARGS)
+    ir = normalize(INPUTS[0])
+    try:
+        for flag in fresh.vocabulary.all_flags:
+            compile_items(fresh, ir, (flag,))
+        assert compile_items(fresh, ir, ("-Oz", "-dce", "-O1")).ok
+    finally:
+        stop_servers(fresh._compile.__self__)
 
 
 @pytest.fixture(scope="module")

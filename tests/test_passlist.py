@@ -62,6 +62,25 @@ def test_sample_items_always_valid(length, seed):
     PassList(items, TINY)  # validates flags + meta-once constraint
 
 
+ATTRIBUTOR = PassVocabulary(("-attributor", "-dce"), ("-Oz",))
+
+
+def test_problem_names_a_second_attributor():
+    assert llvm10_vocabulary().problem(("-attributor", "-dce", "-attributor")) == (
+        "flag '-attributor' appears more than once"
+    )
+    assert ATTRIBUTOR.problem(("-dce", "-attributor", "-dce", "-Oz")) is None
+    with pytest.raises(InvalidPassListError, match="'-attributor' appears more"):
+        PassList(("-attributor", "-attributor"), ATTRIBUTOR)
+
+
+def test_sample_items_never_draws_attributor_twice():
+    rng = random.Random(3)
+    draws = [sample_items(rng, ATTRIBUTOR, 4) for _ in range(500)]
+    assert all(items.count("-attributor") <= 1 for items in draws)
+    assert any("-attributor" in items for items in draws)
+
+
 def test_sample_items_deterministic():
     a = [sample_items(random.Random(7), TINY, 5) for _ in range(10)]
     b = [sample_items(random.Random(7), TINY, 5) for _ in range(10)]

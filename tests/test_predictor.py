@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from passtune.autotuner import SearchBudget, TuneResult, autotune_corpus
 from passtune.backend import CompileOutcome
 from passtune.backend.classify import diagnostic_from_message
+from passtune.backend.passlist import llvm10_vocabulary
 from passtune.dataset import render_answer
 from passtune.minigen import generate_corpus
 from passtune.predictor import (
@@ -319,6 +320,21 @@ def test_file_predictor_missing_function(tmp_path, vocab, corpus20):
     degraded = predictor.predict(other)
     assert degraded.pass_list == "-Oz"
     assert degraded.parse_failed
+
+
+def test_a_file_prediction_that_repeats_attributor_is_parse_failed(tmp_path, corpus20):
+    f0, f1 = corpus20[:2]
+    rows = [
+        {"function_id": f0.id, "pass_list": "-attributor -dce -attributor"},
+        {"function_id": f1.id, "pass_list": "-attributor -dce"},
+    ]
+    path = tmp_path / "preds.jsonl"
+    write_jsonl(rows, path)
+    predictor = FilePredictor(path, llvm10_vocabulary())
+    repeated = predictor.predict(f0)
+    assert (repeated.pass_list, repeated.parse_failed) == ("-Oz", True)
+    once = predictor.predict(f1)
+    assert (once.pass_list, once.parse_failed) == ("-attributor -dce", False)
 
 
 def test_file_predictor_bad_answer_degrades(tmp_path, vocab, corpus20):
