@@ -3,18 +3,27 @@
 ``optd.cpp``, next to this file, runs LLVM 14's legacy passes by name the
 way ``opt`` does, one compile per request, and stays up between requests.
 Checked against LLVM 14 only, it is built only for an ``opt`` of LLVM 14:
-once, with g++, against the ``llvm-config`` beside ``opt``, else on PATH. The
+once, with g++, against the ``llvm-config`` beside ``opt``, else on PATH.
+It links LLVM's static archives of :data:`LLVM_COMPONENTS` into a non-PIE
+executable, since a shared ``libLLVM`` costs each server the 7.4 MiB of
+its ``.data.rel.ro``, which the server relocates, and so writes, when it
+starts. Where ``llvm-config --link-static`` fails, as on an install with
+only the shared library, it links that library as ``opt`` does. The
 binary is cached under ``${XDG_CACHE_HOME:-~/.cache}/passtune/`` (or the
 temporary directory if that is not writable), keyed by the sha256 of the
-source, ``llvm-config --version`` and ``opt --version``. That cache is the
-only one: a build runs in its own temporary directory and renames the
-binary into place, so builds that race each other are safe.
+source, ``llvm-config --version``, ``opt --version``, the components and
+the link mode. That cache is the only one: a build runs in its own
+temporary directory and renames the binary into place, so builds that
+race each other are safe.
 
 The same directory keeps the answers of the start-up queries
-(``opt --help-hidden``, ``opt --version``, ``llvm-config --version``):
-:func:`cached_run` keys each on the executable's resolved path, device,
-inode, size and modification time, and on its arguments, so a subcommand
-on a warm cache starts no process before its first compile.
+(``opt --help-hidden``, ``opt --version``, ``llvm-config --version`` and
+the static link flags): :func:`cached_run` keys each on the executable's
+resolved path, device, inode, size and modification time, and on its
+arguments, so a subcommand on a warm cache starts no process before its
+first compile. An install without LLVM's archives is the exception: a
+query that fails is not kept, so there each subcommand asks
+``llvm-config --link-static`` again.
 
 A :class:`ServerPool` keeps one server per process, keyed by its pid and
 started by its first compile, so a forked worker never writes to its
@@ -52,6 +61,16 @@ _PRINTED = 0  # optd.cpp's reply status for a printed module; 1 is a failure
 _BUILD_SECONDS = 600.0
 # How long a server that was asked to stop may take to exit.
 _STOP_SECONDS = 5.0
+# The LLVM libraries optd links statically: those whose passes optd.cpp
+# registers (its initialize* calls), and every target, for
+# initializeTargetsOnce. They are named because a bare
+# `llvm-config --link-static --libs` names Polly too, of which Debian's
+# LLVM 14 ships no archive, so that link fails.
+LLVM_COMPONENTS = (
+    "core", "coroutines", "scalaropts", "objcarcopts", "vectorize", "ipo",
+    "analysis", "transformutils", "instcombine", "aggressiveinstcombine",
+    "instrumentation", "target", "codegen", "irreader", "asmparser", "all-targets",
+)
 
 
 class OptdUnavailable(RuntimeError):
@@ -77,13 +96,13 @@ def server_binary(opt_path: str, opt_version: str) -> str:
     if config is None:
         raise OptdUnavailable("no llvm-config beside opt or on PATH")
 
-    def run(command: list[str]) -> subprocess.CompletedProcess:
+    def run(command: list[str], check: bool = True) -> subprocess.CompletedProcess:
         try:
             return subprocess.run(
                 command,
                 capture_output=True,
                 text=True,
-                check=True,
+                check=check,
                 timeout=DEFAULT_TIMEOUT_SECONDS,
             )
         except (OSError, subprocess.SubprocessError) as err:
@@ -101,21 +120,28 @@ def server_binary(opt_path: str, opt_version: str) -> str:
         source = SOURCE.read_bytes()
     except OSError as err:
         raise OptdUnavailable(f"cannot read {SOURCE}: {err}") from err
-    key = hashlib.sha256(
-        b"\0".join((source, llvm_version.encode(), opt_version.encode()))
-    ).hexdigest()
+    static = cached_run(
+        [config, "--link-static", "--libs", *LLVM_COMPONENTS, "--system-libs"],
+        lambda command: run(command, check=False),
+    )
+    mode = "static" if static.returncode == 0 else "shared"
+    named = (llvm_version, opt_version, " ".join(LLVM_COMPONENTS), mode)
+    key = hashlib.sha256(b"\0".join([source, *map(str.encode, named)])).hexdigest()
     cache = _cache_dir()
     target = cache / f"optd-{key[:16]}"
     if os.access(target, os.X_OK):
         return str(target)
-    flags = [query(option) for option in ("--cxxflags", "--ldflags", "--libs")]
-    rpath = f"-Wl,-rpath,{query('--libdir')}"
+    if mode == "static":
+        libs = [*shlex.split(static.stdout), "-no-pie"]
+    else:  # only the shared library: link it as opt does
+        libs = [*shlex.split(query("--libs")), f"-Wl,-rpath,{query('--libdir')}"]
+    flags = [query(option) for option in ("--cxxflags", "--ldflags")]
     try:
         # Built apart and renamed into place, so no process runs half a file.
         with tempfile.TemporaryDirectory(dir=cache, prefix=".optd-") as scratch:
             partial = os.path.join(scratch, "optd")
             cmd = [gxx, *shlex.split(flags[0]), "-O2", str(SOURCE), "-o", partial]
-            cmd += [*shlex.split(flags[1]), *shlex.split(flags[2]), rpath]
+            cmd += [*shlex.split(flags[1]), *libs]
             proc = subprocess.run(
                 cmd, capture_output=True, text=True, timeout=_BUILD_SECONDS
             )

@@ -7,6 +7,7 @@ skipped without it, and those that run optd without a built optd (``g++``,
 ``llvm-config`` and LLVM 14).
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -275,6 +276,76 @@ def test_an_opt_of_another_llvm_than_14_compiles_without_the_server(
         "llvm_version": "15.0.7",
         "fallback_reason": "optd runs LLVM 14 only; opt is LLVM 15.0.7",
     }
+
+
+def maps_libllvm(pool):
+    """Whether this process's server in ``pool`` has a shared libLLVM mapped."""
+    pid = pool._servers[os.getpid()].proc.pid
+    return "libLLVM" in Path(f"/proc/{pid}/maps").read_text()
+
+
+def test_where_llvms_archives_exist_the_server_maps_no_shared_libllvm(opt, pool):
+    try:
+        subprocess.run(
+            [optd.find_llvm_config(opt), "--link-static", "--libs", "core"],
+            capture_output=True,
+            check=True,
+            timeout=LIMIT,
+        )
+    except subprocess.CalledProcessError:
+        pytest.skip("llvm-config finds no static LLVM archives")
+    assert pool.compile(("-Oz",), INPUTS[0], LIMIT)[0]
+    assert not maps_libllvm(pool)
+
+
+def test_without_llvms_archives_the_server_links_the_shared_library(
+    opt, backend, tmp_path, private_cache
+):
+    # A wrapper script, not a symlink: optd takes the llvm-config beside
+    # opt's resolved path, which for a symlink is the real one.
+    real_opt, real_config = os.path.realpath(opt), optd.find_llvm_config(opt)
+    wrapped = tmp_path / "opt"
+    wrapped.write_text(f'#!/bin/sh\nexec {real_opt} "$@"\n')
+    config = tmp_path / "llvm-config"
+    config.write_text(
+        "#!/bin/sh\n"
+        'for arg; do [ "$arg" = --link-static ] && exit 1; done\n'
+        f'exec {real_config} "$@"\n'
+    )
+    for stub in (wrapped, config):
+        stub.chmod(0o755)
+    shared = LlvmBackend(str(wrapped), extra_args=SERVER_ARGS)
+    assert shared.compile_path == backend.compile_path
+    pool = shared._compile.__self__
+    try:
+        reply = pool.compile(("-Oz",), INPUTS[0], LIMIT)
+        assert reply == opt_reply(opt, ("-Oz",), INPUTS[0])
+        assert maps_libllvm(pool)
+    finally:
+        stop_servers(pool)
+
+
+def test_a_binary_cached_under_the_key_without_the_link_mode_is_not_taken(
+    backend, tmp_path, monkeypatch
+):
+    built = Path(server_binary(backend.opt_path, backend.version()))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "passtune"
+    cache.mkdir()
+    # An executable under the key of the releases that linked libLLVM shared:
+    # the sha256 of the source, llvm-config --version and opt --version.
+    config = optd.find_llvm_config(backend.opt_path)
+    llvm_version = subprocess.run(
+        [config, "--version"], capture_output=True, text=True, check=True
+    ).stdout.strip()
+    fields = (optd.SOURCE.read_bytes(), llvm_version.encode(), backend.version().encode())
+    key = hashlib.sha256(b"\0".join(fields)).hexdigest()
+    stale = cache / f"optd-{key[:16]}"
+    stale.write_text("#!/bin/sh\nexit 1\n")
+    stale.chmod(0o755)
+    assert stale.name != built.name
+    (cache / built.name).symlink_to(built)  # the current binary: nothing is built
+    assert server_binary(backend.opt_path, backend.version()) == str(cache / built.name)
 
 
 @settings(max_examples=120, deadline=None)
