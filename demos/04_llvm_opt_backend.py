@@ -22,8 +22,8 @@ except BackendUnavailableError:
     print()
     print("to point passtune at one:")
     print(f"  export {OPT_ENV_VAR}=/path/to/opt        # or --opt-path on the CLI")
-    print("  # LLVM 13+ needs the legacy pass manager for -dce style flags:")
-    print("  passtune autotune --backend llvm --opt-arg=-enable-new-pm=0 ...")
+    print("  # the backend picks the legacy pass manager the flags need itself:")
+    print("  passtune autotune --backend llvm ...")
     sys.exit(0)
 
 backend = LlvmBackend()

@@ -1,13 +1,17 @@
 """Backend that compiles with LLVM's ``opt``.
 
 A compile is ``opt -S <flags...>`` on the IR, read from standard input,
-so the output names its source ``<stdin>``. It runs in one of two ways:
+so the output names its source ``<stdin>``. The vocabulary is LLVM 10's
+legacy pass flags, so wherever ``opt --help-hidden`` lists
+``-enable-new-pm`` (LLVM 13 and later, whose default pass manager is the
+new one) the backend adds ``-enable-new-pm=0`` itself, unless the extra
+arguments already set that switch. A compile runs in one of two ways:
 
 - ``opt-server``: the compile is a request to ``optd`` (see ``optd.py``),
   a long-lived process that runs LLVM 14's legacy passes by name exactly
   as ``opt -enable-new-pm=0`` does, without starting a process each time.
-  This is the path when optd builds, the only extra argument is
-  ``-enable-new-pm=0`` and ``opt`` is the LLVM 14 that ``llvm-config`` names.
+  This is the path when optd builds, no extra argument but that switch is
+  given and ``opt`` is the LLVM 14 that ``llvm-config`` names.
 - ``opt``: the reference, one ``opt`` process per compile, where optd cannot run.
 
 The path is chosen when the backend is built, and every compile takes it:
@@ -19,15 +23,13 @@ nothing more.
 
 The executable is found via the constructor argument, the
 ``PASSTUNE_OPT`` environment variable, or ``opt`` on PATH, in that
-order. Extra fixed arguments (for example ``-enable-new-pm=0`` on
-newer LLVM releases, whose default pass manager does not accept the
-legacy flag set) can be supplied with ``extra_args``. The vocabulary
-keeps only the flags that ``opt --help-hidden`` lists, so a flag the
-installed ``opt`` does not know is never sampled; the dropped flags are
-logged as one warning. That listing and ``opt --version`` are read once
-per ``opt`` file and kept beside optd's binary (see
-:func:`~passtune.backend.optd.cached_run`), so on a warm cache a backend
-starts no process before its first compile.
+order. Extra fixed arguments can be supplied with ``extra_args``. The
+vocabulary keeps only the flags that ``opt --help-hidden`` lists (see
+:func:`listed_vocabulary`), so a flag the installed ``opt`` does not know
+is never sampled; the dropped flags are logged as one warning. That
+listing and ``opt --version`` are read once per ``opt`` file and kept
+beside optd's binary (see :func:`~passtune.backend.optd.cached_run`), so
+on a warm cache a backend starts no process before its first compile.
 """
 
 from __future__ import annotations
@@ -55,11 +57,14 @@ from passtune.util import DEFAULT_TIMEOUT_SECONDS, positive_seconds
 logger = logging.getLogger(__name__)
 
 OPT_ENV_VAR = "PASSTUNE_OPT"
-# The only extra opt arguments under which optd compiles as opt does.
+# The legacy pass manager's switch, implied wherever opt lists it: the one
+# extra opt argument under which optd compiles as opt does.
 SERVER_ARGS = ("-enable-new-pm=0",)
 
 # An option line of the help listing: "  --dce   - Dead Code Elimination".
 _LISTED_OPTION = re.compile(r"^\s*--?([\w.-]+)", re.MULTILINE)
+# An argument that sets the switch, in any spelling: then none is implied.
+_SETS_NEW_PM = re.compile(r"--?enable-new-pm(=|$)")
 
 
 def resolve_opt_path(explicit: Optional[str] = None) -> str:
@@ -72,6 +77,46 @@ def resolve_opt_path(explicit: Optional[str] = None) -> str:
             f"{OPT_ENV_VAR}, or pass an explicit path"
         )
     return resolved
+
+
+def _query(opt_path: str, option: str) -> subprocess.CompletedProcess:
+    """``opt <option>``: cached per ``opt`` file (see ``optd.cached_run``),
+    else run under the default limit, not the per-compile one."""
+
+    def run(cmd: list[str]) -> subprocess.CompletedProcess:
+        try:
+            return subprocess.run(
+                cmd, capture_output=True, text=True, timeout=DEFAULT_TIMEOUT_SECONDS
+            )
+        except (OSError, subprocess.TimeoutExpired) as err:
+            raise BackendUnavailableError(f"cannot run {opt_path!r}: {err}") from err
+
+    return cached_run([opt_path, option], run)
+
+
+def listed_vocabulary(opt_path: str) -> tuple[PassVocabulary, bool]:
+    """The flags of LLVM 10's vocabulary that ``opt --help-hidden`` lists,
+    and whether it lists ``-enable-new-pm``."""
+    proc = _query(opt_path, "--help-hidden")
+    if proc.returncode != 0:
+        raise BackendUnavailableError(
+            f"{opt_path} --help-hidden exited with {proc.returncode}"
+        )
+    listed = {f"-{name}" for name in _LISTED_OPTION.findall(proc.stdout)}
+    vocabulary = llvm10_vocabulary()
+    dropped = [f for f in vocabulary.all_flags if f not in listed]
+    if dropped:
+        logger.warning(
+            "%s does not list %d vocabulary flag(s); dropped: %s",
+            opt_path,
+            len(dropped),
+            " ".join(dropped),
+        )
+    kept = PassVocabulary(
+        tuple(f for f in vocabulary.passes if f in listed),
+        tuple(f for f in vocabulary.meta_flags if f in listed),
+    )
+    return kept, "-enable-new-pm" in listed
 
 
 class LlvmBackend:
@@ -89,59 +134,25 @@ class LlvmBackend:
     ) -> None:
         self.timeout = positive_seconds(timeout, "timeout")
         self.opt_path = resolve_opt_path(opt_path)
+        self.vocabulary, names_new_pm = listed_vocabulary(self.opt_path)
         self.extra_args = tuple(extra_args)
-        self.vocabulary = self._listed_only(llvm10_vocabulary())
+        if names_new_pm and not any(map(_SETS_NEW_PM.match, self.extra_args)):
+            self.extra_args += SERVER_ARGS
         # How every compile runs: ``path`` (``opt-server`` or ``opt``), the LLVM
         # version and under ``opt`` the ``fallback_reason``; and its function.
         self.compile_path, self._compile = self._choose_path()
 
-    def _query(self, option: str) -> subprocess.CompletedProcess:
-        """``opt <option>``: cached per ``opt`` file (see ``optd.cached_run``),
-        else run under the default limit, not the per-compile one."""
-        return cached_run([self.opt_path, option], self._run_query)
-
-    def _run_query(self, cmd: list[str]) -> subprocess.CompletedProcess:
-        try:
-            return subprocess.run(
-                cmd, capture_output=True, text=True, timeout=DEFAULT_TIMEOUT_SECONDS
-            )
-        except (OSError, subprocess.TimeoutExpired) as err:
-            raise BackendUnavailableError(
-                f"cannot run {self.opt_path!r}: {err}"
-            ) from err
-
-    def _listed_only(self, vocabulary: PassVocabulary) -> PassVocabulary:
-        """The flags of ``vocabulary`` that ``opt --help-hidden`` lists."""
-        proc = self._query("--help-hidden")
-        if proc.returncode != 0:
-            raise BackendUnavailableError(
-                f"{self.opt_path} --help-hidden exited with {proc.returncode}"
-            )
-        listed = {f"-{name}" for name in _LISTED_OPTION.findall(proc.stdout)}
-        dropped = [f for f in vocabulary.all_flags if f not in listed]
-        if dropped:
-            logger.warning(
-                "%s does not list %d vocabulary flag(s); dropped: %s",
-                self.opt_path,
-                len(dropped),
-                " ".join(dropped),
-            )
-        return PassVocabulary(
-            tuple(f for f in vocabulary.passes if f in listed),
-            tuple(f for f in vocabulary.meta_flags if f in listed),
-        )
-
     def version(self) -> str:
-        proc = self._query("--version")
+        proc = _query(self.opt_path, "--version")
         return " ".join(proc.stdout.split()) or f"opt at {self.opt_path}"
 
     def _choose_path(self) -> tuple[dict, Callable[..., tuple[bool, str]]]:
         version = self.version()
         path = {"path": "opt", "llvm_version": llvm_version_of(version)}
-        if self.extra_args != SERVER_ARGS:
-            given = " ".join(self.extra_args) or "none"
+        if self.extra_args not in ((), SERVER_ARGS):
             path["fallback_reason"] = (
-                f"extra opt arguments are {given}, not {' '.join(SERVER_ARGS)}"
+                f"extra opt arguments are {' '.join(self.extra_args)}; "
+                f"optd takes only {' '.join(SERVER_ARGS)}"
             )
             return path, self._run_opt
         try:

@@ -14,7 +14,9 @@ temporary directory if that is not writable), keyed by the sha256 of the
 source, ``llvm-config --version``, ``opt --version``, the components and
 the link mode. That cache is the only one: a build runs in its own
 temporary directory and renames the binary into place, so builds that
-race each other are safe.
+race each other are safe. A build then removes the other binaries, and
+the directories of builds that were killed, that are a week old; a
+binary taken from the cache is touched, so one in use stays.
 
 The same directory keeps the answers of the start-up queries
 (``opt --help-hidden``, ``opt --version``, ``llvm-config --version`` and
@@ -61,6 +63,9 @@ _PRINTED = 0  # optd.cpp's reply status for a printed module; 1 is a failure
 _BUILD_SECONDS = 600.0
 # How long a server that was asked to stop may take to exit.
 _STOP_SECONDS = 5.0
+# A build removes the other binaries and build directories in the cache
+# that nothing has used or written for this long.
+_STALE_SECONDS = 7 * 24 * 3600.0
 # The LLVM libraries optd links statically: those whose passes optd.cpp
 # registers (its initialize* calls), and every target, for
 # initializeTargetsOnce. They are named because a bare
@@ -86,12 +91,12 @@ def find_llvm_config(opt_path: str) -> Optional[str]:
 def server_binary(opt_path: str, opt_version: str) -> str:
     """The optd built for ``opt_path`` (whose ``--version`` is ``opt_version``),
     from the cache or built now; raises :class:`OptdUnavailable`."""
-    gxx = shutil.which("g++")
-    if gxx is None:
-        raise OptdUnavailable("no g++ on PATH")
     opt_llvm = llvm_version_of(opt_version)
     if not (opt_llvm or "").startswith("14."):
         raise OptdUnavailable(f"optd runs LLVM 14 only; opt is LLVM {opt_llvm}")
+    gxx = shutil.which("g++")
+    if gxx is None:
+        raise OptdUnavailable("no g++ on PATH")
     config = find_llvm_config(opt_path)
     if config is None:
         raise OptdUnavailable("no llvm-config beside opt or on PATH")
@@ -130,6 +135,8 @@ def server_binary(opt_path: str, opt_version: str) -> str:
     cache = _cache_dir()
     target = cache / f"optd-{key[:16]}"
     if os.access(target, os.X_OK):
+        with contextlib.suppress(OSError):
+            os.utime(target)  # in use, so never stale
         return str(target)
     if mode == "static":
         libs = [*shlex.split(static.stdout), "-no-pie"]
@@ -151,7 +158,25 @@ def server_binary(opt_path: str, opt_version: str) -> str:
             os.replace(partial, target)
     except (OSError, subprocess.TimeoutExpired) as err:
         raise OptdUnavailable(f"g++ could not build optd: {err}") from err
+    _remove_stale(cache, target)
     return str(target)
+
+
+def _remove_stale(cache: Path, built: Path) -> None:
+    """Remove the optd binaries but ``built``, and the directories of builds
+    that were killed, that have not been touched for :data:`_STALE_SECONDS`."""
+    cutoff = time.time() - _STALE_SECONDS
+    with contextlib.suppress(OSError):
+        for entry in cache.iterdir():
+            if entry == built or not entry.name.startswith(("optd-", ".optd-")):
+                continue
+            with contextlib.suppress(OSError):
+                if entry.lstat().st_mtime >= cutoff:
+                    continue
+                if entry.is_dir() and not entry.is_symlink():
+                    shutil.rmtree(entry)
+                else:
+                    entry.unlink()
 
 
 def llvm_version_of(version_text: str) -> Optional[str]:

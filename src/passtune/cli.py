@@ -91,6 +91,17 @@ def _make_backend(args: argparse.Namespace):
     return backend
 
 
+def _vocabulary(args: argparse.Namespace):
+    """The vocabulary of the backend the flags name, which is not built."""
+    if args.backend == "mini":
+        from passtune.backend.mini import mini_vocabulary
+
+        return mini_vocabulary()
+    from passtune.backend.llvm import listed_vocabulary, resolve_opt_path
+
+    return listed_vocabulary(resolve_opt_path(args.opt_path))[0]
+
+
 def _how_compiled(args: argparse.Namespace, backend, items: int) -> dict:
     """The manifest entries that say how ``backend`` compiled: what the
     workers that mapped ``items`` items ran as and, where it can say, its
@@ -412,15 +423,13 @@ def _cmd_predict(args: argparse.Namespace) -> list[str]:
     elif args.method == "file":
         if not args.predictions_file:
             raise ValueError("--method file requires --predictions-file")
-        vocabulary = _make_backend(args).vocabulary
-        predict = FilePredictor(args.predictions_file, vocabulary).predict
+        predict = FilePredictor(args.predictions_file, _vocabulary(args)).predict
         inputs.append(args.predictions_file)
     else:  # command
         if not args.command:
             raise ValueError("--method command requires --command")
-        vocabulary = _make_backend(args).vocabulary
         predict = ProcessPredictor(
-            shlex.split(args.command), vocabulary, timeout=args.timeout
+            shlex.split(args.command), _vocabulary(args), timeout=args.timeout
         ).predict
     failures: list[str] = []
     predictions = []
@@ -450,7 +459,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[str]:
         use_oz_backup=args.oz_backup,
         workers=args.workers,
     )
-    write_summary(summary, args.summary or _derived_output(args.output, "summary"))
+    write_summary(summary, _derived_output(args.output, "summary"))
     _write_output(
         args,
         rows,
@@ -685,11 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--predictions", required=True, help="predictions file")
     p.add_argument("--output", required=True, help="per-function rows file to write")
-    p.add_argument(
-        "--summary",
-        default=None,
-        help="summary file (default: the rows file name with a .summary tag)",
-    )
     p.add_argument(
         "--oz-backup",
         action="store_true",

@@ -760,7 +760,7 @@ def test_an_llvm_manifest_says_which_path_compiled_and_why_not_the_server(
     assert manifests[4]["compile_path"] == {
         "path": "opt",
         "llvm_version": "10.0.0",
-        "fallback_reason": "extra opt arguments are none, not -enable-new-pm=0",
+        "fallback_reason": "optd runs LLVM 14 only; opt is LLVM 10.0.0",
     }
 
 

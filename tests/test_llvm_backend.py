@@ -25,7 +25,7 @@ DATA = Path(__file__).parent / "data"
 # input when there is none, as opt does), with a few trigger flags for
 # exercising the backend's failure paths. Trigger flags are passed via
 # extra_args so they bypass vocabulary validation. `--help-hidden` lists
-# the flags in LISTED, one option line each, as opt prints them. With a LOG
+# the options in LISTED, one line each, as opt prints them. With a LOG
 # path, every run appends its arguments there as one line.
 STUB_OPT = """\
 #!/usr/bin/env python3
@@ -62,11 +62,12 @@ sys.stdout.write(text)
 """
 
 
-def write_stub(tmp_path, omit=(), log=None):
+def write_stub(tmp_path, omit=(), log=None, also=()):
+    """A stub opt that lists the vocabulary but ``omit``, and the options ``also``."""
     # The backend caches what opt answers at start-up, keyed on its file;
     # a stub's answers belong in the test's own cache (see private_cache).
     assert os.environ.get("XDG_CACHE_HOME", "").startswith(str(tmp_path))
-    listed = [f for f in llvm10_vocabulary().all_flags if f not in omit]
+    listed = [f for f in llvm10_vocabulary().all_flags if f not in omit] + list(also)
     path = tmp_path / "stub-opt"
     text = STUB_OPT.replace("{listed}", repr(listed))
     path.write_text(text.replace("{log}", repr(log and str(log))))
@@ -129,6 +130,83 @@ def test_a_stub_that_no_optd_can_match_compiles_through_opt(stub_opt, sample_ir)
     assert (path["path"], path["llvm_version"]) == ("opt", "10.0.0")
     assert path["fallback_reason"]
     assert compile_items(backend, sample_ir, ("-dce",)).instruction_count == 4
+
+
+# --- the legacy pass manager's switch ------------------------------------------
+
+
+def _compiles(log):
+    """The arguments of each compile the stub has run, not of its queries."""
+    return [line.split() for line in log.read_text().splitlines() if line[:2] == "-S"]
+
+
+def _switches(args):
+    return [arg for arg in args if "enable-new-pm" in arg]
+
+
+@pytest.mark.parametrize(
+    "given,switch",
+    [
+        ((), "-enable-new-pm=0"),
+        (("-enable-new-pm=0",), "-enable-new-pm=0"),
+        (("--enable-new-pm=0",), "--enable-new-pm=0"),
+    ],
+)
+def test_an_opt_that_lists_the_switch_gets_it_exactly_once(
+    tmp_path, private_cache, sample_ir, given, switch
+):
+    log = tmp_path / "opt.log"
+    stub = write_stub(tmp_path, log=log, also=("-enable-new-pm",))
+    backend = LlvmBackend(stub, extra_args=given)
+    for items in ((), ("-dce",), ("-Oz", "-dce")):
+        assert compile_items(backend, sample_ir, items).ok
+    compiles = _compiles(log)
+    assert len(compiles) == 3
+    assert all(_switches(args) == [switch] for args in compiles)
+
+
+@pytest.mark.parametrize("given", ["-enable-new-pm=1", "-enable-new-pm"])
+def test_an_opt_told_to_use_the_new_pass_manager_gets_no_switch_at_0(
+    tmp_path, private_cache, sample_ir, given
+):
+    log = tmp_path / "opt.log"
+    stub = write_stub(tmp_path, log=log, also=("-enable-new-pm",))
+    backend = LlvmBackend(stub, extra_args=(given,))
+    assert compile_items(backend, sample_ir, ("-dce",)).instruction_count == 4
+    assert [_switches(args) for args in _compiles(log)] == [[given]]
+    assert backend.compile_path == {
+        "path": "opt",
+        "llvm_version": "10.0.0",
+        "fallback_reason": (
+            f"extra opt arguments are {given}; optd takes only -enable-new-pm=0"
+        ),
+    }
+
+
+def test_another_extra_argument_still_gets_the_switch_and_compiles_through_opt(
+    tmp_path, private_cache, sample_ir
+):
+    log = tmp_path / "opt.log"
+    stub = write_stub(tmp_path, log=log, also=("-enable-new-pm",))
+    backend = LlvmBackend(stub, extra_args=("--stub-garbage",))
+    assert not compile_items(backend, sample_ir, ("-dce",)).ok
+    assert _compiles(log) == [["-S", "--stub-garbage", "-enable-new-pm=0", "-dce"]]
+    assert backend.compile_path["fallback_reason"] == (
+        "extra opt arguments are --stub-garbage -enable-new-pm=0; "
+        "optd takes only -enable-new-pm=0"
+    )
+
+
+def test_an_opt_that_does_not_list_the_switch_gets_none(
+    tmp_path, private_cache, sample_ir
+):
+    log = tmp_path / "opt.log"
+    backend = LlvmBackend(write_stub(tmp_path, log=log))
+    assert backend.extra_args == ()
+    assert compile_items(backend, sample_ir, ("-dce",)).ok
+    assert _compiles(log) == [["-S", "-dce"]]
+    # No argument to rule optd out: the stub's LLVM 10 does.
+    assert backend.compile_path["fallback_reason"].endswith("opt is LLVM 10.0.0")
 
 
 def test_apply_failure_is_classified(stub_opt, sample_ir):

@@ -14,6 +14,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -261,6 +262,15 @@ def test_the_server_is_chosen_on_llvm_14_wherever_gxx_and_llvm_config_exist(opt)
     assert path == {"path": "opt-server", "llvm_version": path["llvm_version"]}
 
 
+def test_with_no_extra_argument_llvm_14_compiles_on_the_server(opt, backend):
+    # The backend fixture gives the switch and is on the server; this one
+    # is given nothing and implies the switch.
+    implied = LlvmBackend(opt)
+    assert implied.extra_args == SERVER_ARGS
+    assert implied.compile_path == backend.compile_path
+    assert implied.compile_path["path"] == "opt-server"
+
+
 def test_an_opt_of_another_llvm_than_14_compiles_without_the_server(
     tmp_path, private_cache
 ):
@@ -346,6 +356,64 @@ def test_a_binary_cached_under_the_key_without_the_link_mode_is_not_taken(
     assert stale.name != built.name
     (cache / built.name).symlink_to(built)  # the current binary: nothing is built
     assert server_binary(backend.opt_path, backend.version()) == str(cache / built.name)
+
+
+# A stand-in for g++ that logs its runs and writes an executable to its -o.
+FAKE_GXX = """#!/bin/sh
+echo "$@" >> {log}
+while [ "$1" != -o ]; do shift; done
+printf '#!/bin/sh\\n' > "$2"
+chmod 755 "$2"
+"""
+
+
+def _aged(path, days):
+    """Set the modification time of ``path`` to ``days`` ago."""
+    then = time.time() - days * 24 * 3600
+    os.utime(path, (then, then), follow_symlinks=False)
+
+
+def test_a_build_removes_the_binaries_and_build_directories_a_week_old(
+    tmp_path, private_cache, monkeypatch
+):
+    opt = Path(write_stub(tmp_path))
+    opt.write_text(opt.read_text().replace("version 10.0.0", "version 14.0.6"))
+    config = tmp_path / "llvm-config"  # beside opt, so the one optd would use
+    config.write_text('#!/bin/sh\n[ "$1" = --version ] && echo 14.0.6\nexit 0\n')
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    gxx_log = tmp_path / "gxx.log"
+    (bin_dir / "g++").write_text(FAKE_GXX.replace("{log}", str(gxx_log)))
+    for stub in (config, bin_dir / "g++"):
+        stub.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+    version = "stub LLVM version 14.0.6"  # a backend would build optd here
+    private_cache.mkdir(parents=True, exist_ok=True)
+    planted = {
+        "optd-stale": 8, "optd-fresh": 6, ".optd-killed": 8, ".optd-building": 0,
+        "query-old.json": 30,
+    }
+    for name, days in planted.items():
+        entry = private_cache / name
+        if name.startswith(".optd-"):
+            entry.mkdir()
+            (entry / "optd.o").write_text("")
+        else:
+            entry.write_text("")
+        _aged(entry, days)
+    built = Path(server_binary(str(opt), version))
+    assert len(gxx_log.read_text().splitlines()) == 1
+    left = {entry.name for entry in private_cache.iterdir()}
+    assert {name for name in planted if name in left} == {
+        "optd-fresh", ".optd-building", "query-old.json",
+    }
+    # A binary taken from the cache is touched and removes nothing.
+    _aged(built, 8)
+    _aged(private_cache / "optd-fresh", 8)
+    assert server_binary(str(opt), version) == str(built)
+    assert len(gxx_log.read_text().splitlines()) == 1
+    assert built.stat().st_mtime > time.time() - 3600
+    assert (private_cache / "optd-fresh").exists()
 
 
 @settings(max_examples=120, deadline=None)
@@ -527,6 +595,22 @@ def write_corpus_and_predictions(tmp_path, lists):
     ids = [json.loads(line)["id"] for line in corpus.read_text().splitlines()]
     write_records([Prediction(id_, items) for id_, items in zip(ids, lists)], predictions)
     return corpus, predictions
+
+
+def test_predict_on_llvm_builds_no_server(opt, tmp_path, monkeypatch):
+    if shutil.which("g++") is None:
+        pytest.skip("no g++ on PATH")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    corpus, predictions = write_corpus_and_predictions(tmp_path, ["-dce", "-Oz"])
+    out = tmp_path / "predicted.jsonl"
+    code = main([
+        "predict", "--corpus", str(corpus), "--method", "file",
+        "--predictions-file", str(predictions), "--output", str(out),
+        "--backend", "llvm", "--opt-path", opt,
+    ])
+    assert code == 0
+    assert [p.pass_list for p in read_records(Prediction, out)] == ["-dce", "-Oz"]
+    assert not list((tmp_path / "cache").rglob("optd-*"))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
