@@ -7,7 +7,10 @@ once, with g++, against the ``llvm-config`` beside ``opt``, else on PATH.
 It links LLVM's static archives of :data:`LLVM_COMPONENTS` into a non-PIE
 executable, since a shared ``libLLVM`` costs each server the 7.4 MiB of
 its ``.data.rel.ro``, which the server relocates, and so writes, when it
-starts. Where ``llvm-config --link-static`` fails, as on an install with
+starts. Of LLVM's targets it links the host's alone, which keeps each
+server about 10 MB smaller: a module whose triple names another target
+fails, with a line naming the triple, where ``opt`` would compile it.
+Where ``llvm-config --link-static`` fails, as on an install with
 only the shared library, it links that library as ``opt`` does. The
 binary is cached under ``${XDG_CACHE_HOME:-~/.cache}/passtune/`` (or the
 temporary directory if that is not writable), keyed by the sha256 of the
@@ -67,14 +70,14 @@ _STOP_SECONDS = 5.0
 # that nothing has used or written for this long.
 _STALE_SECONDS = 7 * 24 * 3600.0
 # The LLVM libraries optd links statically: those whose passes optd.cpp
-# registers (its initialize* calls), and every target, for
+# registers (its initialize* calls), and the host target, for
 # initializeTargetsOnce. They are named because a bare
 # `llvm-config --link-static --libs` names Polly too, of which Debian's
 # LLVM 14 ships no archive, so that link fails.
 LLVM_COMPONENTS = (
     "core", "coroutines", "scalaropts", "objcarcopts", "vectorize", "ipo",
     "analysis", "transformutils", "instcombine", "aggressiveinstcombine",
-    "instrumentation", "target", "codegen", "irreader", "asmparser", "all-targets",
+    "instrumentation", "target", "codegen", "irreader", "asmparser", "native",
 )
 
 
@@ -343,8 +346,9 @@ class ServerPool:
     ) -> tuple[bool, str]:
         """(True, output) or (False, what opt would print) for ``items`` on ``text``.
 
-        A repeated ``-O`` level or a flag that is not a pass fails with a line
-        naming it. A compile past ``timeout`` seconds kills its server and
+        A repeated ``-O`` level, a flag that is not a pass, or a target triple
+        of a target the server does not link fails with a line naming it. A
+        compile past ``timeout`` seconds kills its server and
         raises ``subprocess.TimeoutExpired``.
         """
         server = self._server()

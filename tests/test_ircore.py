@@ -91,7 +91,7 @@ def test_normalize_matches_the_reference_on_the_data_files():
         for _, row in read_jsonl(path)
     ]
     texts += [p.read_text() for p in sorted(ROOT.glob("tests/data/*.ll"))]
-    assert len(texts) == 1180 + 3
+    assert len(texts) == 1180 + 11
     for raw in texts:
         assert normalize(raw) == reference_normalize(raw)
 
