@@ -1,14 +1,23 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from passtune.backend import compile_items
 from passtune.backend.classify import ErrorCategory, classify_error
 from passtune.backend.mini_ir import (
+    LINE_CACHE_ENTRIES,
     MiniParseError,
     MiniVerifyError,
+    _instr_fields,
     parse_function,
     render_function,
     verify_function,
 )
+from passtune.backend.passlist import sample_items
 from passtune.ircore import count_instructions
+from passtune.minigen import generate_corpus
 
 DIAMOND = """\
 define i32 @f(i32 %a, i32 %b) {
@@ -255,3 +264,66 @@ def test_unreachable_block_may_use_undominated_values():
     with pytest.raises(MiniVerifyError):
         # %x0 is undefined everywhere: still an error
         verify_function(parse_function(text))
+
+
+# The line cache: a parse through it equals a parse without it, whatever
+# earlier parses or their users did.
+
+CORPUS = generate_corpus(12, seed=37)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    index=st.integers(0, len(CORPUS) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(0, 4),
+)
+def test_a_parse_through_a_warm_cache_equals_a_cold_one(backend, index, seed, length):
+    ir = CORPUS[index].ir
+    if length:
+        items = sample_items(random.Random(seed), backend.vocabulary, length)
+        ir = compile_items(backend, ir, items).output
+    parse_function(ir.text)
+    warm = parse_function(ir.text)
+    _instr_fields.cache_clear()
+    assert parse_function(ir.text) == warm
+
+
+def test_changing_a_parse_changes_no_later_parse():
+    first = parse_function(DIAMOND)
+    for instr in first.instructions():
+        instr.opcode, instr.result, instr.ty, instr.pred = "mul", "zz", "i64", "ne"
+        for name in ("operands", "labels"):
+            value = getattr(instr, name)
+            try:
+                value[:] = ["zz"] * len(value)  # in place, where the value allows
+            except TypeError:
+                setattr(instr, name, ("zz",) * len(value))
+    again = parse_function(DIAMOND)
+    _instr_fields.cache_clear()
+    assert again == parse_function(DIAMOND) != first
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("%x = add i32 1.5, %a", "floating point constant invalid for type 'i32'"),
+        ("store i32 %a, i64* %p", "'%p' defined with type 'i64*' but expected 'i32*'"),
+        ("%x = frob i32 1, 2", "expected instruction opcode, got 'frob'"),
+    ],
+)
+def test_a_malformed_line_fails_alike_on_every_parse(line, message):
+    text = f"define i32 @f(i32 %a) {{\n{line}\nret i32 %a\n}}"
+    for _ in range(2):
+        with pytest.raises(MiniParseError) as err:
+            parse_function(text)
+        assert str(err.value) == message
+
+
+def test_the_line_cache_holds_at_most_its_bound():
+    _instr_fields.cache_clear()
+    body = "\n".join(f"%x{i} = add i32 %a, {i}" for i in range(LINE_CACHE_ENTRIES + 9))
+    parse_function(f"define i32 @f(i32 %a) {{\n{body}\nret i32 %a\n}}")
+    info = _instr_fields.cache_info()
+    assert info.misses == LINE_CACHE_ENTRIES + 10
+    assert info.currsize == info.maxsize == LINE_CACHE_ENTRIES
