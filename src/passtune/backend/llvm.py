@@ -17,9 +17,10 @@ arguments already set that switch. A compile runs in one of two ways:
 The path is chosen when the backend is built, and every compile takes it:
 its attribute :attr:`LlvmBackend.compile_path` says which one, and why not
 the server when it is not. Either way the output is re-normalized. A
-failure, unparseable output and a time-limit hit each become a classified
-failure outcome, so a crash or hang costs one failed compilation and
-nothing more.
+failure, unparseable output, output that holds no instruction (``-Oz``
+and ``-globaldce`` delete an unused ``internal`` function) and a
+time-limit hit each become a classified failure outcome, so a crash or
+hang costs one failed compilation and nothing more.
 
 The executable is found via the constructor argument, the
 ``PASSTUNE_OPT`` environment variable, or ``opt`` on PATH, in that
@@ -198,5 +199,9 @@ class LlvmBackend:
         except MalformedIrError as err:
             return CompileOutcome.failure(
                 diagnostic_from_message(f"unparseable optimizer output: {err}")
+            )
+        if count == 0:  # the passes deleted the function: nothing is left to count
+            return CompileOutcome.failure(
+                diagnostic_from_message("optimizer output holds no instruction")
             )
         return CompileOutcome.success(out, count)

@@ -10,16 +10,19 @@ its ``.data.rel.ro``, which the server relocates, and so writes, when it
 starts. Of LLVM's targets it links the host's alone, which keeps each
 server about 10 MB smaller: a module whose triple names another target
 fails, with a line naming the triple, where ``opt`` would compile it.
-Where ``llvm-config --link-static`` fails, as on an install with
-only the shared library, it links that library as ``opt`` does. The
-binary is cached under ``${XDG_CACHE_HOME:-~/.cache}/passtune/`` (or the
-temporary directory if that is not writable), keyed by the sha256 of the
-source, ``llvm-config --version``, ``opt --version``, the components and
-the link mode. That cache is the only one: a build runs in its own
-temporary directory and renames the binary into place, so builds that
-race each other are safe. A build then removes the other binaries, and
-the directories of builds that were killed, that are a week old; a
-binary taken from the cache is touched, so one in use stays.
+Where ``llvm-config --link-static`` fails, as on an install without
+LLVM's static archives, optd is not built: :class:`OptdUnavailable`
+names ``--link-static`` and the archives it lacks, and the backend runs
+one ``opt`` per compile. The binary is cached under
+``${XDG_CACHE_HOME:-~/.cache}/passtune/`` (or the temporary directory if
+that is not writable), keyed by the sha256 of the source,
+``llvm-config --version``, ``opt --version``, the components and the
+word ``static``, the one link there is. That cache is the only one: a
+build runs in its own temporary directory and renames the binary into
+place, so builds that race each other are safe. A build then removes the
+other binaries, and the directories of builds that were killed, that are
+a week old; a binary taken from the cache is touched, so one in use
+stays.
 
 The same directory keeps the answers of the start-up queries
 (``opt --help-hidden``, ``opt --version``, ``llvm-config --version`` and
@@ -96,7 +99,8 @@ def server_binary(opt_path: str, opt_version: str) -> str:
     from the cache or built now; raises :class:`OptdUnavailable`."""
     opt_llvm = llvm_version_of(opt_version)
     if not (opt_llvm or "").startswith("14."):
-        raise OptdUnavailable(f"optd runs LLVM 14 only; opt is LLVM {opt_llvm}")
+        said = f"is LLVM {opt_llvm}" if opt_llvm else "--version names no LLVM version"
+        raise OptdUnavailable(f"optd runs LLVM 14 only; opt {said}")
     gxx = shutil.which("g++")
     if gxx is None:
         raise OptdUnavailable("no g++ on PATH")
@@ -104,15 +108,20 @@ def server_binary(opt_path: str, opt_version: str) -> str:
     if config is None:
         raise OptdUnavailable("no llvm-config beside opt or on PATH")
 
-    def run(command: list[str], check: bool = True) -> subprocess.CompletedProcess:
+    def run(command: list[str]) -> subprocess.CompletedProcess:
         try:
             return subprocess.run(
                 command,
                 capture_output=True,
                 text=True,
-                check=check,
+                check=True,
                 timeout=DEFAULT_TIMEOUT_SECONDS,
             )
+        except subprocess.CalledProcessError as err:
+            said = "; ".join(err.stderr.strip().splitlines())
+            raise OptdUnavailable(
+                f"{' '.join(command[:2])} failed: {said or f'exit {err.returncode}'}"
+            ) from err
         except (OSError, subprocess.SubprocessError) as err:
             raise OptdUnavailable(f"{' '.join(command)} failed: {err}") from err
 
@@ -128,12 +137,11 @@ def server_binary(opt_path: str, opt_version: str) -> str:
         source = SOURCE.read_bytes()
     except OSError as err:
         raise OptdUnavailable(f"cannot read {SOURCE}: {err}") from err
+    # Fails, naming each archive it lacks, on an install without them.
     static = cached_run(
-        [config, "--link-static", "--libs", *LLVM_COMPONENTS, "--system-libs"],
-        lambda command: run(command, check=False),
+        [config, "--link-static", "--libs", *LLVM_COMPONENTS, "--system-libs"], run
     )
-    mode = "static" if static.returncode == 0 else "shared"
-    named = (llvm_version, opt_version, " ".join(LLVM_COMPONENTS), mode)
+    named = (llvm_version, opt_version, " ".join(LLVM_COMPONENTS), "static")
     key = hashlib.sha256(b"\0".join([source, *map(str.encode, named)])).hexdigest()
     cache = _cache_dir()
     target = cache / f"optd-{key[:16]}"
@@ -141,17 +149,13 @@ def server_binary(opt_path: str, opt_version: str) -> str:
         with contextlib.suppress(OSError):
             os.utime(target)  # in use, so never stale
         return str(target)
-    if mode == "static":
-        libs = [*shlex.split(static.stdout), "-no-pie"]
-    else:  # only the shared library: link it as opt does
-        libs = [*shlex.split(query("--libs")), f"-Wl,-rpath,{query('--libdir')}"]
     flags = [query(option) for option in ("--cxxflags", "--ldflags")]
     try:
         # Built apart and renamed into place, so no process runs half a file.
         with tempfile.TemporaryDirectory(dir=cache, prefix=".optd-") as scratch:
             partial = os.path.join(scratch, "optd")
             cmd = [gxx, *shlex.split(flags[0]), "-O2", str(SOURCE), "-o", partial]
-            cmd += [*shlex.split(flags[1]), *libs]
+            cmd += [*shlex.split(flags[1]), *shlex.split(static.stdout), "-no-pie"]
             proc = subprocess.run(
                 cmd, capture_output=True, text=True, timeout=_BUILD_SECONDS
             )

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from passtune.backend.classify import ErrorCategory
+from passtune.backend.classify import ErrorCategory, IrDiagnostic
 from passtune.backend import BackendUnavailableError, compile_items
 from passtune.backend.llvm import (
     OPT_ENV_VAR,
@@ -17,6 +17,7 @@ from passtune.backend.llvm import (
     resolve_opt_path,
 )
 from passtune.backend.passlist import llvm10_vocabulary
+from passtune.cli import main
 from passtune.ircore import normalize
 
 DATA = Path(__file__).parent / "data"
@@ -52,6 +53,9 @@ if "--stub-hang" in args:
     time.sleep(30)
 if "--stub-garbage" in args:
     sys.stdout.write("}\\n")
+    sys.exit(0)
+if "--stub-empty" in args:  # a module whose one function the passes deleted
+    sys.stdout.write('source_filename = "<stdin>"\\n\\ndeclare i32 @g(i32)\\n')
     sys.exit(0)
 
 files = [a for a in args if not a.startswith("-")]
@@ -274,6 +278,67 @@ def test_apply_unparseable_output_is_failure(stub_opt, sample_ir):
     outcome = compile_items(backend, sample_ir, ())
     assert not outcome.ok
     assert "unparseable optimizer output" in outcome.diagnostic.message
+
+
+def test_output_that_holds_no_instruction_is_failure(stub_opt, sample_ir):
+    backend = LlvmBackend(stub_opt, extra_args=("--stub-empty",))
+    outcome = compile_items(backend, sample_ir, ())
+    assert not outcome.ok
+    assert outcome.diagnostic == IrDiagnostic(
+        ErrorCategory.OTHER, "optimizer output holds no instruction"
+    )
+
+
+# -Oz and -globaldce delete an unused internal function.
+INTERNAL = """\
+define internal i32 @f(i32 %a) {
+entry:
+  %b = add i32 %a, 1
+  ret i32 %b
+}
+"""
+
+
+def test_a_compile_that_deletes_the_function_fails_and_the_run_goes_on(
+    tmp_path, capsys
+):
+    try:
+        opt = resolve_opt_path()
+    except BackendUnavailableError:
+        pytest.skip("no optimizer executable on PATH or in PASSTUNE_OPT")
+    backend = LlvmBackend(opt)
+    for items in (("-Oz",), ("-globaldce",)):
+        outcome = compile_items(backend, normalize(INTERNAL), items)
+        assert outcome.diagnostic.message == "optimizer output holds no instruction"
+    kept = normalize(INTERNAL.replace("internal ", ""))
+    assert compile_items(backend, kept, ("-Oz",)).instruction_count == 2
+    (tmp_path / "f.ll").write_text(INTERNAL)
+    corpus, tuned = tmp_path / "corpus.jsonl", tmp_path / "tuned.jsonl"
+    assert main(["ingest", str(tmp_path / "f.ll"), "--output", str(corpus)]) == 0
+    llvm = ["--corpus", str(corpus), "--backend", "llvm", "--opt-path", opt]
+    baseline_failed = "error: baseline failed to compile: f"
+    capsys.readouterr()
+    code = main(["autotune", *llvm, "--output", str(tuned), "--budget-evals", "3"])
+    assert code == 4
+    assert capsys.readouterr().err.splitlines()[-1] == baseline_failed
+    assert tuned.read_text() == ""
+    answer = "Run passes -globaldce to reduce instruction count from 2 to 0:\n\n"
+    answers, predictions = tmp_path / "answers.jsonl", tmp_path / "predictions.jsonl"
+    answers.write_text(json.dumps({"function_id": "f", "answer": answer}) + "\n")
+    assert main([
+        "predict", *llvm, "--method", "file", "--predictions-file", str(answers),
+        "--output", str(predictions),
+    ]) == 0
+    rows = tmp_path / "rows.jsonl"
+    capsys.readouterr()
+    code = main([
+        "evaluate", *llvm, "--predictions", str(predictions), "--output", str(rows),
+    ])
+    assert code == 4
+    assert capsys.readouterr().err.splitlines()[-1] == baseline_failed
+    assert rows.read_text() == ""
+    summary = rows.with_name("rows.summary.jsonl").read_text().splitlines()
+    assert "total_functions = 0" in summary
 
 
 def test_extra_args_reach_the_command_line(stub_opt, sample_ir):

@@ -7,7 +7,7 @@ target alone; the inputs with a target triple name x86-64, which these
 tests take to be the host's. The isolation tests time out,
 kill and crash servers. The tests that run the installed ``opt`` are
 skipped without it, and those that run optd without a built optd (``g++``,
-``llvm-config`` and LLVM 14).
+``llvm-config``, LLVM's static archives and LLVM 14).
 """
 
 import hashlib
@@ -271,9 +271,15 @@ def flag_lists(draw, vocabulary):
     return items
 
 
-def test_the_server_is_chosen_on_llvm_14_wherever_gxx_and_llvm_config_exist(opt):
-    if shutil.which("g++") is None or shutil.which("llvm-config") is None:
-        pytest.skip("no g++ or no llvm-config on PATH")
+def test_the_server_is_chosen_on_llvm_14_wherever_gxx_and_llvms_archives_exist(opt):
+    config = optd.find_llvm_config(opt)
+    if shutil.which("g++") is None or config is None:
+        pytest.skip("no g++ on PATH, or no llvm-config")
+    archives = subprocess.run(
+        [config, "--link-static", "--libs", "core"], capture_output=True, timeout=LIMIT
+    )
+    if archives.returncode != 0:
+        pytest.skip("llvm-config finds no static LLVM archives")
     path = LlvmBackend(opt, extra_args=SERVER_ARGS).compile_path
     if not path["llvm_version"].startswith("14."):
         pytest.skip(f"opt is LLVM {path['llvm_version']}, not 14")
@@ -289,20 +295,29 @@ def test_with_no_extra_argument_llvm_14_compiles_on_the_server(opt, backend):
     assert implied.compile_path["path"] == "opt-server"
 
 
+@pytest.mark.parametrize(
+    "version,llvm_version,said",
+    [
+        ("stub LLVM version 15.0.7", "15.0.7", "is LLVM 15.0.7"),
+        ("stub build", None, "--version names no LLVM version"),
+    ],
+    ids=["15.0.7", "no-version"],
+)
 def test_an_opt_of_another_llvm_than_14_compiles_without_the_server(
-    tmp_path, private_cache
+    tmp_path, private_cache, version, llvm_version, said
 ):
     if shutil.which("g++") is None:
         pytest.skip("no g++ on PATH")
     opt = Path(write_stub(tmp_path))
-    opt.write_text(opt.read_text().replace("version 10.0.0", "version 15.0.7"))
+    named = "stub LLVM (http://llvm.org/) version 10.0.0"
+    opt.write_text(opt.read_text().replace(named, version))
     config = tmp_path / "llvm-config"  # beside opt, so the one optd would use
     config.write_text("#!/bin/sh\necho 15.0.7\n")
     config.chmod(0o755)
     assert LlvmBackend(str(opt), extra_args=SERVER_ARGS).compile_path == {
         "path": "opt",
-        "llvm_version": "15.0.7",
-        "fallback_reason": "optd runs LLVM 14 only; opt is LLVM 15.0.7",
+        "llvm_version": llvm_version,
+        "fallback_reason": f"optd runs LLVM 14 only; opt {said}",
     }
 
 
@@ -326,31 +341,67 @@ def test_where_llvms_archives_exist_the_server_maps_no_shared_libllvm(opt, pool)
     assert not maps_libllvm(pool)
 
 
-def test_without_llvms_archives_the_server_links_the_shared_library(
-    opt, backend, tmp_path, private_cache
+# A stand-in for g++ that logs its runs and writes an executable to its -o.
+FAKE_GXX = """#!/bin/sh
+echo "$@" >> {log}
+while [ "$1" != -o ]; do shift; done
+printf '#!/bin/sh\\n' > "$2"
+chmod 755 "$2"
+"""
+
+# A stand-in for an llvm-config without LLVM's static archives: it logs its
+# runs, and fails --link-static as llvm-config does, one line per archive.
+NO_ARCHIVES_CONFIG = """#!/bin/sh
+echo "$@" >> {log}
+case "$1" in
+--version) echo 14.0.6 ;;
+--link-static)
+    echo "llvm-config: error: missing: /stub/lib/libLLVMCore.a" >&2
+    echo "llvm-config: error: missing: /stub/lib/libLLVMipo.a" >&2
+    exit 1 ;;
+esac
+"""
+
+
+def test_without_llvms_archives_the_backend_compiles_through_opt(
+    opt, tmp_path, private_cache, monkeypatch
 ):
-    # A wrapper script, not a symlink: optd takes the llvm-config beside
-    # opt's resolved path, which for a symlink is the real one.
-    real_opt, real_config = os.path.realpath(opt), optd.find_llvm_config(opt)
+    # opt, but reporting LLVM 14, so that only the archives keep the server
+    # from building; beside it, the llvm-config that optd would use.
     wrapped = tmp_path / "opt"
-    wrapped.write_text(f'#!/bin/sh\nexec {real_opt} "$@"\n')
-    config = tmp_path / "llvm-config"
-    config.write_text(
+    wrapped.write_text(
         "#!/bin/sh\n"
-        'for arg; do [ "$arg" = --link-static ] && exit 1; done\n'
-        f'exec {real_config} "$@"\n'
+        '[ "$1" = --version ] && echo "LLVM version 14.0.6" && exit 0\n'
+        f'exec {os.path.realpath(opt)} "$@"\n'
     )
-    for stub in (wrapped, config):
+    config_log, gxx_log = tmp_path / "llvm-config.log", tmp_path / "gxx.log"
+    config = tmp_path / "llvm-config"
+    config.write_text(NO_ARCHIVES_CONFIG.replace("{log}", str(config_log)))
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "g++").write_text(FAKE_GXX.replace("{log}", str(gxx_log)))
+    for stub in (wrapped, config, bin_dir / "g++"):
         stub.chmod(0o755)
-    shared = LlvmBackend(str(wrapped), extra_args=SERVER_ARGS)
-    assert shared.compile_path == backend.compile_path
-    pool = shared._compile.__self__
-    try:
-        reply = pool.compile(("-Oz",), INPUTS[0], LIMIT)
-        assert reply == opt_reply(opt, ("-Oz",), INPUTS[0])
-        assert maps_libllvm(pool)
-    finally:
-        stop_servers(pool)
+    monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+    fallback = LlvmBackend(str(wrapped), extra_args=SERVER_ARGS)
+    assert fallback.compile_path == {
+        "path": "opt",
+        "llvm_version": "14.0.6",
+        "fallback_reason": (
+            f"{config} --link-static failed: "
+            "llvm-config: error: missing: /stub/lib/libLLVMCore.a; "
+            "llvm-config: error: missing: /stub/lib/libLLVMipo.a"
+        ),
+    }
+    reply = fallback._compile(("-Oz",), INPUTS[0], LIMIT)
+    assert reply == opt_reply(opt, ("-Oz",), INPUTS[0])
+    # A failed query is not kept: the next backend asks again.
+    assert LlvmBackend(str(wrapped), extra_args=SERVER_ARGS).compile_path == (
+        fallback.compile_path
+    )
+    asked = config_log.read_text().splitlines()
+    assert [line.split()[0] for line in asked].count("--link-static") == 2
+    assert not gxx_log.exists()
 
 
 def test_a_binary_cached_under_the_key_without_the_link_mode_is_not_taken(
@@ -374,15 +425,6 @@ def test_a_binary_cached_under_the_key_without_the_link_mode_is_not_taken(
     assert stale.name != built.name
     (cache / built.name).symlink_to(built)  # the current binary: nothing is built
     assert server_binary(backend.opt_path, backend.version()) == str(cache / built.name)
-
-
-# A stand-in for g++ that logs its runs and writes an executable to its -o.
-FAKE_GXX = """#!/bin/sh
-echo "$@" >> {log}
-while [ "$1" != -o ]; do shift; done
-printf '#!/bin/sh\\n' > "$2"
-chmod 755 "$2"
-"""
 
 
 def _aged(path, days):
