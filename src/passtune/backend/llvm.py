@@ -29,8 +29,9 @@ vocabulary keeps only the flags that ``opt --help-hidden`` lists (see
 :func:`listed_vocabulary`), so a flag the installed ``opt`` does not know
 is never sampled; the dropped flags are logged as one warning. That
 listing and ``opt --version`` are read once per ``opt`` file and kept
-beside optd's binary (see :func:`~passtune.backend.optd.cached_run`), so
-on a warm cache a backend starts no process before its first compile.
+beside optd's binary (see :func:`~passtune.backend.optd.query`), so on a
+warm cache a backend starts no process before its first compile. An
+``opt`` that cannot answer either makes the backend unavailable.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from passtune.backend.classify import diagnostic_from_message
 from passtune.backend.optd import (
     OptdUnavailable,
     ServerPool,
-    cached_run,
     llvm_version_of,
+    query,
     server_binary,
 )
 from passtune.backend.passlist import PassList, PassVocabulary, llvm10_vocabulary
@@ -80,30 +81,11 @@ def resolve_opt_path(explicit: Optional[str] = None) -> str:
     return resolved
 
 
-def _query(opt_path: str, option: str) -> subprocess.CompletedProcess:
-    """``opt <option>``: cached per ``opt`` file (see ``optd.cached_run``),
-    else run under the default limit, not the per-compile one."""
-
-    def run(cmd: list[str]) -> subprocess.CompletedProcess:
-        try:
-            return subprocess.run(
-                cmd, capture_output=True, text=True, timeout=DEFAULT_TIMEOUT_SECONDS
-            )
-        except (OSError, subprocess.TimeoutExpired) as err:
-            raise BackendUnavailableError(f"cannot run {opt_path!r}: {err}") from err
-
-    return cached_run([opt_path, option], run)
-
-
 def listed_vocabulary(opt_path: str) -> tuple[PassVocabulary, bool]:
     """The flags of LLVM 10's vocabulary that ``opt --help-hidden`` lists,
     and whether it lists ``-enable-new-pm``."""
-    proc = _query(opt_path, "--help-hidden")
-    if proc.returncode != 0:
-        raise BackendUnavailableError(
-            f"{opt_path} --help-hidden exited with {proc.returncode}"
-        )
-    listed = {f"-{name}" for name in _LISTED_OPTION.findall(proc.stdout)}
+    listing = query([opt_path, "--help-hidden"], BackendUnavailableError)
+    listed = {f"-{name}" for name in _LISTED_OPTION.findall(listing)}
     vocabulary = llvm10_vocabulary()
     dropped = [f for f in vocabulary.all_flags if f not in listed]
     if dropped:
@@ -144,8 +126,8 @@ class LlvmBackend:
         self.compile_path, self._compile = self._choose_path()
 
     def version(self) -> str:
-        proc = _query(self.opt_path, "--version")
-        return " ".join(proc.stdout.split()) or f"opt at {self.opt_path}"
+        answer = query([self.opt_path, "--version"], BackendUnavailableError)
+        return " ".join(answer.split()) or f"opt at {self.opt_path}"
 
     def _choose_path(self) -> tuple[dict, Callable[..., tuple[bool, str]]]:
         version = self.version()

@@ -24,14 +24,15 @@ other binaries, and the directories of builds that were killed, that are
 a week old; a binary taken from the cache is touched, so one in use
 stays.
 
-The same directory keeps the answers of the start-up queries
-(``opt --help-hidden``, ``opt --version``, ``llvm-config --version`` and
-the static link flags): :func:`cached_run` keys each on the executable's
-resolved path, device, inode, size and modification time, and on its
-arguments, so a subcommand on a warm cache starts no process before its
-first compile. An install without LLVM's archives is the exception: a
-query that fails is not kept, so there each subcommand asks
-``llvm-config --link-static`` again.
+Every start-up question passtune asks ``opt`` and ``llvm-config``
+(``opt --help-hidden`` and ``--version``; ``llvm-config --version``,
+``--link-static``, ``--cxxflags`` and ``--ldflags``) goes through
+:func:`query`, which keeps the answers in the same directory, keyed on
+the executable's resolved path, device, inode, size and modification
+time, and on its arguments, so a subcommand on a warm cache starts no
+process before its first compile. A question that fails raises the
+caller's error and is not kept, so on an install without LLVM's
+archives each subcommand asks ``llvm-config --link-static`` again.
 
 A :class:`ServerPool` keeps one server per process, keyed by its pid and
 started by its first compile, so a forked worker never writes to its
@@ -57,7 +58,7 @@ import tempfile
 import time
 import weakref
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from passtune.backend import BackendUnavailableError
 from passtune.util import DEFAULT_TIMEOUT_SECONDS, at_worker_exit
@@ -107,28 +108,7 @@ def server_binary(opt_path: str, opt_version: str) -> str:
     config = find_llvm_config(opt_path)
     if config is None:
         raise OptdUnavailable("no llvm-config beside opt or on PATH")
-
-    def run(command: list[str]) -> subprocess.CompletedProcess:
-        try:
-            return subprocess.run(
-                command,
-                capture_output=True,
-                text=True,
-                check=True,
-                timeout=DEFAULT_TIMEOUT_SECONDS,
-            )
-        except subprocess.CalledProcessError as err:
-            said = "; ".join(err.stderr.strip().splitlines())
-            raise OptdUnavailable(
-                f"{' '.join(command[:2])} failed: {said or f'exit {err.returncode}'}"
-            ) from err
-        except (OSError, subprocess.SubprocessError) as err:
-            raise OptdUnavailable(f"{' '.join(command)} failed: {err}") from err
-
-    def query(option: str) -> str:
-        return run([config, option]).stdout.strip()
-
-    llvm_version = cached_run([config, "--version"], run).stdout.strip()
+    llvm_version = query([config, "--version"], OptdUnavailable).strip()
     if opt_llvm != llvm_version:
         raise OptdUnavailable(
             f"opt is LLVM {opt_llvm} but {config} is LLVM {llvm_version}"
@@ -138,8 +118,9 @@ def server_binary(opt_path: str, opt_version: str) -> str:
     except OSError as err:
         raise OptdUnavailable(f"cannot read {SOURCE}: {err}") from err
     # Fails, naming each archive it lacks, on an install without them.
-    static = cached_run(
-        [config, "--link-static", "--libs", *LLVM_COMPONENTS, "--system-libs"], run
+    static = query(
+        [config, "--link-static", "--libs", *LLVM_COMPONENTS, "--system-libs"],
+        OptdUnavailable,
     )
     named = (llvm_version, opt_version, " ".join(LLVM_COMPONENTS), "static")
     key = hashlib.sha256(b"\0".join([source, *map(str.encode, named)])).hexdigest()
@@ -149,13 +130,14 @@ def server_binary(opt_path: str, opt_version: str) -> str:
         with contextlib.suppress(OSError):
             os.utime(target)  # in use, so never stale
         return str(target)
-    flags = [query(option) for option in ("--cxxflags", "--ldflags")]
+    cxxflags = query([config, "--cxxflags"], OptdUnavailable)
+    ldflags = query([config, "--ldflags"], OptdUnavailable)
     try:
         # Built apart and renamed into place, so no process runs half a file.
         with tempfile.TemporaryDirectory(dir=cache, prefix=".optd-") as scratch:
             partial = os.path.join(scratch, "optd")
-            cmd = [gxx, *shlex.split(flags[0]), "-O2", str(SOURCE), "-o", partial]
-            cmd += [*shlex.split(flags[1]), *shlex.split(static.stdout), "-no-pie"]
+            cmd = [gxx, *shlex.split(cxxflags), "-O2", str(SOURCE), "-o", partial]
+            cmd += [*shlex.split(ldflags), *shlex.split(static), "-no-pie"]
             proc = subprocess.run(
                 cmd, capture_output=True, text=True, timeout=_BUILD_SECONDS
             )
@@ -209,37 +191,45 @@ def _cache_dir() -> Path:
     raise OptdUnavailable(f"no writable cache directory for optd (tried {base})")
 
 
-def cached_run(
-    command: list[str], run: Callable[[list[str]], subprocess.CompletedProcess]
-) -> subprocess.CompletedProcess:
-    """``run(command)``, or the answer that the same executable gave before.
+def query(command: list[str], fail: type[Exception]) -> str:
+    """The standard output of ``command``, asked once per executable file.
 
-    An answer is reused while the file at the executable's resolved path
-    keeps its device, inode, size and modification time. Only an answer
-    that exited 0 is kept, and only its standard output. A cache that
-    cannot be read or written just means ``run`` runs.
+    The answer is kept in the cache directory and reused while the file at
+    the executable's resolved path keeps its device, inode, size and
+    modification time. A cache that cannot be read or written only means
+    the command runs again. It runs under :data:`DEFAULT_TIMEOUT_SECONDS`;
+    one that cannot start, runs past that or exits non-zero raises
+    ``fail`` with one line, ``<exe> <option> failed: <why>``, and nothing
+    is kept.
     """
+    entry = None
     try:
         path = os.path.realpath(command[0])
         st = os.stat(path)
         key = [path, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, *command[1:]]
         digest = hashlib.sha256(json.dumps(key).encode()).hexdigest()
         entry = _cache_dir() / f"query-{digest[:16]}.json"
-    except (OSError, OptdUnavailable):
-        return run(command)
-    try:
         stored = json.loads(entry.read_text(encoding="utf-8"))
         if stored["key"] == key and isinstance(stored["stdout"], str):
-            return subprocess.CompletedProcess(command, 0, stored["stdout"], "")
-    except (OSError, ValueError, TypeError, KeyError):
-        pass  # missing or corrupt: ask again, and store the new answer
-    proc = run(command)
+            return stored["stdout"]
+    except (OSError, OptdUnavailable, ValueError, TypeError, KeyError):
+        pass  # no cache, or no answer in it (or a corrupt one): ask
+    asked = " ".join(command[:2])
+    try:
+        proc = subprocess.run(
+            command, capture_output=True, text=True, timeout=DEFAULT_TIMEOUT_SECONDS
+        )
+    except (OSError, subprocess.TimeoutExpired) as err:
+        raise fail(f"{asked} failed: {err}") from err
     if proc.returncode != 0:
-        return proc
+        said = "; ".join(proc.stderr.strip().splitlines())
+        raise fail(f"{asked} failed: {said or f'exit {proc.returncode}'}")
+    if entry is None:
+        return proc.stdout
     try:  # written apart and renamed into place, as the binary is
         fd, partial = tempfile.mkstemp(dir=entry.parent, prefix=".query-")
     except OSError:
-        return proc
+        return proc.stdout
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump({"key": key, "stdout": proc.stdout}, fh)
@@ -247,7 +237,7 @@ def cached_run(
     except OSError:
         with contextlib.suppress(OSError):
             os.unlink(partial)
-    return proc
+    return proc.stdout
 
 
 class _ServerDied(Exception):

@@ -552,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_checked(float, partial(positive_seconds, what="timeout")),
         default=DEFAULT_TIMEOUT_SECONDS,
         help=(
-            "per-compilation timeout in seconds; under predict --method command, "
-            "also the time limit of each predictor process"
+            "per-compilation timeout in seconds; under predict, which compiles "
+            "nothing, the time limit of each predictor process (--method command)"
         ),
     )
 

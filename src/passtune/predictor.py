@@ -272,10 +272,11 @@ def _parse_prediction(
     """Read model output: the answer template, else a bare flag list.
 
     Text in the answer template gives the list plus the predicted counts
-    and code; any other text is split on whitespace, and a list (a file
-    row's array) is taken as it is. No flags at all (a missing field or
-    any other JSON value included), an unknown flag or a repeated
-    meta-flag or ``-attributor`` gives -Oz, flagged ``parse_failed``.
+    and code; any other text is split on whitespace, and a list of
+    strings (a file row's array) is taken as it is. No flags at all (a
+    missing field, a list holding anything but strings, or any other JSON
+    value included), an unknown flag or a repeated meta-flag or
+    ``-attributor`` gives -Oz, flagged ``parse_failed``.
     """
     claims: dict = {}
     if isinstance(output, str):
@@ -289,8 +290,10 @@ def _parse_prediction(
                 predicted_output_count=output_count,
                 predicted_code=code,
             )
+    elif isinstance(output, list) and all(isinstance(item, str) for item in output):
+        items = tuple(output)
     else:
-        items = tuple(output) if isinstance(output, list) else ()
+        items = ()
     if not (items or claims) or vocabulary.problem(items) is not None:
         return Prediction(function_id=fn.id, pass_list=OZ_LIST, parse_failed=True)
     return Prediction(function_id=fn.id, pass_list=" ".join(items), **claims)

@@ -376,6 +376,16 @@ def test_a_failing_flag_listing_means_the_backend_is_unavailable(tmp_path):
         LlvmBackend(str(failing))
 
 
+def test_an_opt_that_cannot_name_its_version_is_unavailable(tmp_path, private_cache):
+    stub = Path(write_stub(tmp_path))
+    answer = 'print("stub LLVM (http://llvm.org/) version 10.0.0")\n    sys.exit(0)'
+    refusal = 'sys.stderr.write("stub: no version\\n")\n    sys.exit(1)'
+    stub.write_text(stub.read_text().replace(answer, refusal))
+    with pytest.raises(BackendUnavailableError) as err:
+        LlvmBackend(str(stub))
+    assert str(err.value) == f"{stub} --version failed: stub: no version"
+
+
 def test_the_vocabulary_drops_exactly_the_flags_the_installed_opt_rejects():
     opt = shutil.which("opt")
     if opt is None:

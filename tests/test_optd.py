@@ -433,20 +433,58 @@ def _aged(path, days):
     os.utime(path, (then, then), follow_symlinks=False)
 
 
-def test_a_build_removes_the_binaries_and_build_directories_a_week_old(
-    tmp_path, private_cache, monkeypatch
-):
+# A stand-in for an llvm-config with LLVM's static archives: it logs its
+# runs and answers each question of optd's build with a flag of its own.
+ARCHIVES_CONFIG = """#!/bin/sh
+echo "$@" >> {log}
+case "$1" in
+--version) echo 14.0.6 ;;
+--link-static) echo -lLLVMStub ;;
+--cxxflags) echo -I/stub/include ;;
+--ldflags) echo -L/stub/lib ;;
+esac
+"""
+
+
+def stub_build_tools(tmp_path, monkeypatch):
+    """A stub opt of LLVM 14, ARCHIVES_CONFIG beside it and FAKE_GXX first
+    on PATH: optd builds here in no time. Returns opt and the two logs."""
     opt = Path(write_stub(tmp_path))
     opt.write_text(opt.read_text().replace("version 10.0.0", "version 14.0.6"))
+    config_log, gxx_log = tmp_path / "llvm-config.log", tmp_path / "gxx.log"
     config = tmp_path / "llvm-config"  # beside opt, so the one optd would use
-    config.write_text('#!/bin/sh\n[ "$1" = --version ] && echo 14.0.6\nexit 0\n')
+    config.write_text(ARCHIVES_CONFIG.replace("{log}", str(config_log)))
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
-    gxx_log = tmp_path / "gxx.log"
     (bin_dir / "g++").write_text(FAKE_GXX.replace("{log}", str(gxx_log)))
     for stub in (config, bin_dir / "g++"):
         stub.chmod(0o755)
     monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+    return opt, config_log, gxx_log
+
+
+def test_a_build_asks_llvm_config_each_question_once(
+    tmp_path, private_cache, monkeypatch
+):
+    opt, config_log, gxx_log = stub_build_tools(tmp_path, monkeypatch)
+    version = "stub LLVM version 14.0.6"
+    built = Path(server_binary(str(opt), version))
+    asked = [line.split()[0] for line in config_log.read_text().splitlines()]
+    assert sorted(asked) == ["--cxxflags", "--ldflags", "--link-static", "--version"]
+    # Without the binary the build runs again, on the answers in the cache.
+    built.unlink()
+    assert server_binary(str(opt), version) == str(built)
+    assert len(config_log.read_text().splitlines()) == 4
+    builds = gxx_log.read_text().splitlines()
+    assert len(builds) == 2
+    for build in builds:
+        assert {"-I/stub/include", "-L/stub/lib", "-lLLVMStub"} <= set(build.split())
+
+
+def test_a_build_removes_the_binaries_and_build_directories_a_week_old(
+    tmp_path, private_cache, monkeypatch
+):
+    opt, _, gxx_log = stub_build_tools(tmp_path, monkeypatch)
     version = "stub LLVM version 14.0.6"  # a backend would build optd here
     private_cache.mkdir(parents=True, exist_ok=True)
     planted = {

@@ -289,7 +289,12 @@ def test_file_predictor_row_forms(tmp_path, vocab, corpus20):
 
 
 @pytest.mark.parametrize(
-    "output", ["", "  \n", [], 5], ids=["empty", "blank", "empty-array", "number"]
+    "output",
+    ["", "  \n", [], 5, [["-dce"]], [{"a": 1}], ["-dce", 5]],
+    ids=[
+        "empty", "blank", "empty-array", "number",
+        "nested-array", "object-item", "number-item",
+    ],
 )
 def test_file_predictor_empty_output_degrades(tmp_path, vocab, corpus20, output):
     path = tmp_path / "preds.jsonl"
